@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test test-race vet chaos chaos-replica chaos-feed bench bench-json bench-cascade bench-approx bench-approx-smoke cover cover-check fuzz-smoke golden golden-update soak experiments experiments-full examples clean
+.PHONY: build test test-race vet chaos chaos-replica chaos-feed bench bench-module bench-json bench-cascade bench-approx bench-approx-smoke cover cover-check fuzz-smoke golden golden-update soak experiments experiments-full examples clean
 
 build:
 	go build ./...
@@ -112,6 +112,13 @@ soak:
 
 bench:
 	go test -bench=. -benchmem .
+
+# bench/ is a nested module (BENCHMARK.json's harness), so `go build ./...`
+# and `go test ./...` from the root never compile it: a change that deletes
+# exported API can break the benchmark silently. This vets and tests it
+# against the tree it lives in.
+bench-module:
+	cd bench && go vet ./... && go test ./...
 
 # Worker-sweep benchmarks of the parallel distance engine plus the
 # columnar kernel benchmarks and the planner micro-benchmark, as JSON,

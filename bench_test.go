@@ -401,7 +401,7 @@ func BenchmarkCascadeKNNExact(b *testing.B) {
 			cells := dist.DPCells()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, err := tr.KNNExactStats(nil, queries[i%len(queries)], 10)
+				_, st, err := tr.KNNExactStatsCtx(context.Background(), nil, queries[i%len(queries)], 10)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -459,11 +459,11 @@ func BenchmarkBatchedLeafDP(b *testing.B) {
 	})
 }
 
-// BenchmarkColumnarKNNExact measures the layout end to end on the exact
-// k-NN workload: the pointer-chasing row layout against the columnar
-// layout with its batched kernel and quantized 8-bit tier. Reports the
-// quantized tier's hit rate (records killed by the 2-byte code before any
-// column data was touched) as quant_pruned/op.
+// BenchmarkColumnarKNNExact measures the columnar layout, with its batched
+// kernel and quantized 8-bit tier, end to end on the exact k-NN workload
+// (BenchmarkBatchedLeafDP keeps the per-pair kernel as its reference).
+// Reports the quantized tier's hit rate (records killed by the 2-byte code
+// before any column data was touched) as quant_pruned/op.
 func BenchmarkColumnarKNNExact(b *testing.B) {
 	ds := benchSequences(b, 20, 12)
 	items := make([]index.Item[int], len(ds.Items))
@@ -471,39 +471,27 @@ func BenchmarkColumnarKNNExact(b *testing.B) {
 		items[i] = index.Item[int]{Seq: seq, Payload: i}
 	}
 	queries := benchSequences(b, 1, 12).Items
-	for _, tc := range []struct {
-		name string
-		mut  func(*index.Config)
-	}{
-		{"layout=row", func(c *index.Config) { c.DisableColumnar = true }},
-		{"layout=columnar", nil},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			// Few clusters leave each leaf holding several patterns, so the
-			// record-level tiers (not leaf skipping) do the pruning — the
-			// regime the quantized tier exists for.
-			cfg := index.Config{NumClusters: 2, EMMaxIter: 12, Seed: 1}
-			if tc.mut != nil {
-				tc.mut(&cfg)
-			}
-			tr := index.New[int](cfg)
-			if err := tr.AddSegment(nil, items); err != nil {
+	b.Run("layout=columnar", func(b *testing.B) {
+		// Few clusters leave each leaf holding several patterns, so the
+		// record-level tiers (not leaf skipping) do the pruning — the
+		// regime the quantized tier exists for.
+		tr := index.New[int](index.Config{NumClusters: 2, EMMaxIter: 12, Seed: 1})
+		if err := tr.AddSegment(nil, items); err != nil {
+			b.Fatal(err)
+		}
+		quant := index.QuantPruned()
+		cells := dist.DPCells()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := tr.KNNExactStatsCtx(context.Background(), nil, queries[i%len(queries)], 10); err != nil {
 				b.Fatal(err)
 			}
-			quant := index.QuantPruned()
-			cells := dist.DPCells()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tr.KNNExactCtx(context.Background(), nil, queries[i%len(queries)], 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			n := float64(b.N)
-			b.ReportMetric(float64(dist.DPCells()-cells)/n, "dp_cells/op")
-			b.ReportMetric(float64(index.QuantPruned()-quant)/n, "quant_pruned/op")
-		})
-	}
+		}
+		b.StopTimer()
+		n := float64(b.N)
+		b.ReportMetric(float64(dist.DPCells()-cells)/n, "dp_cells/op")
+		b.ReportMetric(float64(index.QuantPruned()-quant)/n, "quant_pruned/op")
+	})
 }
 
 // BenchmarkCascadeRange is the range-query counterpart: the fixed radius
@@ -535,7 +523,7 @@ func BenchmarkCascadeRange(b *testing.B) {
 			cells := dist.DPCells()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.RangeCtx(context.Background(), nil, queries[i%len(queries)], 120); err != nil {
+				if _, _, err := tr.RangeStatsCtx(context.Background(), nil, queries[i%len(queries)], 120); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -839,7 +827,7 @@ func BenchmarkPlannerSelect(b *testing.B) {
 		return &query.Query{Where: query.SpatialNode{Kind: query.SpatialPasses, Rect: rect}}
 	}
 	run := func(b *testing.B, db *core.VideoDB, want query.Strategy) {
-		res, err := db.QueryComposed(newQuery())
+		res, err := db.QueryComposedCtx(context.Background(), newQuery())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -851,7 +839,7 @@ func BenchmarkPlannerSelect(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.QueryComposed(newQuery()); err != nil {
+			if _, err := db.QueryComposedCtx(context.Background(), newQuery()); err != nil {
 				b.Fatal(err)
 			}
 		}

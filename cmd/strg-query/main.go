@@ -26,7 +26,6 @@ import (
 
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
-	"strgindex/internal/index"
 	"strgindex/internal/query"
 )
 
@@ -59,42 +58,33 @@ func main() {
 	s := db.Stats()
 	fmt.Printf("loaded database: %d OGs in %d clusters under %d backgrounds\n\n", s.OGs, s.Clusters, s.Roots)
 
+	var q *query.Query
 	if *dslInline != "" || *dslFile != "" {
-		runDSL(db, *dslInline, *dslFile)
-		return
-	}
-
-	seq, err := parseTrajectory(*traj)
-	fail(err)
-	if *samples > 0 && len(seq) > 1 {
-		seq = dist.Resample(seq, *samples)
-	}
-
-	var matches []core.Match
-	switch {
-	case *radius > 0:
-		matches = db.QueryRange(seq, *radius)
-		fmt.Printf("range query (radius %.1f): %d hits\n", *radius, len(matches))
-	case *approx:
-		var st index.SearchStats
-		var info *core.ApproxInfo
-		matches, st, info, err = db.QueryTrajectoryApproxStatsCtx(context.Background(), seq, *k, *nprobe)
+		q = parseDSL(*dslInline, *dslFile)
+	} else {
+		seq, err := parseTrajectory(*traj)
 		fail(err)
-		fmt.Printf("approximate %d-NN: probed %d/%d lists, reranked %d candidates (recall proxy %.2f, %d DP evals)\n",
-			*k, info.Probed, info.Lists, info.Candidates, info.RecallProxy, st.DPEvaluated)
-	case *exact:
-		matches = db.QueryTrajectoryExact(seq, *k)
-		fmt.Printf("exact %d-NN:\n", *k)
-	default:
-		matches = db.QueryTrajectory(seq, *k)
-		fmt.Printf("%d-NN (Algorithm 3):\n", *k)
+		if *samples > 0 && len(seq) > 1 {
+			seq = dist.Resample(seq, *samples)
+		}
+		c := &query.SimilarClause{Trajectory: seq}
+		switch {
+		case *radius > 0:
+			c.Radius = *radius
+		case *approx:
+			c.K, c.Mode, c.NProbe = *k, query.ModeApprox, *nprobe
+		default:
+			c.K, c.Exact = *k, *exact
+		}
+		q = &query.Query{Similar: c}
 	}
-	printMatches(matches)
+	res, err := db.QueryComposedCtx(context.Background(), q)
+	fail(err)
+	printResult(res)
 }
 
-// runDSL parses, plans and executes one declarative query, then reports
-// the plan and its per-stage accounting alongside the matches.
-func runDSL(db *core.VideoDB, inline, file string) {
+// parseDSL reads one declarative query document, inline or from a file.
+func parseDSL(inline, file string) *query.Query {
 	doc := []byte(inline)
 	if file != "" {
 		if inline != "" {
@@ -110,9 +100,11 @@ func runDSL(db *core.VideoDB, inline, file string) {
 	}
 	q, err := query.Parse(doc)
 	fail(err)
-	res, err := db.QueryComposed(q)
-	fail(err)
+	return q
+}
 
+// printResult reports the plan and its accounting alongside the matches.
+func printResult(res *core.QueryResult) {
 	fmt.Printf("plan: %s", res.Plan.Strategy)
 	if res.Plan.ProbeSource != "" {
 		fmt.Printf(" (probe %s, est. %d candidates)", res.Plan.ProbeSource, res.Plan.EstCandidates)
@@ -123,6 +115,10 @@ func runDSL(db *core.VideoDB, inline, file string) {
 	fmt.Println()
 	for _, st := range res.Stages {
 		fmt.Printf("  stage %-16s in %6d  out %6d  (%s)\n", st.Name, st.In, st.Out, st.Duration.Round(10*time.Microsecond))
+	}
+	if a := res.Approx; a != nil {
+		fmt.Printf("  probed %d/%d lists, reranked %d candidates (recall proxy %.2f, %d DP evals)\n",
+			a.Probed, a.Lists, a.Candidates, a.RecallProxy, res.Search.DPEvaluated)
 	}
 	if res.Truncated {
 		fmt.Printf("%d matches (of %d; truncated at limit %d):\n", len(res.Matches), res.Total, res.Limit)

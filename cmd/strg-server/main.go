@@ -5,9 +5,8 @@
 // Endpoints:
 //
 //	POST /v1/segments       ingest a segmented video segment
-//	POST /v1/query/knn      motion-similarity search
-//	POST /v1/query/range    radius search
-//	POST /v1/query/select   predicate search (region / heading / speed / U-turn)
+//	POST /v1/query          declarative query: a where predicate tree and/or
+//	                        a similar clause (k-NN, exact, range, approx)
 //	GET  /v1/stats          database statistics
 //	GET  /healthz           liveness probe (200 while the process runs)
 //	GET  /readyz            readiness probe (503 until recovery completes,
@@ -82,8 +81,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "worker budget for ingest and search (0 = one per CPU, 1 = sequential); responses are identical at every setting")
 	shards := flag.Int("shards", 4, "copy-on-write index shard count (1-256); queries never block on ingest, and responses are identical at every setting")
 	asyncSplit := flag.Bool("async-split", true, "evaluate BIC cluster splits on background goroutines instead of the ingest path")
-	columnar := flag.Bool("columnar", true, "store leaf sequences in contiguous column blocks with batched DP and the quantized prune tier; results are bit-identical either way (ablation knob)")
-	searchBatch := flag.Int("search-batch", 0, "leaves per exact-kNN scheduling round (0 = one per worker); results are identical at every setting")
 	distCache := flag.Int("dist-cache", -1, "distance cache capacity in entries (0 disables, negative = built-in default); results are identical either way")
 	approx := flag.Bool("approx", false, "build the approximate similarity tier (IVF over deterministic OG embeddings); queries opt in per-request with \"mode\": \"approx\" — default paths are untouched")
 	nlists := flag.Int("nlists", 0, "IVF inverted-list count for -approx (0 = built-in default)")
@@ -121,8 +118,6 @@ func run() int {
 	cfg.DistCacheSize = *distCache
 	cfg.Index.Shards = *shards
 	cfg.Index.AsyncSplit = *asyncSplit
-	cfg.Index.DisableColumnar = !*columnar
-	cfg.Index.SearchBatch = *searchBatch
 	cfg.Approx = core.ApproxConfig{Enabled: *approx, NLists: *nlists, NProbe: *nprobe}
 	opts := server.Options{
 		Logger:         logger,

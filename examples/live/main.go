@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -107,7 +108,13 @@ func main() {
 	st := db.Stats()
 	fmt.Printf("\nshot-parsed recording: %d shots, %d backgrounds, %d OGs indexed\n",
 		shots, st.Roots, st.OGs)
-	for _, m := range db.Select(query.Westbound(0.5)) {
+	res, err := db.QueryComposedCtx(context.Background(), &query.Query{
+		Where: query.HeadingNode{Dir: "west", Angle: math.Pi, Tol: 0.5},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, m := range res.Matches {
 		fmt.Printf("westbound object in %s (%s)\n", m.Record.Clip, m.Record.Label)
 	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 	"strgindex/internal/dist"
 	"strgindex/internal/geom"
 	"strgindex/internal/graph"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
 
@@ -61,11 +63,17 @@ func main() {
 		s.OGs, s.Clusters, float64(s.STRGBytes)/1024, float64(s.IndexBytes)/1024)
 
 	// Query: "who moved east through the middle of the frame?"
-	query := make(dist.Sequence, 12)
-	for i := range query {
-		query[i] = dist.Vec{20 + float64(i)*25, 120}
+	traj := make(dist.Sequence, 12)
+	for i := range traj {
+		traj[i] = dist.Vec{20 + float64(i)*25, 120}
 	}
-	for rank, m := range db.QueryTrajectory(query, 2) {
+	res, err := db.QueryComposedCtx(context.Background(), &query.Query{
+		Similar: &query.SimilarClause{Trajectory: traj, K: 2},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for rank, m := range res.Matches {
 		fmt.Printf("match %d: %s (distance %.1f) -> clip %s\n",
 			rank+1, m.Record.Label, m.Distance, m.Record.Clip)
 	}

@@ -2,14 +2,29 @@ package strgindex
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
 	"strgindex/internal/geom"
 	"strgindex/internal/graph"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
+
+// knn runs a k-NN through the database's one query entry point:
+// Algorithm 3's single-cluster descent, or the exact all-cluster search.
+func knn(t *testing.T, db *core.VideoDB, seq dist.Sequence, k int, exact bool) []core.Match {
+	t.Helper()
+	res, err := db.QueryComposedCtx(context.Background(), &query.Query{
+		Similar: &query.SimilarClause{Trajectory: seq, K: k, Exact: exact},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches
+}
 
 // TestEndToEndRetrievalQuality is the repository's cross-module smoke
 // test: generate a stream, ingest it through the whole pipeline, query
@@ -59,7 +74,7 @@ func TestEndToEndRetrievalQuality(t *testing.T) {
 		if !present {
 			continue
 		}
-		matches := db.QueryTrajectoryExact(seq, 3)
+		matches := knn(t, db, seq, 3, true)
 		if len(matches) == 0 {
 			t.Errorf("%s: no matches", q.name)
 			continue
@@ -94,8 +109,8 @@ func TestEndToEndPersistenceAndRequery(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := dist.Sequence{{10, 90}, {160, 92}, {310, 94}}
-	a := db.QueryTrajectory(q, 4)
-	b := loaded.QueryTrajectory(q, 4)
+	a := knn(t, db, q, 4, false)
+	b := knn(t, loaded, q, 4, false)
 	if len(a) != len(b) {
 		t.Fatalf("match counts differ: %d vs %d", len(a), len(b))
 	}

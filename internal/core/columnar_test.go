@@ -3,50 +3,24 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"os"
 	"testing"
-)
 
-// TestGoldenColumnarOff runs the golden end-to-end corpus with the
-// columnar layout disabled, at every pinned shard count: the committed
-// corpus file was produced by the (default) columnar path, so a byte-equal
-// answer set here is the system-level proof that the layout never moves a
-// bit of any query answer.
-func TestGoldenColumnarOff(t *testing.T) {
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run TestGoldenE2E -update-golden first): %v", err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		db := goldenBuildCfg(t, shards, func(c *Config) { c.Index.DisableColumnar = true })
-		got := goldenQueries(t, db)
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw = append(raw, '\n')
-		if string(raw) != string(want) {
-			t.Fatalf("columnar-off corpus differs from golden at %d shards", shards)
-		}
-	}
-}
+	"strgindex/internal/dist"
+)
 
 // TestV1SnapshotStillLoads: a version-1 container — nested per-record
 // Seqs, written before the packed columnar encoding existed — must load
-// into a current (columnar-on) database and answer queries identically.
-// The v1 bytes are produced honestly: a columnar-off tree emits exactly
-// the v1 payload shape (gob omits the absent ColData/ColLens/ColDim
-// fields), and the header version is rewritten to 1, which the CRC does
-// not cover.
+// into a current database and answer queries identically. No writer emits
+// that form any more, so the test unpacks the image's column blocks back
+// into per-record sequences: gob omits the then-absent
+// ColData/ColLens/ColDim fields, which is exactly the v1 payload shape,
+// and the header version is rewritten to 1, which the CRC does not cover.
 func TestV1SnapshotStillLoads(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Index.MaxLeafEntries = 8
 	cfg.Index.NumClusters = 2
 
-	oldCfg := cfg
-	oldCfg.Index.DisableColumnar = true
-	old := Open(oldCfg)
+	old := Open(cfg)
 	for i, seed := range []int64{201, 202} {
 		stream := miniStream(t, 6, seed)
 		for _, seg := range stream.Segments {
@@ -55,8 +29,24 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 			}
 		}
 	}
+	img := old.image()
+	for ri := range img.Index.Roots {
+		for ci := range img.Index.Roots[ri].Clusters {
+			cl := &img.Index.Roots[ri].Clusters[ci]
+			off := 0
+			for _, n := range cl.ColLens {
+				seq := make(dist.Sequence, n)
+				for r := range seq {
+					seq[r] = dist.Vec(cl.ColData[off : off+cl.ColDim])
+					off += cl.ColDim
+				}
+				cl.Seqs = append(cl.Seqs, seq)
+			}
+			cl.ColData, cl.ColLens, cl.ColDim = nil, nil, 0
+		}
+	}
 	var buf bytes.Buffer
-	if err := old.Save(&buf); err != nil {
+	if err := writeSnapshot(&buf, img); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -70,8 +60,8 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 		t.Fatalf("v1 container rejected: %v", err)
 	}
 	q := toSeq([][2]float64{{20, 20}, {60, 60}, {100, 100}})
-	want := old.QueryTrajectoryExact(q, 5)
-	got := db.QueryTrajectoryExact(q, 5)
+	want := knnExact(t, old, q, 5)
+	got := knnExact(t, db, q, 5)
 	if len(got) != len(want) {
 		t.Fatalf("loaded db returned %d matches, want %d", len(got), len(want))
 	}

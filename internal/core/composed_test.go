@@ -2,17 +2,19 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"strgindex/internal/dist"
 	"strgindex/internal/geom"
+	"strgindex/internal/index"
 	"strgindex/internal/query"
 )
 
 // composedDB ingests one deterministic lab stream (the same corpus the
-// legacy Select tests use) into a database with the trajectory index on.
+// predicate tests use) into a database with the trajectory index on.
 func composedDB(t *testing.T, mut func(*Config)) *VideoDB {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -26,20 +28,10 @@ func composedDB(t *testing.T, mut func(*Config)) *VideoDB {
 	return db
 }
 
-// composed runs one declarative query and fails the test on error.
-func composed(t *testing.T, db *VideoDB, q *query.Query) *QueryResult {
-	t.Helper()
-	res, err := db.QueryComposed(q)
-	if err != nil {
-		t.Fatalf("QueryComposed: %v", err)
-	}
-	return res
-}
-
 // TestQueryComposedMatchesLegacySelect: for every where-tree shape, the
-// planner-executed query must return exactly what the legacy predicate
-// scan returns — same records, same ingest order. The planner only
-// changes how much work is done, never the answer.
+// planner-executed query must return exactly what a linear scan through
+// the equivalent closure predicate returns — same records, same ingest
+// order. The planner only changes how much work is done, never the answer.
 func TestQueryComposedMatchesLegacySelect(t *testing.T) {
 	db := composedDB(t, nil)
 	if err := db.CheckSpatialIndex(); err != nil {
@@ -81,9 +73,9 @@ func TestQueryComposedMatchesLegacySelect(t *testing.T) {
 	}
 	for _, c := range cases {
 		res := composed(t, db, &query.Query{Where: c.where})
-		want := db.Select(c.legacy)
+		want := scanSelect(db, c.legacy)
 		if !reflect.DeepEqual(res.Matches, want) {
-			t.Errorf("%s (%s plan): %d matches, legacy Select %d",
+			t.Errorf("%s (%s plan): %d matches, predicate scan %d",
 				c.name, res.Plan.Strategy, len(res.Matches), len(want))
 		}
 		if res.Total != len(want) || res.Truncated {
@@ -136,7 +128,7 @@ func TestQueryComposedPrunesCandidates(t *testing.T) {
 
 // TestQueryComposedPureSimilarByteIdentity: a query with no where tree
 // must route to the STRG-Index and produce byte-identical matches AND
-// byte-identical search accounting to the dedicated legacy surfaces.
+// byte-identical search accounting to the index's own search methods.
 func TestQueryComposedPureSimilarByteIdentity(t *testing.T) {
 	db := composedDB(t, nil)
 	traj := dist.Sequence{{16, 120}, {46, 120}, {76, 120}, {106, 120}}
@@ -154,33 +146,26 @@ func TestQueryComposedPureSimilarByteIdentity(t *testing.T) {
 		if res.Plan.Strategy != query.StrategyIndex {
 			t.Fatalf("%s: strategy = %s, want index", c.name, res.Plan.Strategy)
 		}
-		var want []Match
-		var wantStats any
-		switch {
+		var rs []index.Result[ClipRecord]
+		var wantStats index.SearchStats
+		var err error
+		switch idx := db.IndexSharded(); {
 		case sim.Radius > 0:
-			m, st, err := db.QueryRangeStatsCtx(t.Context(), traj, sim.Radius)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantStats = m, st
+			rs, wantStats, err = idx.RangeStatsCtx(context.Background(), nil, traj, sim.Radius)
 		case sim.Exact:
-			m, st, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, sim.K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantStats = m, st
+			rs, wantStats, err = idx.KNNExactStatsCtx(context.Background(), nil, traj, sim.K)
 		default:
-			m, st, err := db.QueryTrajectoryStatsCtx(t.Context(), traj, sim.K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantStats = m, st
+			rs, wantStats, err = idx.KNNStatsCtx(context.Background(), nil, traj, sim.K)
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := toMatches(rs)
 		if !reflect.DeepEqual(res.Matches, want) {
-			t.Errorf("%s: composed matches differ from the legacy surface", c.name)
+			t.Errorf("%s: composed matches differ from the index search", c.name)
 		}
-		if !reflect.DeepEqual(res.Search, wantStats) {
-			t.Errorf("%s: SearchStats %+v, legacy %+v", c.name, res.Search, wantStats)
+		if res.Search != wantStats {
+			t.Errorf("%s: SearchStats %+v, index search %+v", c.name, res.Search, wantStats)
 		}
 	}
 }
@@ -231,11 +216,6 @@ func TestQueryComposedSurvivesSaveLoad(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Matches, want.Matches) {
 		t.Errorf("loaded db returned %d matches, original %d", len(got.Matches), len(want.Matches))
-	}
-
-	legacy := re.Select(query.PassesThrough(rect))
-	if !reflect.DeepEqual(db.Select(query.PassesThrough(rect)), legacy) {
-		t.Error("legacy Select differs across the save/load round trip")
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package core exposes the system's high-level API: a VideoDB that ingests
 // video segments through the full STRG pipeline (RAG construction, graph
 // tracking, decomposition into Object Graphs and a Background Graph,
-// EM clustering) into an STRG-Index, and answers similarity queries over
-// object motion (Algorithm 3).
+// EM clustering) into an STRG-Index, and answers declarative queries over
+// object motion (Algorithm 3 and its exact, range, approximate and
+// predicate relatives) through one entry point, QueryComposedCtx.
 //
 // This is the surface a downstream application uses; the papers' internals
 // live in the substrate packages (rag, strg, dist, cluster, index).
@@ -17,7 +18,6 @@ import (
 	"strgindex/internal/graph"
 	"strgindex/internal/index"
 	"strgindex/internal/parallel"
-	"strgindex/internal/query"
 	"strgindex/internal/shot"
 	"strgindex/internal/strg"
 	"strgindex/internal/video"
@@ -316,7 +316,9 @@ func (db *VideoDB) IngestStream(s *video.Stream) error {
 // QuerySegment extracts the query segment's OGs and background (Section
 // 5.5: "From a query video segment q, we extract the background graph BG_q
 // and object graphs OG_q") and returns the k nearest indexed OGs for each
-// extracted query OG.
+// extracted query OG. It is the one query that carries a background graph,
+// which the declarative DSL cannot express; everything else goes through
+// QueryComposedCtx.
 func (db *VideoDB) QuerySegment(seg *video.Segment, k int) ([][]Match, error) {
 	s, err := strg.Build(seg, db.cfg.STRG)
 	if err != nil {
@@ -325,79 +327,19 @@ func (db *VideoDB) QuerySegment(seg *video.Segment, k int) ([][]Match, error) {
 	d := s.Decompose(db.cfg.STRG)
 	out := make([][]Match, len(d.OGs))
 	for i, og := range d.OGs {
-		out[i] = db.knn(d.BG, og.Sequence(), k, false)
+		if out[i], _, err = db.searchKNN(context.Background(), d.BG, og.Sequence(), k, false); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// QueryTrajectory returns the k indexed OGs most similar to a raw
-// trajectory, ignoring backgrounds (Algorithm 3's background-less mode).
-func (db *VideoDB) QueryTrajectory(seq dist.Sequence, k int) []Match {
-	return mustMatches(db.QueryTrajectoryCtx(context.Background(), seq, k))
-}
-
-// QueryTrajectoryCtx is QueryTrajectory with cancellation: a done ctx
-// stops the search's worker pool from claiming further distance
-// evaluations, drains the in-flight ones, and returns ctx.Err() — so a
-// disconnected HTTP client cancels its search instead of burning workers.
-func (db *VideoDB) QueryTrajectoryCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, error) {
-	ms, _, err := db.QueryTrajectoryStatsCtx(ctx, seq, k)
-	return ms, err
-}
-
-// QueryTrajectoryStatsCtx is QueryTrajectoryCtx returning the search's
-// filter-and-refine accounting.
-func (db *VideoDB) QueryTrajectoryStatsCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, index.SearchStats, error) {
-	return db.knnStatsCtx(ctx, nil, seq, k, false)
-}
-
-// QueryTrajectoryExact is QueryTrajectory with the exact (all-cluster)
-// search instead of Algorithm 3's single-cluster descent.
-func (db *VideoDB) QueryTrajectoryExact(seq dist.Sequence, k int) []Match {
-	return mustMatches(db.QueryTrajectoryExactCtx(context.Background(), seq, k))
-}
-
-// QueryTrajectoryExactCtx is QueryTrajectoryExact with cancellation.
-func (db *VideoDB) QueryTrajectoryExactCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, error) {
-	ms, _, err := db.QueryTrajectoryExactStatsCtx(ctx, seq, k)
-	return ms, err
-}
-
-// QueryTrajectoryExactStatsCtx is QueryTrajectoryExactCtx returning the
-// search's filter-and-refine accounting.
-func (db *VideoDB) QueryTrajectoryExactStatsCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, index.SearchStats, error) {
-	return db.knnStatsCtx(ctx, nil, seq, k, true)
-}
-
-// QueryRange returns every indexed OG within radius of the trajectory.
-func (db *VideoDB) QueryRange(seq dist.Sequence, radius float64) []Match {
-	return mustMatches(db.QueryRangeCtx(context.Background(), seq, radius))
-}
-
-// QueryRangeCtx is QueryRange with cancellation.
-func (db *VideoDB) QueryRangeCtx(ctx context.Context, seq dist.Sequence, radius float64) ([]Match, error) {
-	ms, _, err := db.QueryRangeStatsCtx(ctx, seq, radius)
-	return ms, err
-}
-
-// QueryRangeStatsCtx is QueryRangeCtx returning the search's
-// filter-and-refine accounting.
-func (db *VideoDB) QueryRangeStatsCtx(ctx context.Context, seq dist.Sequence, radius float64) ([]Match, index.SearchStats, error) {
-	start := time.Now()
-	rs, st, err := db.tree.RangeStatsCtx(ctx, nil, seq, radius)
-	if err != nil {
-		return nil, st, err
-	}
-	queryRangeSeconds.Observe(time.Since(start).Seconds())
-	return toMatches(rs), st, nil
-}
-
-func (db *VideoDB) knn(bg *graph.Graph, seq dist.Sequence, k int, exact bool) []Match {
-	ms, _, err := db.knnStatsCtx(context.Background(), bg, seq, k, exact)
-	return mustMatches(ms, err)
-}
-
-func (db *VideoDB) knnStatsCtx(ctx context.Context, bg *graph.Graph, seq dist.Sequence, k int, exact bool) ([]Match, index.SearchStats, error) {
+// searchKNN is the k-NN operator: Algorithm 3's single-cluster descent,
+// or the exact all-cluster search. A done ctx stops the search's worker
+// pool from claiming further distance evaluations, drains the in-flight
+// ones, and returns ctx.Err() — so a disconnected HTTP client cancels its
+// search instead of burning workers.
+func (db *VideoDB) searchKNN(ctx context.Context, bg *graph.Graph, seq dist.Sequence, k int, exact bool) ([]Match, index.SearchStats, error) {
 	start := time.Now()
 	var rs []index.Result[ClipRecord]
 	var st index.SearchStats
@@ -418,14 +360,16 @@ func (db *VideoDB) knnStatsCtx(ctx context.Context, bg *graph.Graph, seq dist.Se
 	return toMatches(rs), st, nil
 }
 
-// mustMatches adapts a Ctx query to the context-free legacy surface: with
-// context.Background() the only possible error is a recovered worker
-// panic, which the sequential code path would have let escape.
-func mustMatches(ms []Match, err error) []Match {
+// searchRange is the range operator: every indexed OG within radius of
+// the trajectory.
+func (db *VideoDB) searchRange(ctx context.Context, seq dist.Sequence, radius float64) ([]Match, index.SearchStats, error) {
+	start := time.Now()
+	rs, st, err := db.tree.RangeStatsCtx(ctx, nil, seq, radius)
 	if err != nil {
-		panic(err)
+		return nil, st, err
 	}
-	return ms
+	queryRangeSeconds.Observe(time.Since(start).Seconds())
+	return toMatches(rs), st, nil
 }
 
 // Stats returns the current database statistics.
@@ -457,35 +401,6 @@ func (db *VideoDB) IndexVersions() []uint64 { return db.tree.Versions() }
 // QuiesceIndex waits for any in-flight asynchronous split evaluations
 // (a no-op unless Config.Index.AsyncSplit is set).
 func (db *VideoDB) QuiesceIndex() { db.tree.Quiesce() }
-
-// Select returns the clip records of every indexed Object Graph satisfying
-// the predicate — the "queries on moving objects" surface (e.g. everything
-// that passed through a region heading east). Scans the retained OGs;
-// unlike the similarity queries it does not use the index. Records are
-// returned in ingest order with distance 0.
-func (db *VideoDB) Select(p query.Predicate) []Match {
-	return mustMatches(db.SelectCtx(context.Background(), p))
-}
-
-// SelectCtx is Select with cancellation, checked every few hundred OGs so
-// an abandoned full-database scan stops promptly. A cancelled scan returns
-// ctx.Err() and no partial results.
-func (db *VideoDB) SelectCtx(ctx context.Context, p query.Predicate) ([]Match, error) {
-	start := time.Now()
-	var out []Match
-	for i, og := range db.ogs {
-		if i&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if p(og) {
-			out = append(out, Match{Record: db.records[i]})
-		}
-	}
-	querySelectSeconds.Observe(time.Since(start).Seconds())
-	return out, nil
-}
 
 // OGs exposes the retained Object Graphs (aligned with Records order) for
 // analysis tooling. Callers must not mutate them.

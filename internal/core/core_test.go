@@ -69,7 +69,7 @@ func TestQueryTrajectory(t *testing.T) {
 		x := 16 + float64(i)*(288.0/11.0)
 		q[i] = dist.Vec{x, 120}
 	}
-	got := db.QueryTrajectory(q, 3)
+	got := knn(t, db, q, 3)
 	if len(got) == 0 {
 		t.Fatal("no matches")
 	}
@@ -81,7 +81,7 @@ func TestQueryTrajectory(t *testing.T) {
 	if got[0].Record.Clip.Stream != "Mini" {
 		t.Errorf("clip stream = %q, want Mini", got[0].Record.Clip.Stream)
 	}
-	exact := db.QueryTrajectoryExact(q, 3)
+	exact := knnExact(t, db, q, 3)
 	if len(exact) != 3 {
 		t.Fatalf("exact returned %d", len(exact))
 	}
@@ -95,11 +95,11 @@ func TestQueryRange(t *testing.T) {
 	if err := db.IngestStream(miniStream(t, 10, 3)); err != nil {
 		t.Fatal(err)
 	}
-	all := db.QueryRange(dist.Sequence{{160, 120}}, 1e9)
+	all := within(t, db, dist.Sequence{{160, 120}}, 1e9)
 	if len(all) != db.Stats().OGs {
 		t.Errorf("huge-radius range returned %d, want all %d", len(all), db.Stats().OGs)
 	}
-	none := db.QueryRange(dist.Sequence{{160, 120}}, 1e-6)
+	none := within(t, db, dist.Sequence{{160, 120}}, 1e-6)
 	if len(none) != 0 {
 		t.Errorf("tiny-radius range returned %d", len(none))
 	}
@@ -181,7 +181,7 @@ func TestStatsOnEmptyDatabase(t *testing.T) {
 	if st.OGs != 0 || st.Segments != 0 || st.Roots != 0 {
 		t.Errorf("empty stats = %+v", st)
 	}
-	if got := db.QueryTrajectory(dist.Sequence{{1, 1}}, 3); len(got) != 0 {
+	if got := knn(t, db, dist.Sequence{{1, 1}}, 3); len(got) != 0 {
 		t.Errorf("query on empty db = %v", got)
 	}
 	if got := db.OGs(); len(got) != 0 {

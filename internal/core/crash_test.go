@@ -29,12 +29,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	refStats := make([]Stats, n+1)
 	{
 		db := Open(DefaultConfig())
-		refSigs[0], refStats[0] = plainSig(t, db), db.Stats()
+		refSigs[0], refStats[0] = querySig(t, db), db.Stats()
 		for k, seg := range stream.Segments {
 			if _, err := db.IngestSegment("Mini", seg); err != nil {
 				t.Fatal(err)
 			}
-			refSigs[k+1], refStats[k+1] = plainSig(t, db), db.Stats()
+			refSigs[k+1], refStats[k+1] = querySig(t, db), db.Stats()
 		}
 	}
 
@@ -118,7 +118,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		if wantTorn := cut > boundaries[acked]; rec.TornTail != wantTorn {
 			t.Errorf("cut %d: TornTail = %v, want %v", cut, rec.TornTail, wantTorn)
 		}
-		if sig := sharedSig(t, r); sig != refSigs[acked] {
+		if sig := querySig(t, r); sig != refSigs[acked] {
 			t.Errorf("cut %d: recovered k-NN results differ from the %d-op reference", cut, acked)
 		}
 		if st := r.Stats(); st != refStats[acked] {
@@ -132,7 +132,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				t.Fatalf("cut %d: ingest after recovery: %v", cut, err)
 			}
 		}
-		if sig := sharedSig(t, r); sig != refSigs[n] {
+		if sig := querySig(t, r); sig != refSigs[n] {
 			t.Errorf("cut %d: catch-up after recovery diverges from reference", cut)
 		}
 		if err := r.Close(); err != nil {
@@ -199,7 +199,7 @@ func TestCrashDuringSnapshotWrite(t *testing.T) {
 	if rec.ReplayedRecords != 2 || rec.ReplayedLogs != 2 {
 		t.Errorf("replayed %d records over %d logs, want 2 over 2", rec.ReplayedRecords, rec.ReplayedLogs)
 	}
-	if sig := sharedSig(t, r); sig != refSigs[2] {
+	if sig := querySig(t, r); sig != refSigs[2] {
 		t.Error("recovered k-NN results differ from the 2-op reference")
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotName+".tmp")); !os.IsNotExist(err) {
@@ -210,7 +210,7 @@ func TestCrashDuringSnapshotWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sig := sharedSig(t, r); sig != refSigs[n] {
+	if sig := querySig(t, r); sig != refSigs[n] {
 		t.Error("catch-up after torn snapshot diverges from reference")
 	}
 	if err := r.Close(); err != nil {
@@ -271,7 +271,7 @@ func TestCrashAroundRotationStates(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(d, walFileName(1))); !os.IsNotExist(err) {
 			t.Errorf("stale log not removed: %v", err)
 		}
-		if sig := sharedSig(t, r); sig != refSigs[n] {
+		if sig := querySig(t, r); sig != refSigs[n] {
 			t.Error("recovered k-NN results differ from reference")
 		}
 	})
@@ -294,7 +294,7 @@ func TestCrashAroundRotationStates(t *testing.T) {
 		if rec.SnapshotLoaded || rec.ReplayedRecords != n {
 			t.Errorf("recovery = %+v, want no snapshot + %d replayed", rec, n)
 		}
-		if sig := sharedSig(t, r); sig != refSigs[n] {
+		if sig := querySig(t, r); sig != refSigs[n] {
 			t.Error("recovered k-NN results differ from reference")
 		}
 	})
@@ -317,7 +317,7 @@ func TestCrashAroundRotationStates(t *testing.T) {
 				t.Errorf("%s not swept: %v", tmp, err)
 			}
 		}
-		if sig := sharedSig(t, r); sig != refSigs[n] {
+		if sig := querySig(t, r); sig != refSigs[n] {
 			t.Error("recovered k-NN results differ from reference")
 		}
 	})
@@ -437,12 +437,12 @@ func crashRefs(t *testing.T, segs []*video.Segment, stream string) ([]string, []
 	sigs := make([]string, len(segs)+1)
 	stats := make([]Stats, len(segs)+1)
 	db := Open(DefaultConfig())
-	sigs[0], stats[0] = plainSig(t, db), db.Stats()
+	sigs[0], stats[0] = querySig(t, db), db.Stats()
 	for k, seg := range segs {
 		if _, err := db.IngestSegment(stream, seg); err != nil {
 			t.Fatal(err)
 		}
-		sigs[k+1], stats[k+1] = plainSig(t, db), db.Stats()
+		sigs[k+1], stats[k+1] = querySig(t, db), db.Stats()
 	}
 	return sigs, stats
 }

@@ -127,9 +127,9 @@ func TestVideoDBDistCache(t *testing.T) {
 	for i := range q {
 		q[i] = dist.Vec{16 + float64(i)*30, 120}
 	}
-	want := plain.QueryTrajectoryExact(q, 5)
+	want := knnExact(t, plain, q, 5)
 	for round := 0; round < 3; round++ {
-		got := db.QueryTrajectoryExact(q, 5)
+		got := knnExact(t, db, q, 5)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d matches, want %d", round, len(got), len(want))
 		}
@@ -164,8 +164,8 @@ func TestVideoDBDistCache(t *testing.T) {
 	if genSum() == gen {
 		t.Fatal("ingest did not bump any cache shard generation")
 	}
-	got := db.QueryTrajectoryExact(q, 5)
-	want = plain.QueryTrajectoryExact(q, 5)
+	got := knnExact(t, db, q, 5)
+	want = knnExact(t, plain, q, 5)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("post-ingest match %d = %+v, want %+v", i, got[i], want[i])

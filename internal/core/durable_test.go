@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"strgindex/internal/dist"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
 
@@ -17,30 +18,25 @@ func noRotate(dir string) Durability {
 	return Durability{Dir: dir, SnapshotOps: -1, SnapshotBytes: -1}
 }
 
-// querySig fingerprints a database's k-NN behaviour: exact bit patterns
-// of the distances and the matched OG identities for a few trajectories.
-func querySig(t *testing.T, q func(dist.Sequence, int) []Match) string {
+// querySig fingerprints a database's k-NN behaviour, exact and Algorithm
+// 3: exact bit patterns of the distances and the matched OG identities for
+// a few trajectories.
+func querySig(t *testing.T, db querier) string {
 	t.Helper()
 	var sig string
-	for _, traj := range []dist.Sequence{
-		{{20, 120}, {100, 120}, {180, 120}, {280, 120}},
-		{{160, 20}, {160, 120}, {160, 220}},
-		{{40, 40}, {120, 100}, {240, 200}},
-	} {
-		for _, m := range q(traj, 5) {
-			sig += fmt.Sprintf("%d:%x;", m.Record.OGID, m.Distance)
+	for _, exact := range []bool{true, false} {
+		for _, traj := range []dist.Sequence{
+			{{20, 120}, {100, 120}, {180, 120}, {280, 120}},
+			{{160, 20}, {160, 120}, {160, 220}},
+			{{40, 40}, {120, 100}, {240, 200}},
+		} {
+			for _, m := range similar(t, db, query.SimilarClause{Trajectory: traj, K: 5, Exact: exact}).Matches {
+				sig += fmt.Sprintf("%d:%x;", m.Record.OGID, m.Distance)
+			}
+			sig += "|"
 		}
-		sig += "|"
 	}
 	return sig
-}
-
-func sharedSig(t *testing.T, s *SharedDB) string {
-	return querySig(t, s.QueryTrajectoryExact) + querySig(t, s.QueryTrajectory)
-}
-
-func plainSig(t *testing.T, db *VideoDB) string {
-	return querySig(t, db.QueryTrajectoryExact) + querySig(t, db.QueryTrajectory)
 }
 
 func TestDurableRoundTrip(t *testing.T) {
@@ -59,7 +55,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := sharedSig(t, s)
+	want := querySig(t, s)
 	wantStats := s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -83,7 +79,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if got := s2.Stats(); got != wantStats {
 		t.Errorf("stats after recovery:\n  got  %+v\n  want %+v", got, wantStats)
 	}
-	if got := sharedSig(t, s2); got != want {
+	if got := querySig(t, s2); got != want {
 		t.Error("k-NN results differ after WAL-only recovery")
 	}
 
@@ -94,7 +90,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := plainSig(t, ref); got != want {
+	if got := querySig(t, ref); got != want {
 		t.Error("durable database diverges from in-memory reference")
 	}
 }
@@ -125,7 +121,7 @@ func TestDurableCheckpointAndRotation(t *testing.T) {
 	if _, err := s.IngestSegment("Mini", stream.Segments[2]); err != nil {
 		t.Fatal(err)
 	}
-	want := sharedSig(t, s)
+	want := querySig(t, s)
 	wantStats := s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -145,7 +141,7 @@ func TestDurableCheckpointAndRotation(t *testing.T) {
 	if got := s2.Stats(); got != wantStats {
 		t.Errorf("stats after snapshot+WAL recovery:\n  got  %+v\n  want %+v", got, wantStats)
 	}
-	if got := sharedSig(t, s2); got != want {
+	if got := querySig(t, s2); got != want {
 		t.Error("k-NN results differ after snapshot+WAL recovery")
 	}
 }
@@ -163,7 +159,7 @@ func TestDurableAutomaticRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := sharedSig(t, s)
+	want := querySig(t, s)
 	if err := s.SnapshotErr(); err != nil {
 		t.Fatalf("background snapshot failed: %v", err)
 	}
@@ -183,7 +179,7 @@ func TestDurableAutomaticRotation(t *testing.T) {
 	if rec.ReplayedRecords >= len(stream.Segments) {
 		t.Errorf("replayed %d records; snapshot subsumed nothing", rec.ReplayedRecords)
 	}
-	if got := sharedSig(t, s2); got != want {
+	if got := querySig(t, s2); got != want {
 		t.Error("k-NN results differ after automatic-rotation recovery")
 	}
 }
@@ -198,7 +194,7 @@ func TestDurableIngestStreamAndVideo(t *testing.T) {
 	if err := s.IngestStream(stream); err != nil {
 		t.Fatal(err)
 	}
-	want := sharedSig(t, s)
+	want := querySig(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +207,7 @@ func TestDurableIngestStreamAndVideo(t *testing.T) {
 		t.Errorf("stream ingest logged %d ops, want one per segment (%d)",
 			rec.ReplayedRecords, len(stream.Segments))
 	}
-	if got := sharedSig(t, s2); got != want {
+	if got := querySig(t, s2); got != want {
 		t.Error("k-NN results differ after stream-ingest recovery")
 	}
 }
@@ -291,7 +287,7 @@ func TestDurableConcurrentIngestAndQuery(t *testing.T) {
 	}()
 	q := dist.Sequence{{20, 120}, {160, 120}, {300, 120}}
 	for i := 0; i < 50; i++ {
-		s.QueryTrajectory(q, 3)
+		knn(t, s, q, 3)
 		s.Stats()
 		s.WALSize()
 	}

@@ -75,7 +75,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("loaded database fails index invariants: %v", err)
 		}
 		q := dist.Sequence{{10, 10}, {40, 40}}
-		if got := db.QueryTrajectoryExact(q, 3); len(got) > db.Index().Len() {
+		if got := knnExact(t, db, q, 3); len(got) > db.Index().Len() {
 			t.Fatalf("query returned %d matches from %d items", len(got), db.Index().Len())
 		}
 		st := db.Stats()

@@ -157,11 +157,11 @@ func goldenQueries(t *testing.T, db *VideoDB) goldenCorpus {
 		q := goldenQuery{Name: sp.name, Kind: sp.kind, Query: sp.query, K: sp.k, Radius: sp.radius}
 		switch sp.kind {
 		case "knn":
-			q.Matches = toGoldenMatches(db.QueryTrajectory(toSeq(sp.query), sp.k))
+			q.Matches = toGoldenMatches(knn(t, db, toSeq(sp.query), sp.k))
 		case "knn_exact":
-			q.Matches = toGoldenMatches(db.QueryTrajectoryExact(toSeq(sp.query), sp.k))
+			q.Matches = toGoldenMatches(knnExact(t, db, toSeq(sp.query), sp.k))
 		case "range":
-			q.Matches = toGoldenMatches(db.QueryRange(toSeq(sp.query), sp.radius))
+			q.Matches = toGoldenMatches(within(t, db, toSeq(sp.query), sp.radius))
 		}
 		out.Queries = append(out.Queries, q)
 	}

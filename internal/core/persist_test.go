@@ -33,8 +33,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range q {
 		q[i] = dist.Vec{20 + float64(i)*28, 120}
 	}
-	got1 := db.QueryTrajectory(q, 3)
-	got2 := loaded.QueryTrajectory(q, 3)
+	got1 := knn(t, db, q, 3)
+	got2 := knn(t, loaded, q, 3)
 	if len(got1) != len(got2) {
 		t.Fatalf("result counts differ: %d vs %d", len(got1), len(got2))
 	}

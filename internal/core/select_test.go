@@ -21,49 +21,52 @@ func TestSelectByMotionPredicates(t *testing.T) {
 		t.Fatalf("retained %d OGs, stats say %d", len(db.OGs()), db.Stats().OGs)
 	}
 
-	all := db.Select(query.And())
+	all := selectWhere(t, db, query.AndNode{})
 	if len(all) != db.Stats().OGs {
-		t.Fatalf("Select(all) = %d, want %d", len(all), db.Stats().OGs)
+		t.Fatalf("select(all) = %d, want %d", len(all), db.Stats().OGs)
 	}
 
 	// Eastbound selection must agree with the ground-truth classes.
-	east := db.Select(query.Eastbound(0.4))
+	eastbound := query.HeadingNode{Dir: "east", Angle: 0, Tol: 0.4}
+	westbound := query.HeadingNode{Dir: "west", Angle: math.Pi, Tol: 0.4}
+	east := selectWhere(t, db, eastbound)
 	for _, m := range east {
 		class := stream.Classes[m.Record.Label]
 		if class != "horizontal-east" && class != "uturn-east" {
 			// uturn-east's net direction is near-east only in its first
 			// half; with a 0.4 tolerance it should not slip in, but a
 			// merged OG can. Accept only exact matches here.
-			t.Errorf("eastbound Select returned class %q", class)
+			t.Errorf("eastbound select returned class %q", class)
 		}
 	}
 
 	// Everything is moving; nothing should be stationary.
-	if still := db.Select(query.Stationary(1)); len(still) != 0 {
+	moving := query.SpeedNode{Lo: 1, Hi: math.Inf(1)}
+	if still := selectWhere(t, db, query.NotNode{Child: moving}); len(still) != 0 {
 		t.Errorf("Stationary matched %d moving objects", len(still))
 	}
 
 	// Region + direction composition: things crossing the center region.
 	center := geom.Rect{Min: geom.Pt(140, 0), Max: geom.Pt(180, 240)}
-	crossers := db.Select(query.And(
-		query.PassesThrough(center),
-		query.Or(query.Eastbound(0.4), query.Westbound(0.4)),
-	))
+	crossers := selectWhere(t, db, query.AndNode{Children: []query.Node{
+		query.SpatialNode{Kind: query.SpatialPasses, Rect: center},
+		query.OrNode{Children: []query.Node{eastbound, westbound}},
+	}})
 	for _, m := range crossers {
 		class := stream.Classes[m.Record.Label]
 		switch class {
 		case "horizontal-east", "horizontal-west", "uturn-east", "diagonal-se", "diagonal-nw":
 		default:
-			t.Errorf("center-crossing horizontal Select returned %q", class)
+			t.Errorf("center-crossing horizontal select returned %q", class)
 		}
 	}
 
 	// U-turn detection against ground truth.
-	uturns := db.Select(query.TurnsBy(math.Pi * 0.8))
+	uturns := selectWhere(t, db, query.UTurnNode{MinTurn: query.DefaultUTurn})
 	for _, m := range uturns {
 		class := stream.Classes[m.Record.Label]
 		if class != "uturn-east" && class != "uturn-south" {
-			t.Errorf("TurnsBy returned class %q", class)
+			t.Errorf("u_turn returned class %q", class)
 		}
 	}
 }

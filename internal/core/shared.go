@@ -5,17 +5,16 @@ import (
 	"io"
 	"sync"
 
-	"strgindex/internal/dist"
-	"strgindex/internal/index"
 	"strgindex/internal/query"
 	"strgindex/internal/shot"
 	"strgindex/internal/video"
 )
 
-// SharedDB wraps a VideoDB for concurrent use: similarity and predicate
-// queries run in parallel with each other; ingest and persistence take the
-// write lock. A live deployment ingests from one camera goroutine while
-// serving queries from many.
+// SharedDB wraps a VideoDB for concurrent use: queries run in parallel
+// with each other (see QueryComposedCtx for when they also run in parallel
+// with ingest); ingest and persistence take the write lock. A live
+// deployment ingests from one camera goroutine while serving queries from
+// many.
 //
 // A SharedDB opened with OpenDurable is additionally crash-safe: every
 // ingest is appended to a write-ahead log before it mutates state, and
@@ -82,74 +81,25 @@ func (s *SharedDB) IngestVideo(stream string, seg *video.Segment, shotCfg shot.C
 	return n, err
 }
 
-// Similarity queries do not take the database lock: the sharded index
-// publishes immutable copy-on-write snapshots, so each search assembles a
-// consistent lock-free view and never waits on an in-flight ingest (the
-// distance cache is independently concurrency-safe). Only the scan-based
-// Select and the multi-field Stats/Save still synchronize with writers.
-
-// QueryTrajectory is VideoDB.QueryTrajectory, lock-free.
-func (s *SharedDB) QueryTrajectory(seq dist.Sequence, k int) []Match {
-	return s.db.QueryTrajectory(seq, k)
-}
-
-// QueryTrajectoryCtx is VideoDB.QueryTrajectoryCtx, lock-free.
-func (s *SharedDB) QueryTrajectoryCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, error) {
-	return s.db.QueryTrajectoryCtx(ctx, seq, k)
-}
-
-// QueryTrajectoryStatsCtx is VideoDB.QueryTrajectoryStatsCtx, lock-free.
-func (s *SharedDB) QueryTrajectoryStatsCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, index.SearchStats, error) {
-	return s.db.QueryTrajectoryStatsCtx(ctx, seq, k)
-}
-
-// QueryTrajectoryExact is VideoDB.QueryTrajectoryExact, lock-free.
-func (s *SharedDB) QueryTrajectoryExact(seq dist.Sequence, k int) []Match {
-	return s.db.QueryTrajectoryExact(seq, k)
-}
-
-// QueryTrajectoryExactCtx is VideoDB.QueryTrajectoryExactCtx, lock-free.
-func (s *SharedDB) QueryTrajectoryExactCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, error) {
-	return s.db.QueryTrajectoryExactCtx(ctx, seq, k)
-}
-
-// QueryTrajectoryExactStatsCtx is VideoDB.QueryTrajectoryExactStatsCtx,
-// lock-free.
-func (s *SharedDB) QueryTrajectoryExactStatsCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, index.SearchStats, error) {
-	return s.db.QueryTrajectoryExactStatsCtx(ctx, seq, k)
-}
-
-// QueryRange is VideoDB.QueryRange, lock-free.
-func (s *SharedDB) QueryRange(seq dist.Sequence, radius float64) []Match {
-	return s.db.QueryRange(seq, radius)
-}
-
-// QueryRangeCtx is VideoDB.QueryRangeCtx, lock-free.
-func (s *SharedDB) QueryRangeCtx(ctx context.Context, seq dist.Sequence, radius float64) ([]Match, error) {
-	return s.db.QueryRangeCtx(ctx, seq, radius)
-}
-
-// QueryRangeStatsCtx is VideoDB.QueryRangeStatsCtx, lock-free.
-func (s *SharedDB) QueryRangeStatsCtx(ctx context.Context, seq dist.Sequence, radius float64) ([]Match, index.SearchStats, error) {
-	return s.db.QueryRangeStatsCtx(ctx, seq, radius)
-}
-
-// QueryComposedCtx plans and executes one declarative query. A pure
-// similarity query (no where tree) stays lock-free — its plan routes to
-// the sharded index's copy-on-write snapshots exactly like the dedicated
-// QueryTrajectory*/QueryRange surfaces. Anything with a where tree scans
-// retained OGs (directly or through the trajectory R-tree) and takes the
-// read lock.
+// QueryComposedCtx is VideoDB.QueryComposedCtx for concurrent callers, and
+// the one place the query lock rule lives: a query goes lock-free only
+// when its plan reads nothing but the sharded index (StrategyIndex) — the
+// index publishes immutable copy-on-write snapshots, so the search
+// assembles a consistent view and never waits on an in-flight ingest (the
+// distance cache is independently concurrency-safe). Every other plan
+// reads state that ingest mutates in place under the write lock — the
+// retained OGs and records, the trajectory R-tree, the approximate tier's
+// IVF lists and rerank caches — and holds the read lock from planning
+// through execution.
 func (s *SharedDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*QueryResult, error) {
 	if err := query.Validate(q); err != nil {
 		return nil, err
 	}
-	if q.Where == nil {
-		return s.db.QueryComposedCtx(ctx, q)
+	if !indexOnly(q) {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.QueryComposedCtx(ctx, q)
+	return s.db.run(ctx, q)
 }
 
 // CheckSpatialIndex is VideoDB.CheckSpatialIndex under a read lock.
@@ -157,20 +107,6 @@ func (s *SharedDB) CheckSpatialIndex() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.db.CheckSpatialIndex()
-}
-
-// Select is VideoDB.Select under a read lock.
-func (s *SharedDB) Select(p query.Predicate) []Match {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.Select(p)
-}
-
-// SelectCtx is VideoDB.SelectCtx under a read lock.
-func (s *SharedDB) SelectCtx(ctx context.Context, p query.Predicate) ([]Match, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.SelectCtx(ctx, p)
 }
 
 // Stats is VideoDB.Stats under a read lock.

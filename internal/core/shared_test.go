@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -36,9 +37,16 @@ func TestSharedDBConcurrentQueriesDuringIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				s.QueryTrajectory(q, 3)
-				s.QueryRange(q, 500)
-				s.Select(query.LongerThan(2))
+				for _, qq := range []*query.Query{
+					{Similar: &query.SimilarClause{Trajectory: q, K: 3}},
+					{Similar: &query.SimilarClause{Trajectory: q, Radius: 500}},
+					{Where: query.LengthNode{Min: 2}},
+				} {
+					if _, err := s.QueryComposedCtx(context.Background(), qq); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 				s.Stats()
 			}
 		}()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"os"
 	"strconv"
 	"sync"
@@ -11,6 +10,7 @@ import (
 
 	"strgindex/internal/dist"
 	"strgindex/internal/index"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
 
@@ -138,7 +138,7 @@ func TestSharedDBSoak(t *testing.T) {
 			default:
 			}
 			floor := committed.Load()
-			got, st, err := db.QueryTrajectoryExactStatsCtx(context.Background(), queries[0], int(floor)+64)
+			got, st, err := search(db, query.SimilarClause{Trajectory: queries[0], K: int(floor) + 64, Exact: true})
 			if err != nil {
 				t.Errorf("freshness query: %v", err)
 				return
@@ -188,7 +188,7 @@ func TestSharedDBSoak(t *testing.T) {
 				default:
 				}
 				q := queries[(w+i)%len(queries)]
-				got, st, err := db.QueryTrajectoryStatsCtx(context.Background(), q, 5)
+				got, st, err := search(db, query.SimilarClause{Trajectory: q, K: 5})
 				if err != nil {
 					t.Errorf("knn: %v", err)
 					return
@@ -223,7 +223,7 @@ func TestSharedDBSoak(t *testing.T) {
 			default:
 			}
 			const radius = 900.0
-			got, st, err := db.QueryRangeStatsCtx(context.Background(), queries[i%len(queries)], radius)
+			got, st, err := search(db, query.SimilarClause{Trajectory: queries[i%len(queries)], Radius: radius})
 			if err != nil {
 				t.Errorf("range: %v", err)
 				return
@@ -296,7 +296,7 @@ func TestSharedDBSoak(t *testing.T) {
 	}
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
-		want[i] = db.QueryTrajectoryExact(q, 20)
+		want[i] = knnExact(t, db, q, 20)
 	}
 	st := db.Stats()
 	if int64(st.OGs) != committed.Load() {
@@ -325,7 +325,7 @@ func TestSharedDBSoak(t *testing.T) {
 		t.Fatalf("recovered Stats = %+v, want %+v", got, st)
 	}
 	for i, q := range queries {
-		got := re.QueryTrajectoryExact(q, 20)
+		got := knnExact(t, re, q, 20)
 		if len(got) != len(want[i]) {
 			t.Fatalf("query %d: %d matches after recovery, want %d", i, len(got), len(want[i]))
 		}

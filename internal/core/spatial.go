@@ -168,69 +168,68 @@ type QueryResult struct {
 	Limit     int
 }
 
-// QueryComposed is QueryComposedCtx without cancellation.
-func (db *VideoDB) QueryComposed(q *query.Query) (*QueryResult, error) {
-	return db.QueryComposedCtx(context.Background(), q)
-}
-
-// QueryComposedCtx plans and executes one declarative query: a pure
-// similarity query routes to the STRG-Index lower-bound cascade
-// (byte-identical to the QueryTrajectory*/QueryRange surfaces); anything
-// with a where tree runs the cost-based planner, probing the trajectory
-// R-tree when a selective spatial/temporal conjunct makes that cheaper
-// than a scan. Plans never change answers — only the work done.
+// QueryComposedCtx is the database's one query entry point: it validates,
+// plans and executes a declarative query. A pure similarity query routes
+// to the STRG-Index lower-bound cascade (k-NN, exact k-NN or range), or to
+// the approximate tier when it says mode "approx"; anything with a where
+// tree runs the cost-based planner, probing the trajectory R-tree when a
+// selective spatial/temporal conjunct makes that cheaper than a scan.
+// Plans never change answers — only the work done. A done ctx aborts the
+// query with ctx.Err() and no partial results.
 func (db *VideoDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*QueryResult, error) {
 	if err := query.Validate(q); err != nil {
 		return nil, err
 	}
+	return db.run(ctx, q)
+}
+
+// indexOnly reports whether q's plan reads nothing but the sharded index's
+// copy-on-write snapshots: BuildPlan routes exactly the where-less,
+// non-approx similarity queries to StrategyIndex, without consulting the
+// source. q must be validated (a where-less query has a similar clause).
+func indexOnly(q *query.Query) bool {
+	return q.Where == nil && q.Similar.Mode != query.ModeApprox
+}
+
+// run plans a validated query and dispatches it to its operator.
+func (db *VideoDB) run(ctx context.Context, q *query.Query) (*QueryResult, error) {
 	src := querySource{db: db}
 	p := query.BuildPlan(q, src)
-
-	if p.Strategy == query.StrategyApprox {
+	res := &QueryResult{Plan: p, Limit: q.Limit}
+	var err error
+	switch c := q.Similar; p.Strategy {
+	case query.StrategyApprox:
 		if db.vec == nil {
 			return nil, fmt.Errorf("query: mode %q: %w", query.ModeApprox, ErrApproxDisabled)
 		}
-		query.ObservePlan(p)
-		c := q.Similar
-		ms, st, info, err := db.QueryTrajectoryApproxStatsCtx(ctx, c.Trajectory, c.K, p.NProbe)
-		if err != nil {
-			return nil, err
+		res.Matches, res.Search, res.Approx, err = db.searchApprox(ctx, c.Trajectory, c.K, p.NProbe)
+	case query.StrategyIndex:
+		if c.Radius > 0 {
+			res.Matches, res.Search, err = db.searchRange(ctx, c.Trajectory, c.Radius)
+		} else {
+			res.Matches, res.Search, err = db.searchKNN(ctx, nil, c.Trajectory, c.K, c.Exact)
 		}
-		res := &QueryResult{Matches: ms, Search: st, Plan: p, Approx: info, Total: len(ms), Limit: q.Limit}
-		if q.Limit > 0 && len(ms) > q.Limit {
-			res.Matches = ms[:q.Limit]
-			res.Truncated = true
-		}
-		return res, nil
+	default:
+		return db.runPlan(ctx, src, q, res)
 	}
-
-	if p.Strategy == query.StrategyIndex {
-		query.ObservePlan(p)
-		c := q.Similar
-		var ms []Match
-		var st index.SearchStats
-		var err error
-		switch {
-		case c.Radius > 0:
-			ms, st, err = db.QueryRangeStatsCtx(ctx, c.Trajectory, c.Radius)
-		case c.Exact:
-			ms, st, err = db.QueryTrajectoryExactStatsCtx(ctx, c.Trajectory, c.K)
-		default:
-			ms, st, err = db.QueryTrajectoryStatsCtx(ctx, c.Trajectory, c.K)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res := &QueryResult{Matches: ms, Search: st, Plan: p, Total: len(ms), Limit: q.Limit}
-		if q.Limit > 0 && len(ms) > q.Limit {
-			res.Matches = ms[:q.Limit]
-			res.Truncated = true
-		}
-		return res, nil
+	if err != nil {
+		return nil, err
 	}
+	query.ObservePlan(p)
+	res.Total = len(res.Matches)
+	if q.Limit > 0 && res.Total > q.Limit {
+		res.Matches = res.Matches[:q.Limit]
+		res.Truncated = true
+	}
+	return res, nil
+}
 
+// runPlan is the planned operator: the query executor's scan or R-tree
+// access path, residual filter and optional exact rank stage over the
+// retained OGs.
+func (db *VideoDB) runPlan(ctx context.Context, src querySource, q *query.Query, res *QueryResult) (*QueryResult, error) {
 	start := time.Now()
-	er, err := query.Execute(ctx, src, q, p)
+	er, err := query.Execute(ctx, src, q, res.Plan)
 	if err != nil {
 		return nil, err
 	}
@@ -239,14 +238,8 @@ func (db *VideoDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*Query
 	} else {
 		queryComposedSeconds.Observe(time.Since(start).Seconds())
 	}
-	res := &QueryResult{
-		Plan:      p,
-		Stages:    er.Stages,
-		Total:     er.Total,
-		Truncated: er.Truncated,
-		Limit:     q.Limit,
-		Matches:   make([]Match, len(er.Indices)),
-	}
+	res.Stages, res.Total, res.Truncated = er.Stages, er.Total, er.Truncated
+	res.Matches = make([]Match, len(er.Indices))
 	for i, id := range er.Indices {
 		res.Matches[i] = Match{Record: db.records[id]}
 		if er.Ranked != nil {

@@ -27,8 +27,8 @@ import (
 // nprobe >= NLists and monotone below it.
 //
 // The tier is strictly opt-in: it never changes the default query paths,
-// and it is only consulted by QueryTrajectoryApprox* (or a declarative
-// query that says `"mode": "approx"`).
+// and it is only consulted by a declarative query that says
+// `"mode": "approx"`.
 
 // ApproxConfig enables and parameterizes the approximate similarity tier.
 type ApproxConfig struct {
@@ -56,8 +56,8 @@ type ApproxConfig struct {
 	Seed int64
 }
 
-// ErrApproxDisabled is returned (wrapped) by every approximate-tier entry
-// point when the database was opened without Config.Approx.Enabled. The
+// ErrApproxDisabled is returned (wrapped) by a mode "approx" query when
+// the database was opened without Config.Approx.Enabled. The
 // HTTP layer maps it to a 400 with a stable error code, not a 500: asking
 // for a tier that is switched off is a client error.
 var ErrApproxDisabled = errors.New("core: approximate similarity tier disabled (set Config.Approx.Enabled)")
@@ -183,37 +183,22 @@ func (db *VideoDB) ApproxLists() (nlists, defaultNProbe int) {
 	return db.vec.ivf.NLists(), db.defaultNProbe()
 }
 
-// QueryTrajectoryApprox is QueryTrajectoryApproxStatsCtx without
-// cancellation or accounting. nprobe <= 0 selects the configured default.
-func (db *VideoDB) QueryTrajectoryApprox(seq dist.Sequence, k, nprobe int) ([]Match, error) {
-	ms, _, _, err := db.QueryTrajectoryApproxStatsCtx(context.Background(), seq, k, nprobe)
-	return ms, err
-}
-
-// QueryTrajectoryApproxStatsCtx answers a k-NN query through the
-// approximate tier: embed the query, probe the nprobe nearest IVF lists,
+// searchApprox is the approximate operator: embed the query, probe the
+// nprobe nearest IVF lists (the planner-resolved count, in [1, NLists]),
 // rerank every candidate with the exact EGED_M cascade. Distances in the
 // result are exact; results are ordered by (distance, OGID). The returned
 // SearchStats follow the tree-search invariant — Records == CacheHits +
 // LBQuickPruned + LBEnvelopePruned + DPEvaluated + DPAbandoned — with
-// CandidateLeaves = total lists and ScannedLeaves = lists probed.
-func (db *VideoDB) QueryTrajectoryApproxStatsCtx(ctx context.Context, seq dist.Sequence, k, nprobe int) ([]Match, index.SearchStats, *ApproxInfo, error) {
+// CandidateLeaves = total lists and ScannedLeaves = lists probed. The tier
+// must be enabled, and — unlike the index operators — it reads state that
+// ingest appends to in place, so a concurrent caller holds the read lock.
+func (db *VideoDB) searchApprox(ctx context.Context, seq dist.Sequence, k, nprobe int) ([]Match, index.SearchStats, *ApproxInfo, error) {
 	var st index.SearchStats
-	if db.vec == nil {
-		return nil, st, nil, ErrApproxDisabled
-	}
 	start := time.Now()
 	vt := db.vec
-	info := &ApproxInfo{Lists: vt.ivf.NLists()}
-	if nprobe <= 0 {
-		nprobe = db.defaultNProbe()
-	}
-	if nprobe > info.Lists {
-		nprobe = info.Lists
-	}
-	info.NProbe = nprobe
+	info := &ApproxInfo{Lists: vt.ivf.NLists(), NProbe: nprobe}
 	st.CandidateLeaves = info.Lists
-	if k <= 0 || vt.ivf.Len() == 0 {
+	if vt.ivf.Len() == 0 {
 		info.RecallProxy = 1
 		return nil, st, info, nil
 	}

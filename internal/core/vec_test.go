@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,21 +42,18 @@ func checkStatsInvariant(t *testing.T, st index.SearchStats) {
 	}
 }
 
-// TestApproxDisabledSentinel: without Config.Approx.Enabled, both the
-// direct API and a declarative "mode": "approx" query must fail with
-// ErrApproxDisabled — a configuration error the server maps to 400, never
-// a silent fallback to a different access path.
+// TestApproxDisabledSentinel: without Config.Approx.Enabled, a declarative
+// "mode": "approx" query must fail with ErrApproxDisabled — a
+// configuration error the server maps to 400, never a silent fallback to
+// a different access path.
 func TestApproxDisabledSentinel(t *testing.T) {
 	db := composedDB(t, nil)
 	traj := dist.Sequence{{16, 120}, {46, 120}, {76, 120}, {106, 120}}
-	if _, err := db.QueryTrajectoryApprox(traj, 5, 0); !errors.Is(err, ErrApproxDisabled) {
-		t.Errorf("direct API: err = %v, want ErrApproxDisabled", err)
-	}
-	_, err := db.QueryComposed(&query.Query{
+	_, err := db.QueryComposedCtx(context.Background(), &query.Query{
 		Similar: &query.SimilarClause{Trajectory: traj, K: 5, Mode: query.ModeApprox},
 	})
 	if !errors.Is(err, ErrApproxDisabled) {
-		t.Errorf("composed: err = %v, want ErrApproxDisabled", err)
+		t.Errorf("err = %v, want ErrApproxDisabled", err)
 	}
 }
 
@@ -76,10 +74,8 @@ func TestApproxFullProbeIsExact(t *testing.T) {
 	}
 	const k = 7
 	for qi, traj := range queries {
-		approx, st, info, err := db.QueryTrajectoryApproxStatsCtx(t.Context(), traj, k, nlists)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := approxKNN(t, db, traj, k, nlists)
+		approx, st, info := res.Matches, res.Search, res.Approx
 		checkStatsInvariant(t, st)
 		if info.Probed != nlists || info.RecallProxy != 1 {
 			t.Errorf("query %d: probed %d/%d lists, proxy %g; want all and 1.0", qi, info.Probed, nlists, info.RecallProxy)
@@ -87,10 +83,7 @@ func TestApproxFullProbeIsExact(t *testing.T) {
 		if st.Records != db.Stats().OGs {
 			t.Errorf("query %d: full probe reranked %d of %d OGs", qi, st.Records, db.Stats().OGs)
 		}
-		exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact := knnExact(t, db, traj, k)
 		ids := func(ms []Match) []int {
 			out := make([]int, len(ms))
 			for i, m := range ms {
@@ -115,21 +108,16 @@ func TestApproxRecallMonotoneNProbe(t *testing.T) {
 	db := approxDB(t, nil)
 	traj := dist.Sequence{{16, 120}, {106, 120}, {200, 120}}
 	const k = 5
-	exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := knnExact(t, db, traj, k)
 	exactIDs := make([]int, len(exact))
 	for i, m := range exact {
 		exactIDs[i] = m.Record.OGID
 	}
 	prev := -1.0
 	for nprobe := 1; nprobe <= db.vec.ivf.NLists(); nprobe++ {
-		ms, st, _, err := db.QueryTrajectoryApproxStatsCtx(t.Context(), traj, k, nprobe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkStatsInvariant(t, st)
+		res := approxKNN(t, db, traj, k, nprobe)
+		ms := res.Matches
+		checkStatsInvariant(t, res.Search)
 		ids := make([]int, len(ms))
 		for i, m := range ms {
 			ids[i] = m.Record.OGID
@@ -161,35 +149,20 @@ func TestExactPathsByteIdenticalWithTierOn(t *testing.T) {
 		plain := composedDB(t, mut(false))
 		tiered := composedDB(t, mut(true))
 
-		type run func(db *VideoDB) ([]Match, index.SearchStats, error)
-		cases := []struct {
+		for _, c := range []struct {
 			name string
-			run  run
+			sim  query.SimilarClause
 		}{
-			{"knn", func(db *VideoDB) ([]Match, index.SearchStats, error) {
-				return db.QueryTrajectoryStatsCtx(t.Context(), traj, 5)
-			}},
-			{"knn-exact", func(db *VideoDB) ([]Match, index.SearchStats, error) {
-				return db.QueryTrajectoryExactStatsCtx(t.Context(), traj, 5)
-			}},
-			{"range", func(db *VideoDB) ([]Match, index.SearchStats, error) {
-				return db.QueryRangeStatsCtx(t.Context(), traj, 950)
-			}},
-		}
-		for _, c := range cases {
-			wantM, wantSt, err := c.run(plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotM, gotSt, err := c.run(tiered)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotM, wantM) {
+			{"knn", query.SimilarClause{Trajectory: traj, K: 5}},
+			{"knn-exact", query.SimilarClause{Trajectory: traj, K: 5, Exact: true}},
+			{"range", query.SimilarClause{Trajectory: traj, Radius: 950}},
+		} {
+			want, got := similar(t, plain, c.sim), similar(t, tiered, c.sim)
+			if !reflect.DeepEqual(got.Matches, want.Matches) {
 				t.Errorf("shards=%d %s: matches differ with the tier compiled in", shards, c.name)
 			}
-			if gotSt != wantSt {
-				t.Errorf("shards=%d %s: SearchStats %+v with tier, %+v without", shards, c.name, gotSt, wantSt)
+			if got.Search != want.Search {
+				t.Errorf("shards=%d %s: SearchStats %+v with tier, %+v without", shards, c.name, got.Search, want.Search)
 			}
 		}
 
@@ -231,10 +204,7 @@ func TestApproxComposedFlow(t *testing.T) {
 		t.Errorf("approx info = %+v, want full probe with proxy 1", res.Approx)
 	}
 	checkStatsInvariant(t, res.Search)
-	exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := knnExact(t, db, traj, 5)
 	if len(res.Matches) != len(exact) {
 		t.Fatalf("%d matches, exact %d", len(res.Matches), len(exact))
 	}
@@ -322,7 +292,7 @@ func TestApproxSnapshotCrossCompat(t *testing.T) {
 	if re.vec != nil {
 		t.Error("tier-disabled load materialized a vector tier")
 	}
-	if _, err := re.QueryTrajectoryApprox(traj, 5, 0); !errors.Is(err, ErrApproxDisabled) {
+	if _, _, err := search(re, query.SimilarClause{Trajectory: traj, K: 5, Mode: query.ModeApprox}); !errors.Is(err, ErrApproxDisabled) {
 		t.Errorf("approx query on tier-disabled load: %v, want ErrApproxDisabled", err)
 	}
 
@@ -347,15 +317,10 @@ func TestApproxSnapshotCrossCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v2 container under tier config: %v", err)
 	}
-	ms, st, _, err := re.QueryTrajectoryApproxStatsCtx(t.Context(), traj, 5, re.vec.ivf.NLists())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStatsInvariant(t, st)
-	exact, _, err := re.QueryTrajectoryExactStatsCtx(t.Context(), traj, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := approxKNN(t, re, traj, 5, re.vec.ivf.NLists())
+	ms := res.Matches
+	checkStatsInvariant(t, res.Search)
+	exact := knnExact(t, re, traj, 5)
 	for i := range exact {
 		if ms[i].Distance != exact[i].Distance {
 			t.Errorf("rank %d after v2 load: approx %v, exact %v", i, ms[i].Distance, exact[i].Distance)
@@ -421,18 +386,13 @@ func TestIngestTrajectories(t *testing.T) {
 	}
 
 	q := ogs[17].Sequence()
-	exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), q, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := knnExact(t, db, q, 3)
 	if len(exact) != 3 || exact[0].Record.OGID != 17 || exact[0].Distance != 0 {
 		t.Errorf("self-query top hit = %+v, want OG 17 at distance 0", exact[0])
 	}
-	approx, st, _, err := db.QueryTrajectoryApproxStatsCtx(t.Context(), q, 3, db.vec.ivf.NLists())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStatsInvariant(t, st)
+	res := approxKNN(t, db, q, 3, db.vec.ivf.NLists())
+	approx := res.Matches
+	checkStatsInvariant(t, res.Search)
 	if approx[0].Record.OGID != 17 || approx[0].Distance != 0 {
 		t.Errorf("approx self-query top hit = %+v, want OG 17 at distance 0", approx[0])
 	}

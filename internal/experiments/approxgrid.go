@@ -10,6 +10,7 @@ import (
 
 	"strgindex/internal/core"
 	"strgindex/internal/eval"
+	"strgindex/internal/query"
 	"strgindex/internal/strg"
 	"strgindex/internal/synth"
 )
@@ -220,11 +221,13 @@ func ApproxGrid(spec ApproxGridSpec, progress func(format string, args ...any)) 
 	truth := make([][]int, len(queries))
 	start = time.Now()
 	for qi, q := range queries {
-		ms, _, err := db.QueryTrajectoryExactStatsCtx(ctx, q, spec.K)
+		r, err := db.QueryComposedCtx(ctx, &query.Query{
+			Similar: &query.SimilarClause{Trajectory: q, K: spec.K, Exact: true},
+		})
 		if err != nil {
 			return nil, err
 		}
-		truth[qi] = matchIDs(ms)
+		truth[qi] = matchIDs(r.Matches)
 	}
 	exactTotal := time.Since(start)
 	res.ExactNsPerQuery = float64(exactTotal.Nanoseconds()) / float64(len(queries))
@@ -238,10 +241,13 @@ func ApproxGrid(spec ApproxGridSpec, progress func(format string, args ...any)) 
 		var lbqSum, lbeSum, abSum float64
 		start = time.Now()
 		for qi, q := range queries {
-			ms, st, info, err := db.QueryTrajectoryApproxStatsCtx(ctx, q, spec.K, nprobe)
+			r, err := db.QueryComposedCtx(ctx, &query.Query{
+				Similar: &query.SimilarClause{Trajectory: q, K: spec.K, Mode: query.ModeApprox, NProbe: nprobe},
+			})
 			if err != nil {
 				return nil, err
 			}
+			ms, st, info := r.Matches, r.Search, r.Approx
 			recallSum += eval.RecallAtK(matchIDs(ms), truth[qi], spec.K)
 			probedSum += float64(info.Probed)
 			candSum += float64(info.Candidates)

@@ -11,6 +11,7 @@ import (
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
 	"strgindex/internal/faultfs"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
 
@@ -49,28 +50,23 @@ func shardConfig(shards int) core.Config {
 func querySig(t *testing.T, db *core.SharedDB) string {
 	t.Helper()
 	var sig strings.Builder
-	ctx := context.Background()
 	for _, traj := range []dist.Sequence{
 		{{20, 120}, {100, 120}, {180, 120}, {280, 120}},
 		{{160, 20}, {160, 120}, {160, 220}},
 		{{40, 40}, {120, 100}, {240, 200}},
 	} {
-		exact, est, err := db.QueryTrajectoryExactStatsCtx(ctx, traj, 5)
-		if err != nil {
-			t.Fatal(err)
+		for _, exact := range []bool{true, false} {
+			res, err := db.QueryComposedCtx(context.Background(), &query.Query{
+				Similar: &query.SimilarClause{Trajectory: traj, K: 5, Exact: exact},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range res.Matches {
+				fmt.Fprintf(&sig, "%d:%x;", m.Record.OGID, m.Distance)
+			}
+			fmt.Fprintf(&sig, "%+v|", res.Search)
 		}
-		for _, m := range exact {
-			fmt.Fprintf(&sig, "%d:%x;", m.Record.OGID, m.Distance)
-		}
-		fmt.Fprintf(&sig, "%+v|", est)
-		appr, ast, err := db.QueryTrajectoryStatsCtx(ctx, traj, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range appr {
-			fmt.Fprintf(&sig, "%d:%x;", m.Record.OGID, m.Distance)
-		}
-		fmt.Fprintf(&sig, "%+v|", ast)
 	}
 	return sig.String()
 }

@@ -78,7 +78,7 @@ func TestKNNExactCtxCancelDrainsPool(t *testing.T) {
 	done := make(chan outcome, 1)
 	query := dist.Sequence{{1500, 1500}, {1501, 1501}}
 	go func() {
-		res, err := tree.KNNExactCtx(ctx, nil, query, 3)
+		res, _, err := tree.KNNExactStatsCtx(ctx, nil, query, 3)
 		done <- outcome{res, err}
 	}()
 
@@ -136,7 +136,7 @@ func TestKNNCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := tree.KNNCtx(ctx, nil, dist.Sequence{{500, 500}}, 2)
+		_, _, err := tree.KNNStatsCtx(ctx, nil, dist.Sequence{{500, 500}}, 2)
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -164,7 +164,7 @@ func TestRangeCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := tree.RangeCtx(ctx, nil, dist.Sequence{{1500, 1500}}, 1e9)
+		_, _, err := tree.RangeStatsCtx(ctx, nil, dist.Sequence{{1500, 1500}}, 1e9)
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -181,35 +181,35 @@ func TestRangeCtxCancel(t *testing.T) {
 	}
 }
 
-// TestCtxVariantsMatchLegacy pins the compatibility contract: with a live
-// context the Ctx variants return byte-identical results to the legacy
-// methods.
+// TestCtxVariantsMatchLegacy pins the contract between the two search
+// surfaces: with a live context the serving API (the StatsCtx methods)
+// returns byte-identical results to the paper API (KNN, KNNExact, Range).
 func TestCtxVariantsMatchLegacy(t *testing.T) {
 	g := &gatedMetric{release: make(chan struct{})} // never armed: fast
 	tree := cancelTestTree(t, g)
 	query := dist.Sequence{{1500, 1500}, {1501, 1501}}
 	ctx := context.Background()
 
-	exact, err := tree.KNNExactCtx(ctx, nil, query, 3)
+	exact, _, err := tree.KNNExactStatsCtx(ctx, nil, query, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := tree.KNNExact(nil, query, 3); !equalResults(exact, want) {
-		t.Errorf("KNNExactCtx = %v, KNNExact = %v", exact, want)
+		t.Errorf("KNNExactStatsCtx = %v, KNNExact = %v", exact, want)
 	}
-	approx, err := tree.KNNCtx(ctx, nil, query, 3)
+	approx, _, err := tree.KNNStatsCtx(ctx, nil, query, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := tree.KNN(nil, query, 3); !equalResults(approx, want) {
-		t.Errorf("KNNCtx = %v, KNN = %v", approx, want)
+		t.Errorf("KNNStatsCtx = %v, KNN = %v", approx, want)
 	}
-	rng, err := tree.RangeCtx(ctx, nil, query, 5000)
+	rng, _, err := tree.RangeStatsCtx(ctx, nil, query, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := tree.Range(nil, query, 5000); !equalResults(rng, want) {
-		t.Errorf("RangeCtx = %v, Range = %v", rng, want)
+		t.Errorf("RangeStatsCtx = %v, Range = %v", rng, want)
 	}
 }
 

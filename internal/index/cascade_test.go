@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -98,9 +99,9 @@ func statsOf(t *testing.T, tr *Tree[int], q dist.Sequence, exact bool) SearchSta
 	var st SearchStats
 	var err error
 	if exact {
-		_, st, err = tr.KNNExactStats(nil, q, 5)
+		_, st, err = tr.KNNExactStatsCtx(context.Background(), nil, q, 5)
 	} else {
-		_, st, err = tr.KNNStats(nil, q, 5)
+		_, st, err = tr.KNNStatsCtx(context.Background(), nil, q, 5)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestDistCacheByteIdentical(t *testing.T) {
 	if cache.hits == 0 {
 		t.Fatal("second round hit the cache zero times")
 	}
-	_, st, err := tr.KNNExactStats(nil, queries[0], 8)
+	_, st, err := tr.KNNExactStatsCtx(context.Background(), nil, queries[0], 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,64 +11,19 @@ import (
 	"testing"
 )
 
-// TestColumnarOnOffByteIdentical is the tentpole's acceptance check: the
-// columnar layout with its batched kernel and quantized tier must return
-// byte-identical results AND byte-identical SearchStats to the
-// pointer-chasing per-pair path, at every worker count and search mode.
-func TestColumnarOnOffByteIdentical(t *testing.T) {
-	seqs := detSequences(150, 91)
-	queries := detSequences(10, 92)
-	for _, workers := range []int{0, 1, 2, 4} {
-		// SearchStats legitimately vary with the worker count (the pruning
-		// threshold evolves with scan interleaving), so the reference runs
-		// at the same worker count — only the layout differs.
-		ref := buildCascadeTree(t, seqs, workers, func(c *Config) { c.DisableColumnar = true })
-		tr := buildCascadeTree(t, seqs, workers, nil)
-		for qi, q := range queries {
-			for _, k := range []int{1, 5, 20} {
-				sameResults(t, labelf("workers=%d q=%d k=%d KNN", workers, qi, k),
-					tr.KNN(nil, q, k), ref.KNN(nil, q, k))
-				sameResults(t, labelf("workers=%d q=%d k=%d KNNExact", workers, qi, k),
-					tr.KNNExact(nil, q, k), ref.KNNExact(nil, q, k))
-			}
-			for _, radius := range []float64{30, 150, 500} {
-				sameResults(t, labelf("workers=%d q=%d r=%v Range", workers, qi, radius),
-					tr.Range(nil, q, radius), ref.Range(nil, q, radius))
-			}
-			// The quant tier folds into the envelope stage by design, so
-			// the full stats structs must match, not just the results.
-			gotR, gotSt, err := tr.KNNExactStats(nil, q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantR, wantSt, err := ref.KNNExactStats(nil, q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, labelf("workers=%d q=%d stats-knn", workers, qi), gotR, wantR)
-			if gotSt != wantSt {
-				t.Fatalf("workers=%d q=%d: SearchStats differ: columnar %+v, reference %+v",
-					workers, qi, gotSt, wantSt)
-			}
-			_, gotRg, err := tr.RangeStatsCtx(context.Background(), nil, q, 150)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, wantRg, err := ref.RangeStatsCtx(context.Background(), nil, q, 150)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotRg != wantRg {
-				t.Fatalf("workers=%d q=%d: Range SearchStats differ: columnar %+v, reference %+v",
-					workers, qi, gotRg, wantRg)
-			}
-		}
-	}
-}
+// plainCascade hides the EGED_M cascade's BatchCascade and QuantCascade
+// extensions behind the bare interface: a tree configured with it runs
+// the same bounds through the per-pair DP kernel with no quantized tier —
+// the reference the columnar execution layer must match in results AND
+// SearchStats.
+type plainCascade struct{ dist.Cascade }
+
+func perPair(c *Config) { c.Cascade = plainCascade{dist.EGEDMCascade(nil)} }
 
 // TestColumnarAfterChurn: inserts after construction (whose records carry
 // codes from a grid fitted earlier, or none at all) and splits (which
-// refit) keep the columnar tree byte-identical to the reference.
+// refit) keep the batched kernel and quantized tier byte-identical to the
+// per-pair reference.
 func TestColumnarAfterChurn(t *testing.T) {
 	seqs := detSequences(60, 93)
 	extra := detSequences(60, 94)
@@ -85,7 +40,7 @@ func TestColumnarAfterChurn(t *testing.T) {
 		}
 		return tr
 	}
-	ref := build(func(c *Config) { c.DisableColumnar = true })
+	ref := build(perPair)
 	tr := build(nil)
 	for qi, q := range queries {
 		sameResults(t, labelf("q=%d KNNExact", qi), tr.KNNExact(nil, q, 9), ref.KNNExact(nil, q, 9))
@@ -93,53 +48,41 @@ func TestColumnarAfterChurn(t *testing.T) {
 	}
 }
 
-// TestSearchBatchByteIdentical: the KNNExact leaf-batching knob changes
-// scheduling granularity only, never results.
-func TestSearchBatchByteIdentical(t *testing.T) {
-	seqs := detSequences(120, 96)
-	queries := detSequences(6, 97)
-	ref := buildCascadeTree(t, seqs, 1, nil)
-	for _, batch := range []int{1, 3, 64} {
-		tr := buildCascadeTree(t, seqs, 4, func(c *Config) { c.SearchBatch = batch })
-		for qi, q := range queries {
-			sameResults(t, labelf("batch=%d q=%d", batch, qi),
-				tr.KNNExact(nil, q, 8), ref.KNNExact(nil, q, 8))
-		}
-	}
-}
-
-// TestColumnarSnapshotCrossRestore: a packed-columnar (v2) snapshot loads
-// into both columnar and non-columnar trees, a nested-Seqs (v1-form)
-// snapshot loads into both, and all four restores answer queries
-// byte-identically — through a gob round trip, as core persistence does.
+// TestColumnarSnapshotCrossRestore: the packed-columnar snapshot a tree
+// writes and its nested-Seqs (v1-form) equivalent both restore, and both
+// restores answer queries byte-identically to the source tree — through a
+// gob round trip, as core persistence does.
 func TestColumnarSnapshotCrossRestore(t *testing.T) {
 	seqs := detSequences(80, 98)
 	queries := detSequences(5, 99)
-	baseCfg := Config{NumClusters: 5, Seed: 11, MaxLeafEntries: 16}
-	colTree := buildCascadeTree(t, seqs, 1, nil)
-	rowTree := buildCascadeTree(t, seqs, 1, func(c *Config) { c.DisableColumnar = true })
+	cfg := Config{NumClusters: 5, Seed: 11, MaxLeafEntries: 16}
+	tree := buildCascadeTree(t, seqs, 1, nil)
 
-	colSnap, rowSnap := colTree.Snapshot(), rowTree.Snapshot()
-	for _, cl := range colSnap.Roots[0].Clusters {
-		if cl.Seqs != nil || cl.ColLens == nil {
-			t.Fatal("columnar tree did not emit the packed encoding")
-		}
-	}
-	for _, cl := range rowSnap.Roots[0].Clusters {
-		if cl.Seqs == nil || cl.ColLens != nil {
-			t.Fatal("non-columnar tree did not emit the nested encoding")
+	packed := tree.Snapshot()
+	// The writer no longer emits the nested form; derive it from the tree's
+	// items, which enumerate in snapshot (root, cluster, key) order.
+	nested := tree.Snapshot()
+	items := tree.Items()
+	for ri := range nested.Roots {
+		for ci := range nested.Roots[ri].Clusters {
+			cl := &nested.Roots[ri].Clusters[ci]
+			if packed.Roots[ri].Clusters[ci].ColLens == nil {
+				t.Fatal("tree did not emit the packed encoding")
+			}
+			cl.ColData, cl.ColLens, cl.ColDim = nil, nil, 0
+			for range cl.Keys {
+				cl.Seqs = append(cl.Seqs, items[0].Seq)
+				items = items[1:]
+			}
 		}
 	}
 
 	for _, tc := range []struct {
-		name    string
-		snap    Snapshot[int]
-		disable bool
+		name string
+		snap Snapshot[int]
 	}{
-		{"packed->columnar", colSnap, false},
-		{"packed->row", colSnap, true},
-		{"nested->columnar", rowSnap, false},
-		{"nested->row", rowSnap, true},
+		{"packed", packed},
+		{"nested", nested},
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&tc.snap); err != nil {
@@ -149,23 +92,18 @@ func TestColumnarSnapshotCrossRestore(t *testing.T) {
 		if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 			t.Fatal(err)
 		}
-		cfg := baseCfg
-		cfg.DisableColumnar = tc.disable
 		restored, err := FromSnapshot(decoded, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := restored.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if restored.Len() != colTree.Len() {
-			t.Fatalf("%s: Len = %d, want %d", tc.name, restored.Len(), colTree.Len())
+		if restored.Len() != tree.Len() {
+			t.Fatalf("%s: Len = %d, want %d", tc.name, restored.Len(), tree.Len())
 		}
 		for qi, q := range queries {
 			sameResults(t, labelf("%s q=%d", tc.name, qi),
-				restored.KNNExact(nil, q, 6), colTree.KNNExact(nil, q, 6))
+				restored.KNNExact(nil, q, 6), tree.KNNExact(nil, q, 6))
 			sameResults(t, labelf("%s q=%d range", tc.name, qi),
-				restored.Range(nil, q, 150), colTree.Range(nil, q, 150))
+				restored.Range(nil, q, 150), tree.Range(nil, q, 150))
 		}
 	}
 }
@@ -203,24 +141,25 @@ func ringSequences(n int, seed int64) []dist.Sequence {
 }
 
 // TestQuantTierFires: the tier must actually prune on an
-// envelope-separable workload — the bit-identity tests above would pass
+// envelope-separable workload — the bit-identity tests would pass
 // trivially if the tier never ran — and its firing must leave results and
-// SearchStats identical to the non-columnar reference.
+// SearchStats identical to the per-pair reference (a quant prune is booked
+// as the envelope prune it pre-empts).
 func TestQuantTierFires(t *testing.T) {
 	// One big leaf: leaf-level bounds cannot skip anything, so every far
 	// record must die in the record-level cascade.
 	oneLeaf := func(c *Config) { c.NumClusters = 1; c.MaxLeafEntries = 500 }
 	seqs := ringSequences(120, 101)
 	tr := buildCascadeTree(t, seqs, 1, oneLeaf)
-	ref := buildCascadeTree(t, seqs, 1, func(c *Config) { oneLeaf(c); c.DisableColumnar = true })
+	ref := buildCascadeTree(t, seqs, 1, func(c *Config) { oneLeaf(c); perPair(c) })
 	queries := ringSequences(8, 102)
 	before := QuantPruned()
 	for qi, q := range queries {
-		gotR, gotSt, err := tr.KNNExactStats(nil, q, 3)
+		gotR, gotSt, err := tr.KNNExactStatsCtx(context.Background(), nil, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantR, wantSt, err := ref.KNNExactStats(nil, q, 3)
+		wantR, wantSt, err := ref.KNNExactStatsCtx(context.Background(), nil, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,21 +107,6 @@ type Config struct {
 	// still publish through the writer lock; only the EM fits move off the
 	// commit path, so ingest latency stops paying for them.
 	AsyncSplit bool
-	// DisableColumnar turns off the columnar execution layer: leaf records
-	// then keep only their []Vec sequences (no flattened float64 block, no
-	// quantized summary codes) and searches run the per-pair DP kernel
-	// instead of the batched columnar one. The columnar kernels are
-	// bit-identical to the pointer-chasing ones and the quantized tier
-	// only pre-fires prunes the envelope bound would make anyway, so
-	// results AND SearchStats are byte-identical with the layer on or off
-	// — this is an ablation/benchmark knob, not a semantic one.
-	DisableColumnar bool
-	// SearchBatch is the number of leaves KNNExact scans per round before
-	// merging worker-local heaps and refreshing the shared pruning
-	// threshold. 0 means one leaf per worker (the default round size).
-	// Larger batches synchronize less but prune against a staler
-	// threshold; results are identical at every setting.
-	SearchBatch int
 	// Concurrency bounds the worker pool used throughout the index: the
 	// pairwise matrices of EM clustering during construction and splits,
 	// the centroid descent of insertion and search, and the per-leaf scans
@@ -199,13 +184,11 @@ type leafRecord[P any] struct {
 	sum     dist.Summary
 	hash    uint64
 	// col is the columnar form of seq — the same float64s flattened into
-	// one contiguous block for the batched DP kernel. When the columnar
-	// layer is on, seq's vectors are views into col's buffer, so the data
-	// exists exactly once; when DisableColumnar is set col stays zero.
+	// one contiguous block for the batched DP kernel. seq's vectors are
+	// views into col's buffer, so the data exists exactly once.
 	col dist.Block
 	// qc is the record's quantized-summary code on its cluster's grid
-	// (Valid=false when the record predates the grid, falls outside it,
-	// or the columnar layer is off).
+	// (Valid=false when the record predates the grid or falls outside it).
 	qc dist.QuantCode
 	// shard tags the record with its tree's shard index (0 for a plain
 	// tree) so shard-aware distance caches can scope invalidation.
@@ -214,16 +197,12 @@ type leafRecord[P any] struct {
 
 // newLeafRecord builds a leaf record for seq under centroid: the key is
 // the metric distance to the centroid, the summary and hash are the
-// cascade/cache precomputations. With the columnar layer on, the sequence
-// is flattened once here and re-exposed as views into the block, so both
-// access paths share one copy of the floats (and identical bits — every
-// derived value is computed from the same data either way).
+// cascade/cache precomputations. The sequence is flattened once here and
+// re-exposed as views into the block, so the batched kernel and the
+// pointer-based bounds share one copy of the floats.
 func (t *Tree[P]) newLeafRecord(centroid, seq dist.Sequence, payload P) leafRecord[P] {
-	var col dist.Block
-	if !t.cfg.DisableColumnar {
-		col = dist.FromSequence(seq)
-		seq = col.Sequence()
-	}
+	col := dist.FromSequence(seq)
+	seq = col.Sequence()
 	return leafRecord[P]{
 		key:     t.cfg.Metric(seq, centroid),
 		seq:     seq,
@@ -245,7 +224,7 @@ type clusterRecord[P any] struct {
 	// fitted whenever the membership is rebuilt wholesale (bootstrap,
 	// split, restore) and left fixed across incremental inserts — a
 	// record that does not fit the fixed grid simply carries an invalid
-	// code and skips the tier. Zero (not Ok) when columnar is off.
+	// code and skips the tier.
 	qgrid dist.QuantGrid
 	// splitChecked is the leaf size at which the last BIC evaluation
 	// declined to split, 0 if never evaluated (or since invalidated by a
@@ -556,11 +535,8 @@ func (t *Tree[P]) buildClusters(x *txn[P], root *rootRecord[P], items []Item[P])
 // refitQuant fits cl's quantization grid to its current membership and
 // re-encodes every record's code. Called wherever the membership is
 // rebuilt wholesale (bootstrap, adopted split, snapshot restore); cl must
-// be owned by the transaction. A no-op when the columnar layer is off.
+// be owned by the transaction.
 func (t *Tree[P]) refitQuant(cl *clusterRecord[P]) {
-	if t.cfg.DisableColumnar {
-		return
-	}
 	boxes := make([]dist.Box, len(cl.leaf))
 	for i := range cl.leaf {
 		boxes[i] = cl.leaf[i].sum.Box
@@ -839,10 +815,10 @@ func (t *Tree[P]) Items() []Item[P] {
 	return out
 }
 
-// CheckInvariants verifies leaf key order, key correctness and — with the
-// columnar layer on — that every record's column block mirrors its
-// sequence bit-for-bit and every valid quant code brackets the record's
-// envelope (the admissibility precondition). Intended for tests.
+// CheckInvariants verifies leaf key order, key correctness, that every
+// record's column block mirrors its sequence bit-for-bit and that every
+// valid quant code brackets the record's envelope (the admissibility
+// precondition). Intended for tests.
 func (t *Tree[P]) CheckInvariants() error {
 	for _, r := range t.roots {
 		for _, cl := range r.clusters {
@@ -852,9 +828,6 @@ func (t *Tree[P]) CheckInvariants() error {
 				}
 				if want := t.cfg.Metric(rec.seq, cl.centroid); math.Abs(want-rec.key) > 1e-9 {
 					return fmt.Errorf("index: cluster %d record %d key %v != distance %v", cl.id, i, rec.key, want)
-				}
-				if t.cfg.DisableColumnar {
-					continue
 				}
 				if rec.col.Len() != len(rec.seq) {
 					return fmt.Errorf("index: cluster %d record %d column block has %d rows, sequence %d", cl.id, i, rec.col.Len(), len(rec.seq))

@@ -63,7 +63,7 @@ type queryState struct {
 	// nil when the cache does not implement it.
 	scache ShardAwareDistCache
 	// Columnar-layer state, resolved once per query and nil/zero when the
-	// layer is off or the cascade lacks the extensions: bq is the prepared
+	// cascade lacks the extensions (a custom metric): bq is the prepared
 	// batched query (immutable, shared by all leaf scans — each scan
 	// derives its own mutable arena), qcasc/qgaps feed the quantized tier.
 	bq    *dist.BatchQuery
@@ -78,14 +78,12 @@ func (t *Tree[P]) newQueryState(query dist.Sequence) *queryState {
 		q.qh = dist.HashSequence(query)
 		q.scache, _ = q.cache.(ShardAwareDistCache)
 	}
-	if !t.cfg.DisableColumnar {
-		if bc, ok := q.casc.(dist.BatchCascade); ok {
-			q.bq = bc.BatchQuery(query)
-		}
-		if qc, ok := q.casc.(dist.QuantCascade); ok {
-			q.qcasc = qc
-			q.qgaps = qc.QueryGaps(query)
-		}
+	if bc, ok := q.casc.(dist.BatchCascade); ok {
+		q.bq = bc.BatchQuery(query)
+	}
+	if qc, ok := q.casc.(dist.QuantCascade); ok {
+		q.qcasc = qc
+		q.qgaps = qc.QueryGaps(query)
 	}
 	return q
 }
@@ -124,25 +122,15 @@ func (q *queryState) putDist(hash uint64, shard uint32, d float64) {
 // The centroid descent evaluates its distances across the configured
 // worker pool; results are identical at every Concurrency setting.
 func (t *Tree[P]) KNN(bg *graph.Graph, query dist.Sequence, k int) []Result[P] {
-	res, err := t.KNNCtx(context.Background(), bg, query, k)
+	res, _, err := t.KNNStatsCtx(context.Background(), bg, query, k)
 	must(err)
 	return res
 }
 
-// KNNCtx is KNN with cancellation: once ctx is done the worker pool stops
-// claiming centroid evaluations, in-flight ones drain, and ctx.Err() is
-// returned. A cancelled search returns no partial results.
-func (t *Tree[P]) KNNCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], error) {
-	res, _, err := t.KNNStatsCtx(ctx, bg, query, k)
-	return res, err
-}
-
-// KNNStats is KNN returning the search's cascade accounting.
-func (t *Tree[P]) KNNStats(bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], SearchStats, error) {
-	return t.KNNStatsCtx(context.Background(), bg, query, k)
-}
-
-// KNNStatsCtx is KNNCtx returning the search's cascade accounting.
+// KNNStatsCtx is KNN with cancellation and the search's cascade
+// accounting: once ctx is done the worker pool stops claiming centroid
+// evaluations, in-flight ones drain, and ctx.Err() is returned. A
+// cancelled search returns no partial results.
 func (t *Tree[P]) KNNStatsCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], SearchStats, error) {
 	var st SearchStats
 	if k <= 0 || t.size == 0 {
@@ -183,28 +171,16 @@ func (t *Tree[P]) KNNStatsCtx(ctx context.Context, bg *graph.Graph, query dist.S
 // leaves the sequential best-first loop would have pruned, and records
 // from those leaves are provably too far to enter the heap.
 func (t *Tree[P]) KNNExact(bg *graph.Graph, query dist.Sequence, k int) []Result[P] {
-	res, err := t.KNNExactCtx(context.Background(), bg, query, k)
+	res, _, err := t.KNNExactStatsCtx(context.Background(), bg, query, k)
 	must(err)
 	return res
 }
 
-// KNNExactCtx is KNNExact with cancellation: cancellation is observed
-// between leaf batches and at work-item claim time inside a batch, so a
-// disconnected client stops burning the worker pool after at most the
-// in-flight leaf scans. A cancelled search returns ctx.Err() and no
-// partial results.
-func (t *Tree[P]) KNNExactCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], error) {
-	res, _, err := t.KNNExactStatsCtx(ctx, bg, query, k)
-	return res, err
-}
-
-// KNNExactStats is KNNExact returning the search's cascade accounting.
-func (t *Tree[P]) KNNExactStats(bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], SearchStats, error) {
-	return t.KNNExactStatsCtx(context.Background(), bg, query, k)
-}
-
-// KNNExactStatsCtx is KNNExactCtx returning the search's cascade
-// accounting.
+// KNNExactStatsCtx is KNNExact with cancellation and the search's cascade
+// accounting: cancellation is observed between leaf batches and at
+// work-item claim time inside a batch, so a disconnected client stops
+// burning the worker pool after at most the in-flight leaf scans. A
+// cancelled search returns ctx.Err() and no partial results.
 func (t *Tree[P]) KNNExactStatsCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], SearchStats, error) {
 	var st SearchStats
 	if k <= 0 || t.size == 0 {
@@ -237,10 +213,7 @@ func (t *Tree[P]) KNNExactStatsCtx(ctx context.Context, bg *graph.Graph, query d
 
 	q := t.newQueryState(query)
 	h := newResultHeap[P](k)
-	batch := t.cfg.SearchBatch
-	if batch <= 0 {
-		batch = parallel.Workers(t.cfg.Concurrency)
-	}
+	batch := parallel.Workers(t.cfg.Concurrency)
 	var scanned atomic.Int64
 	type leafScan struct {
 		h  *resultHeap[P]
@@ -295,22 +268,17 @@ func (t *Tree[P]) KNNExactStatsCtx(ctx context.Context, bg *graph.Graph, query d
 // order and sort stably, so the output is identical at every Concurrency
 // setting.
 func (t *Tree[P]) Range(bg *graph.Graph, query dist.Sequence, radius float64) []Result[P] {
-	res, err := t.RangeCtx(context.Background(), bg, query, radius)
+	res, _, err := t.RangeStatsCtx(context.Background(), bg, query, radius)
 	must(err)
 	return res
 }
 
-// RangeCtx is Range with cancellation: once ctx is done the pool stops
-// claiming cluster scans, in-flight ones drain, and ctx.Err() is returned.
-func (t *Tree[P]) RangeCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, radius float64) ([]Result[P], error) {
-	res, _, err := t.RangeStatsCtx(ctx, bg, query, radius)
-	return res, err
-}
-
-// RangeStatsCtx is RangeCtx returning the search's cascade accounting.
-// The radius is a fixed refinement threshold, so every cascade stage
-// prunes against it: a record whose lower bound exceeds the radius, or
-// whose DP abandons above it, provably is not a hit.
+// RangeStatsCtx is Range with cancellation and the search's cascade
+// accounting: once ctx is done the pool stops claiming cluster scans,
+// in-flight ones drain, and ctx.Err() is returned. The radius is a fixed
+// refinement threshold, so every cascade stage prunes against it: a record
+// whose lower bound exceeds the radius, or whose DP abandons above it,
+// provably is not a hit.
 func (t *Tree[P]) RangeStatsCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, radius float64) ([]Result[P], SearchStats, error) {
 	var st SearchStats
 	searchesRange.Inc()
@@ -537,11 +505,11 @@ func quantPrune[P any](q *queryState, cl *clusterRecord[P], rec *leafRecord[P], 
 }
 
 // refineRecord runs the cascade's final DP stage: the batched columnar
-// kernel when the scan has an arena and the record carries its column
-// block, the per-pair kernel otherwise. The two are bit-identical in
-// value, abandon decision and eval/cell accounting.
+// kernel when the scan has an arena, the per-pair kernel otherwise (a
+// cascade without the BatchCascade extension). The two are bit-identical
+// in value, abandon decision and eval/cell accounting.
 func refineRecord[P any](q *queryState, b *dist.Batch, rec *leafRecord[P], thresh float64) (float64, bool) {
-	if b != nil && rec.col.Len() == len(rec.seq) {
+	if b != nil {
 		return b.DistanceUB(rec.col, thresh)
 	}
 	return q.casc.DistanceUB(q.query, rec.seq, thresh)

@@ -398,15 +398,9 @@ func (s *Sharded[P]) View() *Tree[P] { return s.view().t }
 
 // KNN is Tree.KNN over a lock-free merged view.
 func (s *Sharded[P]) KNN(bg *graph.Graph, query dist.Sequence, k int) []Result[P] {
-	res, err := s.KNNCtx(context.Background(), bg, query, k)
+	res, _, err := s.KNNStatsCtx(context.Background(), bg, query, k)
 	must(err)
 	return res
-}
-
-// KNNCtx is Tree.KNNCtx over a lock-free merged view.
-func (s *Sharded[P]) KNNCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], error) {
-	res, _, err := s.KNNStatsCtx(ctx, bg, query, k)
-	return res, err
 }
 
 // KNNStatsCtx is Tree.KNNStatsCtx over a lock-free merged view.

@@ -27,15 +27,14 @@ type RootSnapshot[P any] struct {
 // ClusterSnapshot serializes one cluster record with its leaf. Two
 // equivalent encodings of the member sequences exist:
 //
-//   - Seqs: one dist.Sequence per record (the v1 container form);
+//   - Seqs: one dist.Sequence per record (the v1 container form, read
+//     but no longer written);
 //   - ColData/ColLens/ColDim: every record's samples packed into one
 //     flat row-major float64 column block (record i owns ColLens[i]
-//     rows), the form a columnar tree writes — one contiguous gob slice
-//     instead of len(leaf) nested slice-of-slices.
+//     rows), the form Snapshot writes — one contiguous gob slice instead
+//     of len(leaf) nested slice-of-slices.
 //
-// A snapshot populates exactly one of the two; restore accepts either
-// regardless of the restoring tree's columnar setting, so v1 snapshots
-// load into columnar trees and vice versa.
+// A snapshot populates exactly one of the two; restore accepts either.
 type ClusterSnapshot[P any] struct {
 	ID       int
 	Centroid dist.Sequence
@@ -61,10 +60,6 @@ func (t *Tree[P]) Snapshot() Snapshot[P] {
 			for _, rec := range cl.leaf {
 				cs.Keys = append(cs.Keys, rec.key)
 				cs.Payloads = append(cs.Payloads, rec.payload)
-				if t.cfg.DisableColumnar {
-					cs.Seqs = append(cs.Seqs, rec.seq)
-					continue
-				}
 				cs.ColLens = append(cs.ColLens, rec.col.Len())
 				cs.ColData = append(cs.ColData, rec.col.Data()...)
 				if rec.col.Dim() > 0 {
@@ -117,12 +112,10 @@ func (t *Tree[P]) restoreRoot(rs RootSnapshot[P]) error {
 		cl := &clusterRecord[P]{id: cs.ID, centroid: cs.Centroid}
 		off := 0
 		for i := range cs.Keys {
-			// Materialize the record's sequence from whichever encoding
-			// the snapshot carries (see ClusterSnapshot), rebuilding the
-			// column block under the restoring tree's own columnar
-			// setting — the block and the view sequence share one buffer.
+			// Materialize the record's column block from whichever encoding
+			// the snapshot carries (see ClusterSnapshot); the sequence is a
+			// view sharing the block's buffer.
 			var col dist.Block
-			var seq dist.Sequence
 			if columnar {
 				n := cs.ColLens[i]
 				dim := cs.ColDim
@@ -133,22 +126,15 @@ func (t *Tree[P]) restoreRoot(rs RootSnapshot[P]) error {
 				if end > len(cs.ColData) {
 					return fmt.Errorf("index: cluster %d column block truncated at record %d", cs.ID, i)
 				}
-				b, err := dist.BlockOf(cs.ColData[off:end:end], n, dim)
-				if err != nil {
+				var err error
+				if col, err = dist.BlockOf(cs.ColData[off:end:end], n, dim); err != nil {
 					return fmt.Errorf("index: cluster %d record %d: %w", cs.ID, i, err)
 				}
 				off = end
-				col, seq = b, b.Sequence()
 			} else {
-				seq = cs.Seqs[i]
-				if !t.cfg.DisableColumnar {
-					col = dist.FromSequence(seq)
-					seq = col.Sequence()
-				}
+				col = dist.FromSequence(cs.Seqs[i])
 			}
-			if t.cfg.DisableColumnar {
-				col = dist.Block{}
-			}
+			seq := col.Sequence()
 			// The cascade summary and cache hash are derived state;
 			// recompute them rather than trusting the snapshot.
 			cl.leaf = append(cl.leaf, leafRecord[P]{

@@ -26,6 +26,8 @@ import (
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
 	"strgindex/internal/faultfs"
+	"strgindex/internal/index"
+	"strgindex/internal/query"
 	"strgindex/internal/replica"
 	"strgindex/internal/server"
 	"strgindex/internal/video"
@@ -60,15 +62,41 @@ var sigTrajs = []dist.Sequence{
 	{{40, 40}, {120, 100}, {240, 200}},
 }
 
+// querier is the database's one query entry point, as VideoDB and
+// SharedDB share it.
+type querier interface {
+	QueryComposedCtx(ctx context.Context, q *query.Query) (*core.QueryResult, error)
+}
+
+// search runs one pure-similarity query. It returns the error instead of
+// failing the test so reader goroutines can use it.
+func search(db querier, c query.SimilarClause) ([]core.Match, index.SearchStats, error) {
+	res, err := db.QueryComposedCtx(context.Background(), &query.Query{Similar: &c})
+	if err != nil {
+		return nil, index.SearchStats{}, err
+	}
+	return res.Matches, res.Search, nil
+}
+
+// sigClauses are the signature queries run per trajectory: exact k-NN,
+// Algorithm 3 k-NN, and (stats only) a range.
+func sigClauses(traj dist.Sequence) []query.SimilarClause {
+	return []query.SimilarClause{
+		{Trajectory: traj, K: 5, Exact: true},
+		{Trajectory: traj, K: 5},
+		{Trajectory: traj, Radius: 150},
+	}
+}
+
 // querySig fingerprints k-NN behaviour: exact bit patterns of distances
-// and matched OG identities, plus the full SearchStats accounting — the
+// and matched OG identities — with statsSig's SearchStats accounting, the
 // byte-identity contract a replica must honour at a matched version.
-func querySig(t *testing.T, exact, approx func(context.Context, dist.Sequence, int) ([]core.Match, error)) string {
+func querySig(t *testing.T, db querier) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, traj := range sigTrajs {
-		for _, q := range []func(context.Context, dist.Sequence, int) ([]core.Match, error){exact, approx} {
-			ms, err := q(context.Background(), traj, 5)
+		for _, c := range sigClauses(traj)[:2] {
+			ms, _, err := search(db, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,43 +109,19 @@ func querySig(t *testing.T, exact, approx func(context.Context, dist.Sequence, i
 	return sb.String()
 }
 
-func sharedSig(t *testing.T, s *core.SharedDB) string {
-	t.Helper()
-	return querySig(t, s.QueryTrajectoryExactCtx, s.QueryTrajectoryCtx)
-}
-
-func plainSig(t *testing.T, db *core.VideoDB) string {
-	t.Helper()
-	exact := func(_ context.Context, seq dist.Sequence, k int) ([]core.Match, error) {
-		return db.QueryTrajectoryExact(seq, k), nil
-	}
-	approx := func(_ context.Context, seq dist.Sequence, k int) ([]core.Match, error) {
-		return db.QueryTrajectory(seq, k), nil
-	}
-	return querySig(t, exact, approx)
-}
-
 // statsSig captures the SearchStats of every signature query — the "AND
 // SearchStats" half of the byte-identity claim.
-func statsSig(t *testing.T, s *core.SharedDB) string {
+func statsSig(t *testing.T, db querier) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, traj := range sigTrajs {
-		_, st, err := s.QueryTrajectoryExactStatsCtx(context.Background(), traj, 5)
-		if err != nil {
-			t.Fatal(err)
+		for _, c := range sigClauses(traj) {
+			_, st, err := search(db, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "%+v|", st)
 		}
-		fmt.Fprintf(&sb, "%+v|", st)
-		_, st, err = s.QueryTrajectoryStatsCtx(context.Background(), traj, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&sb, "%+v|", st)
-		_, st, err = s.QueryRangeStatsCtx(context.Background(), traj, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&sb, "%+v|", st)
 	}
 	return sb.String()
 }
@@ -129,12 +133,12 @@ func refSigs(t *testing.T, cfg core.Config, segs []*video.Segment) []string {
 	t.Helper()
 	sigs := make([]string, len(segs)+1)
 	db := core.Open(cfg)
-	sigs[0] = plainSig(t, db)
+	sigs[0] = querySig(t, db)
 	for k, seg := range segs {
 		if _, err := db.IngestSegment("Mini", seg); err != nil {
 			t.Fatal(err)
 		}
-		sigs[k+1] = plainSig(t, db)
+		sigs[k+1] = querySig(t, db)
 	}
 	return sigs
 }
@@ -243,7 +247,7 @@ func expectIdentical(t *testing.T, rep *replica.Replica, primary *core.SharedDB)
 	t.Helper()
 	primary.QuiesceIndex()
 	rep.DB().QuiesceIndex()
-	if got, want := sharedSig(t, rep.DB()), sharedSig(t, primary); got != want {
+	if got, want := querySig(t, rep.DB()), querySig(t, primary); got != want {
 		t.Errorf("replica answers differ from primary at matched version")
 	}
 	if got, want := statsSig(t, rep.DB()), statsSig(t, primary); got != want {
@@ -484,7 +488,7 @@ func TestReplicaCrashApplyMatrix(t *testing.T) {
 		if rdb.ReplicaPos() != end {
 			t.Fatalf("baseline replica at %v, want %v", rdb.ReplicaPos(), end)
 		}
-		if sig := sharedSig(t, rdb); sig != sigs[n] {
+		if sig := querySig(t, rdb); sig != sigs[n] {
 			t.Fatal("baseline replicated apply diverges from direct ingest")
 		}
 		_ = rdb.Close()
@@ -549,7 +553,7 @@ func TestReplicaCrashApplyMatrix(t *testing.T) {
 		if got := r2.ReplicaPos(); got != wantPos {
 			t.Errorf("cut %d: recovered position %v, want %v", cut, got, wantPos)
 		}
-		if sig := sharedSig(t, r2); sig != sigs[acked] {
+		if sig := querySig(t, r2); sig != sigs[acked] {
 			t.Errorf("cut %d: recovered answers differ from the %d-op reference", cut, acked)
 		}
 		// No duplicates: re-offering the already-applied record is refused.
@@ -568,7 +572,7 @@ func TestReplicaCrashApplyMatrix(t *testing.T) {
 		if r2.ReplicaPos() != end {
 			t.Errorf("cut %d: resumed to %v, want %v", cut, r2.ReplicaPos(), end)
 		}
-		if sig := sharedSig(t, r2); sig != sigs[n] {
+		if sig := querySig(t, r2); sig != sigs[n] {
 			t.Errorf("cut %d: resumed answers differ from the full reference", cut)
 		}
 		_ = r2.Close()
@@ -607,7 +611,7 @@ func TestReplicaResumePrimaryRestart(t *testing.T) {
 	if err := rep.Healthy(); err != nil {
 		t.Errorf("dead primary flipped replica health: %v", err)
 	}
-	if sig := sharedSig(t, rep.DB()); sig != sigs[half] {
+	if sig := querySig(t, rep.DB()); sig != sigs[half] {
 		t.Error("replica answers changed while the primary was down")
 	}
 
@@ -620,7 +624,7 @@ func TestReplicaResumePrimaryRestart(t *testing.T) {
 	if got := rep.DB().AppliedSegments(); got != n {
 		t.Errorf("AppliedSegments = %d after resume, want %d (gap or duplicate)", got, n)
 	}
-	if sig := sharedSig(t, rep.DB()); sig != sigs[n] {
+	if sig := querySig(t, rep.DB()); sig != sigs[n] {
 		t.Error("post-restart catch-up diverges from reference")
 	}
 	expectIdentical(t, rep, p2.db)
@@ -936,7 +940,7 @@ func TestReplicaLagFlipsReadyz(t *testing.T) {
 	}
 
 	// Still serving queries, still refusing writes.
-	if ms := rep.DB().QueryTrajectory(sigTrajs[0], 3); len(ms) == 0 {
+	if ms, _, err := search(rep.DB(), query.SimilarClause{Trajectory: sigTrajs[0], K: 3}); err != nil || len(ms) == 0 {
 		t.Error("lagging replica stopped answering queries")
 	}
 	body, _ := json.Marshal(map[string]any{"stream": "Mini", "segment": stream.Segments[0]})
@@ -1040,7 +1044,7 @@ func TestReplicaSnapshotDuringApplyStampsAppliedPosition(t *testing.T) {
 		if got := r2.AppliedSegments(); got != k+1 {
 			t.Fatalf("record %d: recovered %d applied segments, want %d", k, got, k+1)
 		}
-		if sig := sharedSig(t, r2); sig != sigs[k+1] {
+		if sig := querySig(t, r2); sig != sigs[k+1] {
 			t.Errorf("record %d: recovered answers differ from the reference", k)
 		}
 		_ = r2.Close()

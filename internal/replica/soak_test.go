@@ -1,12 +1,12 @@
 package replica_test
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"strgindex/internal/query"
 	"strgindex/internal/server"
 
 	"net/http/httptest"
@@ -62,14 +62,18 @@ func TestReplicaSoak(t *testing.T) {
 				default:
 				}
 				traj := sigTrajs[worker%len(sigTrajs)]
-				ms := rep.DB().QueryTrajectory(traj, 5)
+				ms, _, err := search(rep.DB(), query.SimilarClause{Trajectory: traj, K: 5})
+				if err != nil {
+					t.Errorf("k-NN under apply: %v", err)
+					return
+				}
 				for j := 1; j < len(ms); j++ {
 					if ms[j].Distance < ms[j-1].Distance {
 						t.Errorf("replica k-NN out of order under concurrent apply")
 						return
 					}
 				}
-				if _, err := rep.DB().QueryTrajectoryExactCtx(context.Background(), traj, 5); err != nil {
+				if _, _, err := search(rep.DB(), query.SimilarClause{Trajectory: traj, K: 5, Exact: true}); err != nil {
 					t.Errorf("exact query under apply: %v", err)
 					return
 				}
@@ -114,7 +118,7 @@ func TestReplicaSoak(t *testing.T) {
 		defer wg.Done()
 		for {
 			k1 := rep.DB().AppliedSegments()
-			sig := sharedSig(t, rep.DB())
+			sig := querySig(t, rep.DB())
 			if k2 := rep.DB().AppliedSegments(); k1 == k2 {
 				if sig != sigs[k1] {
 					t.Errorf("replica answers at stable version %d differ from reference", k1)
@@ -134,7 +138,7 @@ func TestReplicaSoak(t *testing.T) {
 	waitCaughtUp(t, rep, pdb.db)
 	// The final state is fully identical, and the live checker really did
 	// observe matched versions along the way.
-	if sig := sharedSig(t, rep.DB()); sig != sigs[n] {
+	if sig := querySig(t, rep.DB()); sig != sigs[n] {
 		t.Error("soak end state diverges from reference")
 	}
 	expectIdentical(t, rep, pdb.db)

@@ -157,7 +157,7 @@ func TestRequestTimeout(t *testing.T) {
 	if _, err := s.DB().IngestSegment("cam0", testSegment(t, "walker", 120, 7)); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := post(t, ts.URL+"/v1/query/knn", map[string]any{
+	resp, body := postSimilar(t, ts.URL, map[string]any{
 		"trajectory": [][2]float64{{10, 10}, {20, 20}}, "k": 3,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,8 +10,6 @@ import (
 	"testing"
 
 	"strgindex/internal/core"
-	"strgindex/internal/dist"
-	"strgindex/internal/geom"
 	"strgindex/internal/query"
 )
 
@@ -20,6 +19,7 @@ import (
 // on the reference, so per-database state (the distance cache) evolves in
 // lockstep and stats must agree byte for byte.
 type identityHarness struct {
+	srv *Server
 	ts  *httptest.Server
 	ref *core.SharedDB
 }
@@ -33,7 +33,7 @@ func newIdentityHarness(t *testing.T, shards int, disableCascade bool) *identity
 	s := NewWith(cfg, quietOptions())
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	h := &identityHarness{ts: ts, ref: core.OpenShared(cfg)}
+	h := &identityHarness{srv: s, ts: ts, ref: core.OpenShared(cfg)}
 	for i, spec := range []struct {
 		label string
 		y     float64
@@ -45,17 +45,6 @@ func newIdentityHarness(t *testing.T, shards int, disableCascade bool) *identity
 		}
 	}
 	return h
-}
-
-// postQuery posts body to path and decodes the unified envelope, also
-// returning the response for header assertions.
-func (h *identityHarness) postQuery(t *testing.T, path string, body any) (*http.Response, queryResponse) {
-	t.Helper()
-	resp, raw := post(t, h.ts.URL+path, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, raw)
-	}
-	return resp, decodeQuery(t, raw)
 }
 
 // zeroMicros strips the only nondeterministic field (stage wall time)
@@ -70,119 +59,77 @@ func zeroMicros(r queryResponse) queryResponse {
 	return r
 }
 
-// TestLegacyEndpointsByteIdentical pins the API redesign's central
-// promise at every shard count and with the lower-bound cascade both on
-// and off: the deprecated knn/range/select endpoints are pure
-// desugarings — matches AND search accounting byte-identical to the
-// direct core legacy surfaces — and the equivalent /v1/query DSL
-// document produces the identical envelope.
+// TestLegacyEndpointsByteIdentical is the /v1/query identity test (the
+// name predates the removal of the legacy routes it once also covered):
+// at every shard count and with the lower-bound cascade both on and off,
+// the HTTP envelope of each query shape — matches, totals, search
+// accounting, stages and plan — is byte-identical to what one mirrored
+// QueryComposedCtx call on the reference database produces. The route
+// adds nothing to a query but the default select cap.
 func TestLegacyEndpointsByteIdentical(t *testing.T) {
-	ctx := context.Background()
 	traj := [][2]float64{{16, 120}, {106, 120}, {196, 120}}
-	seq := make(dist.Sequence, len(traj))
-	for i, p := range traj {
-		seq[i] = dist.Vec{p[0], p[1]}
+	where := map[string]any{"and": []any{
+		map[string]any{"passes_through": map[string]any{"x0": 140, "y0": 0, "x1": 180, "y1": 240}},
+		map[string]any{"heading": map[string]any{"dir": "east"}},
+	}}
+	docs := []struct {
+		name     string
+		doc      map[string]any
+		strategy query.Strategy // "" = the planner's choice
+	}{
+		{"knn", map[string]any{"similar": map[string]any{"trajectory": traj, "k": 3}}, query.StrategyIndex},
+		{"exact", map[string]any{"similar": map[string]any{"trajectory": traj, "k": 3, "exact": true}}, query.StrategyIndex},
+		{"range", map[string]any{"similar": map[string]any{"trajectory": traj, "radius": 4000.0}}, query.StrategyIndex},
+		{"limit", map[string]any{"similar": map[string]any{"trajectory": traj, "k": 3}, "limit": 2}, query.StrategyIndex},
+		{"where", map[string]any{"where": where}, ""},
+		{"composed", map[string]any{"where": where, "similar": map[string]any{"trajectory": traj, "k": 2}}, ""},
 	}
 	for _, shards := range []int{1, 2, 4} {
 		for _, noCascade := range []bool{false, true} {
 			name := map[bool]string{false: "cascade", true: "exact-only"}[noCascade]
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				h := newIdentityHarness(t, shards, noCascade)
+				for _, d := range docs {
+					resp, raw := post(t, h.ts.URL+"/v1/query", d.doc)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s: status %d: %s", d.name, resp.StatusCode, raw)
+					}
+					if resp.Header.Get("Deprecation") != "" {
+						t.Errorf("%s: /v1/query marked deprecated", d.name)
+					}
+					got := decodeQuery(t, raw)
+					if d.strategy != "" && got.Plan.Strategy != string(d.strategy) {
+						t.Errorf("%s: plan strategy = %q, want %s", d.name, got.Plan.Strategy, d.strategy)
+					}
 
-				// Approximate k-NN: legacy endpoint, then its DSL spelling,
-				// each mirrored by one reference call.
-				legacyBody := map[string]any{"trajectory": traj, "k": 3}
-				dslBody := map[string]any{"similar": map[string]any{"trajectory": traj, "k": 3}}
-				resp, gotLegacy := h.postQuery(t, "/v1/query/knn", legacyBody)
-				if resp.Header.Get("Deprecation") != "true" {
-					t.Error("knn: no Deprecation header")
-				}
-				ms, st, err := h.ref.QueryTrajectoryStatsCtx(ctx, seq, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotLegacy.Matches, toMatchJSON(ms)) {
-					t.Errorf("knn matches = %+v, core = %+v", gotLegacy.Matches, toMatchJSON(ms))
-				}
-				if gotLegacy.Stats.searchStatsJSON != toStatsJSON(st) {
-					t.Errorf("knn stats = %+v, core = %+v", gotLegacy.Stats.searchStatsJSON, toStatsJSON(st))
-				}
-				if gotLegacy.Plan.Strategy != string(query.StrategyIndex) {
-					t.Errorf("knn plan strategy = %q, want index", gotLegacy.Plan.Strategy)
-				}
-				resp, gotDSL := h.postQuery(t, "/v1/query", dslBody)
-				if resp.Header.Get("Deprecation") != "" {
-					t.Error("/v1/query marked deprecated")
-				}
-				if _, st2, err := h.ref.QueryTrajectoryStatsCtx(ctx, seq, 3); err != nil {
-					t.Fatal(err)
-				} else if gotDSL.Stats.searchStatsJSON != toStatsJSON(st2) {
-					t.Errorf("knn DSL stats = %+v, core = %+v", gotDSL.Stats.searchStatsJSON, toStatsJSON(st2))
-				}
-				if !reflect.DeepEqual(zeroMicros(gotLegacy).Matches, zeroMicros(gotDSL).Matches) {
-					t.Error("knn: DSL and legacy matches differ")
-				}
-
-				// Exact k-NN.
-				_, gotExact := h.postQuery(t, "/v1/query/knn",
-					map[string]any{"trajectory": traj, "k": 3, "exact": true})
-				ems, est, err := h.ref.QueryTrajectoryExactStatsCtx(ctx, seq, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotExact.Matches, toMatchJSON(ems)) {
-					t.Errorf("exact matches = %+v, core = %+v", gotExact.Matches, toMatchJSON(ems))
-				}
-				if gotExact.Stats.searchStatsJSON != toStatsJSON(est) {
-					t.Errorf("exact stats = %+v, core = %+v", gotExact.Stats.searchStatsJSON, toStatsJSON(est))
-				}
-
-				// Range.
-				const radius = 900.0
-				_, gotRange := h.postQuery(t, "/v1/query/range",
-					map[string]any{"trajectory": traj, "radius": radius})
-				rms, rst, err := h.ref.QueryRangeStatsCtx(ctx, seq, radius)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotRange.Matches, toMatchJSON(rms)) {
-					t.Errorf("range matches = %+v, core = %+v", gotRange.Matches, toMatchJSON(rms))
-				}
-				if gotRange.Stats.searchStatsJSON != toStatsJSON(rst) {
-					t.Errorf("range stats = %+v, core = %+v", gotRange.Stats.searchStatsJSON, toStatsJSON(rst))
-				}
-				_, gotRangeDSL := h.postQuery(t, "/v1/query",
-					map[string]any{"similar": map[string]any{"trajectory": traj, "radius": radius}})
-				if _, _, err := h.ref.QueryRangeStatsCtx(ctx, seq, radius); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotRange.Matches, gotRangeDSL.Matches) {
-					t.Error("range: DSL and legacy matches differ")
-				}
-
-				// Select: legacy predicate fields vs the reference Select
-				// scan vs the DSL where tree.
-				rect := map[string]any{"x0": 140, "y0": 0, "x1": 180, "y1": 240}
-				_, gotSel := h.postQuery(t, "/v1/query/select",
-					map[string]any{"passes_through": rect, "heading": "east"})
-				want := h.ref.Select(query.And(
-					query.PassesThrough(geom.Rect{Min: geom.Pt(140, 0), Max: geom.Pt(180, 240)}),
-					query.Eastbound(0.4),
-				))
-				if !reflect.DeepEqual(gotSel.Matches, toMatchJSON(want)) {
-					t.Errorf("select matches = %+v, core Select = %+v", gotSel.Matches, toMatchJSON(want))
-				}
-				if gotSel.Limit != defaultSelectLimit {
-					t.Errorf("select limit = %d, want server default %d", gotSel.Limit, defaultSelectLimit)
-				}
-				_, gotSelDSL := h.postQuery(t, "/v1/query", map[string]any{
-					"where": map[string]any{"and": []any{
-						map[string]any{"passes_through": rect},
-						map[string]any{"heading": map[string]any{"dir": "east"}},
-					}},
-				})
-				if !reflect.DeepEqual(zeroMicros(gotSel), zeroMicros(gotSelDSL)) {
-					t.Errorf("select: DSL envelope %+v, legacy %+v", zeroMicros(gotSelDSL), zeroMicros(gotSel))
+					doc, err := json.Marshal(d.doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					q, err := query.Parse(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if q.Limit == 0 && q.Similar == nil {
+						q.Limit = defaultSelectLimit
+					}
+					res, err := h.ref.QueryComposedCtx(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Through JSON, like the server's answer, so both sides
+					// carry the same nil-versus-empty slices.
+					wantRaw, err := json.Marshal(h.srv.toQueryResponse(res))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := decodeQuery(t, wantRaw)
+					if len(got.Matches) == 0 {
+						t.Errorf("%s: no matches; the identity would hold vacuously (%s)", d.name, raw)
+					}
+					if !reflect.DeepEqual(zeroMicros(got), zeroMicros(want)) {
+						t.Errorf("%s: HTTP envelope %+v, core %+v", d.name, zeroMicros(got), zeroMicros(want))
+					}
 				}
 			})
 		}

@@ -60,8 +60,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // probed.
 func routeLabel(path string) string {
 	switch path {
-	case "/v1/segments", "/v1/query/knn", "/v1/query/range", "/v1/query/select",
-		"/v1/stats", "/metrics", "/healthz", "/readyz":
+	case "/v1/segments", "/v1/query", "/v1/stats", "/metrics", "/healthz", "/readyz":
 		return path
 	}
 	// Feed and subscription paths carry client-chosen IDs; bucket them by
@@ -82,6 +81,8 @@ func routeLabel(path string) string {
 			return "/v1/subscriptions/events"
 		}
 		return "/v1/subscriptions"
+	case strings.HasPrefix(path, "/v1/replication/"):
+		return "/v1/replication"
 	}
 	return "other"
 }

@@ -200,7 +200,7 @@ func TestHealthz(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newObservedServer(t)
 	ingest(t, ts, "walker", 120, 1)
-	resp, body := post(t, ts.URL+"/v1/query/knn", map[string]any{
+	resp, body := postSimilar(t, ts.URL, map[string]any{
 		"trajectory": [][2]float64{{16, 120}, {304, 120}},
 		"k":          1,
 		"exact":      true,
@@ -224,8 +224,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	// HTTP-layer metrics (per-server registry).
 	for _, want := range []string{
 		`strg_http_requests_total{path="/v1/segments",status="200"} 1`,
-		`strg_http_requests_total{path="/v1/query/knn",status="200"} 1`,
-		`strg_http_request_seconds_bucket{path="/v1/query/knn",le="+Inf"} 1`,
+		`strg_http_requests_total{path="/v1/query",status="200"} 1`,
+		`strg_http_request_seconds_bucket{path="/v1/query",le="+Inf"} 1`,
 		"strg_http_inflight",
 	} {
 		if !strings.Contains(out, want) {
@@ -257,14 +257,14 @@ func TestCanceledRequestCounted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	raw, _ := json.Marshal(map[string]any{"heading": "east"})
-	req := httptest.NewRequest("POST", "/v1/query/select", bytes.NewReader(raw)).WithContext(ctx)
+	raw, _ := json.Marshal(map[string]any{"where": heading("east")})
+	req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(raw)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != statusClientClosed {
 		t.Fatalf("status = %d, want %d", rec.Code, statusClientClosed)
 	}
-	if got := s.Metrics().Counter("strg_http_requests_total", "", obs.Labels{"path": "/v1/query/select", "status": "499"}).Value(); got != 1 {
+	if got := s.Metrics().Counter("strg_http_requests_total", "", obs.Labels{"path": "/v1/query", "status": "499"}).Value(); got != 1 {
 		t.Errorf("requests_total{499} = %d, want 1", got)
 	}
 	if !strings.Contains(cap.all(), "query canceled") {

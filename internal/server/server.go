@@ -4,14 +4,11 @@
 //
 //	POST /v1/query             declarative query DSL (see internal/query)
 //	POST /v1/segments          {"stream": "...", "segment": {...}}  -> ingest stats
-//	POST /v1/query/knn         deprecated alias: {"trajectory": [[x,y],...], "k": 5}
-//	POST /v1/query/range       deprecated alias: {"trajectory": [[x,y],...], "radius": 200}
-//	POST /v1/query/select      deprecated alias: {"passes_through": {...}, ...}
 //	GET  /v1/stats
 //	GET  /healthz              liveness probe
 //	GET  /metrics              Prometheus text exposition
 //
-// POST /v1/query is the query surface: one JSON document composing a
+// POST /v1/query is the one query route: one JSON document composing a
 // `where` predicate tree with an optional `similar` clause (k-NN or
 // range), planned by the cost-based planner (trajectory R-tree probe vs
 // scan vs index descent) and answered with the unified envelope
@@ -23,9 +20,7 @@
 // where stats carries the search's filter-and-refine accounting
 // (candidates evaluated, records pruned by each lower-bound stage, DP
 // kernels abandoned, cache hits) plus per-stage candidate counts, and
-// plan describes the chosen access path. The three legacy query
-// endpoints answer the same envelope, desugar onto the same planner, and
-// set "Deprecation: true" plus a successor Link header.
+// plan describes the chosen access path.
 //
 // Every error response is the JSON envelope
 // {"error": {"code", "message", "request_id"}} with a stable
@@ -42,19 +37,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"sync/atomic"
 	"time"
 
 	"strgindex/internal/core"
-	"strgindex/internal/dist"
 	"strgindex/internal/feed"
-	"strgindex/internal/geom"
 	"strgindex/internal/index"
 	"strgindex/internal/obs"
 	"strgindex/internal/query"
@@ -67,11 +58,11 @@ const (
 	// defaultIngestBodyLimit bounds POST /v1/segments bodies (segments
 	// carry per-frame region lists and can legitimately run to megabytes).
 	defaultIngestBodyLimit = 32 << 20
-	// queryBodyLimit bounds every /v1/query/* body; a trajectory or
-	// predicate description has no business being this large.
+	// queryBodyLimit bounds a /v1/query body; a trajectory or predicate
+	// description has no business being this large.
 	queryBodyLimit = 1 << 20
-	// defaultSelectLimit caps /v1/query/select responses unless the
-	// request asks for a different (still bounded) limit.
+	// defaultSelectLimit caps predicate-only /v1/query responses unless
+	// the request asks for a different (still bounded) limit.
 	defaultSelectLimit = 1000
 )
 
@@ -90,8 +81,8 @@ type Options struct {
 	// MaxIngestBodyBytes overrides the POST /v1/segments body limit.
 	// Zero means 32 MiB.
 	MaxIngestBodyBytes int64
-	// SelectLimit overrides the default /v1/query/select response cap.
-	// Zero means 1000.
+	// SelectLimit overrides the default response cap of predicate-only
+	// queries. Zero means 1000.
 	SelectLimit int
 	// MaxInFlight caps concurrently served API requests (probe and
 	// metrics endpoints are exempt). Excess requests queue up to
@@ -196,9 +187,6 @@ func wrap(db *core.SharedDB, opts Options) *Server {
 	s := &Server{db: db, mux: http.NewServeMux(), log: opts.Logger, reg: opts.Registry, opts: opts}
 	s.mux.HandleFunc("POST /v1/segments", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/query/knn", s.handleKNN)
-	s.mux.HandleFunc("POST /v1/query/range", s.handleRange)
-	s.mux.HandleFunc("POST /v1/query/select", s.handleSelect)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -207,12 +195,9 @@ func wrap(db *core.SharedDB, opts Options) *Server {
 	// header; everything else falls through to the catch-all 404. Both
 	// stay JSON: a /v1 client should never see a text/plain error.
 	allowed := map[string]string{
-		"/v1/segments":     http.MethodPost,
-		"/v1/query":        http.MethodPost,
-		"/v1/query/knn":    http.MethodPost,
-		"/v1/query/range":  http.MethodPost,
-		"/v1/query/select": http.MethodPost,
-		"/v1/stats":        http.MethodGet,
+		"/v1/segments": http.MethodPost,
+		"/v1/query":    http.MethodPost,
+		"/v1/stats":    http.MethodGet,
 	}
 	if opts.Replication != nil {
 		s.mux.HandleFunc("POST /v1/replication/register", s.handleReplRegister)
@@ -422,9 +407,9 @@ type approxJSON struct {
 	RecallProxy float64 `json:"recall_proxy"`
 }
 
-// queryResponse is the unified reply envelope of every /v1/query*
-// endpoint: matches capped at limit, the untruncated total, the search
-// and per-stage accounting, and the plan that produced it.
+// queryResponse is the reply envelope of /v1/query: matches capped at
+// limit, the untruncated total, the search and per-stage accounting, and
+// the plan that produced it.
 type queryResponse struct {
 	Matches   []matchJSON    `json:"matches"`
 	Total     int            `json:"total"`
@@ -469,30 +454,10 @@ func (s *Server) toQueryResponse(res *core.QueryResult) queryResponse {
 	return out
 }
 
-// deprecated marks a legacy endpoint's response: the endpoint keeps
-// working (and answers the unified envelope), but /v1/query is its
-// successor.
-func deprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/query>; rel="successor-version"`)
-}
-
-// runComposed plans, executes and answers one declarative query. A
-// predicate-only query with no explicit limit gets the server's select
-// cap, so an unbounded scan cannot return an arbitrarily large payload.
-func (s *Server) runComposed(w http.ResponseWriter, r *http.Request, q *query.Query) {
-	if q.Limit == 0 && q.Similar == nil {
-		q.Limit = s.opts.SelectLimit
-	}
-	res, err := s.db.QueryComposedCtx(r.Context(), q)
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.toQueryResponse(res))
-}
-
-// handleQuery is POST /v1/query: the declarative DSL endpoint.
+// handleQuery is POST /v1/query: parse, plan, execute and answer one
+// declarative query. A predicate-only query with no explicit limit gets
+// the server's select cap, so an unbounded scan cannot return an
+// arbitrarily large payload.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, queryBodyLimit)
 	body, err := io.ReadAll(r.Body)
@@ -511,7 +476,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	s.runComposed(w, r, q)
+	if q.Limit == 0 && q.Similar == nil {
+		q.Limit = s.opts.SelectLimit
+	}
+	res, err := s.db.QueryComposedCtx(r.Context(), q)
+	if err != nil {
+		s.queryError(w, r, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, s.toQueryResponse(res))
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -546,181 +519,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, stats)
-}
-
-// trajectoryRequest is shared by the knn and range queries.
-type trajectoryRequest struct {
-	Trajectory [][2]float64 `json:"trajectory"`
-	K          int          `json:"k"`
-	Exact      bool         `json:"exact"`
-	Radius     float64      `json:"radius"`
-}
-
-func (t *trajectoryRequest) sequence() (dist.Sequence, error) {
-	if len(t.Trajectory) == 0 {
-		return nil, fmt.Errorf("empty trajectory")
-	}
-	seq := make(dist.Sequence, len(t.Trajectory))
-	for i, p := range t.Trajectory {
-		if math.IsNaN(p[0]) || math.IsNaN(p[1]) {
-			return nil, fmt.Errorf("sample %d is NaN", i)
-		}
-		seq[i] = dist.Vec{p[0], p[1]}
-	}
-	return seq, nil
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req trajectoryRequest
-	if !s.decode(w, r, queryBodyLimit, &req) {
-		return
-	}
-	seq, err := req.sequence()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if req.K <= 0 {
-		req.K = 5
-	}
-	deprecated(w)
-	s.runComposed(w, r, &query.Query{
-		Similar: &query.SimilarClause{Trajectory: seq, K: req.K, Exact: req.Exact},
-	})
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req trajectoryRequest
-	if !s.decode(w, r, queryBodyLimit, &req) {
-		return
-	}
-	seq, err := req.sequence()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if req.Radius <= 0 {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "radius must be positive")
-		return
-	}
-	deprecated(w)
-	s.runComposed(w, r, &query.Query{
-		Similar: &query.SimilarClause{Trajectory: seq, Radius: req.Radius},
-	})
-}
-
-// selectRequest is a declarative predicate description.
-type selectRequest struct {
-	PassesThrough *rectJSON `json:"passes_through,omitempty"`
-	StartsIn      *rectJSON `json:"starts_in,omitempty"`
-	EndsIn        *rectJSON `json:"ends_in,omitempty"`
-	// Heading is one of "east", "west", "north", "south".
-	Heading    string   `json:"heading,omitempty"`
-	HeadingTol float64  `json:"heading_tol,omitempty"`
-	MinSpeed   *float64 `json:"min_speed,omitempty"`
-	MaxSpeed   *float64 `json:"max_speed,omitempty"`
-	UTurn      bool     `json:"u_turn,omitempty"`
-	FrameFrom  *int     `json:"frame_from,omitempty"`
-	FrameTo    *int     `json:"frame_to,omitempty"`
-	// Limit caps the number of returned matches; 0 means the server
-	// default. The response reports the applied limit and whether the
-	// scan's hits were truncated by it.
-	Limit int `json:"limit,omitempty"`
-}
-
-type rectJSON struct {
-	X0 float64 `json:"x0"`
-	Y0 float64 `json:"y0"`
-	X1 float64 `json:"x1"`
-	Y1 float64 `json:"y1"`
-}
-
-func (r *rectJSON) rect() geom.Rect {
-	return geom.Rect{
-		Min: geom.Pt(math.Min(r.X0, r.X1), math.Min(r.Y0, r.Y1)),
-		Max: geom.Pt(math.Max(r.X0, r.X1), math.Max(r.Y0, r.Y1)),
-	}
-}
-
-// whereNode desugars the request onto the declarative AST, conjuncts in
-// the legacy field order (the planner may reorder them; predicates are
-// pure, so answers are unchanged).
-func (req *selectRequest) whereNode() (query.Node, error) {
-	var ns []query.Node
-	if req.PassesThrough != nil {
-		ns = append(ns, query.SpatialNode{Kind: query.SpatialPasses, Rect: req.PassesThrough.rect()})
-	}
-	if req.StartsIn != nil {
-		ns = append(ns, query.SpatialNode{Kind: query.SpatialStarts, Rect: req.StartsIn.rect()})
-	}
-	if req.EndsIn != nil {
-		ns = append(ns, query.SpatialNode{Kind: query.SpatialEnds, Rect: req.EndsIn.rect()})
-	}
-	if req.Heading != "" {
-		tol := req.HeadingTol
-		if tol <= 0 {
-			tol = 0.4
-		}
-		var angle float64
-		switch req.Heading {
-		case "east":
-			angle = 0
-		case "west":
-			angle = math.Pi
-		case "north":
-			angle = 3 * math.Pi / 2
-		case "south":
-			angle = math.Pi / 2
-		default:
-			return nil, fmt.Errorf("unknown heading %q", req.Heading)
-		}
-		ns = append(ns, query.HeadingNode{Dir: req.Heading, Angle: angle, Tol: tol})
-	}
-	if req.MinSpeed != nil || req.MaxSpeed != nil {
-		lo, hi := 0.0, math.Inf(1)
-		if req.MinSpeed != nil {
-			lo = *req.MinSpeed
-		}
-		if req.MaxSpeed != nil {
-			hi = *req.MaxSpeed
-		}
-		ns = append(ns, query.SpeedNode{Lo: lo, Hi: hi})
-	}
-	if req.UTurn {
-		ns = append(ns, query.UTurnNode{MinTurn: query.DefaultUTurn})
-	}
-	if req.FrameFrom != nil || req.FrameTo != nil {
-		from, to := 0, 1<<31-1
-		if req.FrameFrom != nil {
-			from = *req.FrameFrom
-		}
-		if req.FrameTo != nil {
-			to = *req.FrameTo
-		}
-		ns = append(ns, query.DuringNode{From: from, To: to})
-	}
-	if len(ns) == 0 {
-		return nil, fmt.Errorf("no predicate fields set")
-	}
-	return query.AndNode{Children: ns}, nil
-}
-
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	var req selectRequest
-	if !s.decode(w, r, queryBodyLimit, &req) {
-		return
-	}
-	if req.Limit < 0 {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "limit must be non-negative")
-		return
-	}
-	where, err := req.whereNode()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	deprecated(w)
-	s.runComposed(w, r, &query.Query{Where: where, Limit: req.Limit})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

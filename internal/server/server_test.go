@@ -52,7 +52,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// decodeQuery parses the unified /v1/query* response envelope.
+// decodeQuery parses the /v1/query response envelope.
 func decodeQuery(t *testing.T, body []byte) queryResponse {
 	t.Helper()
 	var q queryResponse
@@ -62,11 +62,28 @@ func decodeQuery(t *testing.T, body []byte) queryResponse {
 	return q
 }
 
-// decodeSelect parses the enveloped /v1/query/select response (the same
-// unified envelope).
-func decodeSelect(t *testing.T, body []byte) queryResponse {
+// postSimilar posts the pure-similarity query {"similar": sim} to
+// /v1/query: sim carries "trajectory" plus "k" (with optional "exact" or
+// "mode") or "radius".
+func postSimilar(t *testing.T, base string, sim map[string]any) (*http.Response, []byte) {
 	t.Helper()
-	return decodeQuery(t, body)
+	return post(t, base+"/v1/query", map[string]any{"similar": sim})
+}
+
+// postWhere posts the predicate query {"where": {"and": conjuncts}} to
+// /v1/query, with a limit when nonzero.
+func postWhere(t *testing.T, base string, limit int, conjuncts ...map[string]any) (*http.Response, []byte) {
+	t.Helper()
+	doc := map[string]any{"where": map[string]any{"and": conjuncts}}
+	if limit != 0 {
+		doc["limit"] = limit
+	}
+	return post(t, base+"/v1/query", doc)
+}
+
+// heading is the {"heading": {"dir": dir}} predicate.
+func heading(dir string) map[string]any {
+	return map[string]any{"heading": map[string]string{"dir": dir}}
 }
 
 func post(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -121,7 +138,7 @@ func TestKNNQuery(t *testing.T) {
 	ingest(t, ts, "low", 180, 1)
 	ingest(t, ts, "high", 60, 2)
 
-	resp, body := post(t, ts.URL+"/v1/query/knn", map[string]any{
+	resp, body := postSimilar(t, ts.URL, map[string]any{
 		"trajectory": [][2]float64{{16, 60}, {160, 60}, {304, 60}},
 		"k":          1,
 		"exact":      true,
@@ -148,7 +165,7 @@ func TestKNNQuery(t *testing.T) {
 func TestRangeQuery(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingest(t, ts, "walker", 120, 1)
-	resp, body := post(t, ts.URL+"/v1/query/range", map[string]any{
+	resp, body := postSimilar(t, ts.URL, map[string]any{
 		"trajectory": [][2]float64{{160, 120}},
 		"radius":     1e9,
 	})
@@ -164,20 +181,19 @@ func TestRangeQuery(t *testing.T) {
 func TestSelectQuery(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingest(t, ts, "walker", 120, 1)
-	resp, body := post(t, ts.URL+"/v1/query/select", map[string]any{
-		"heading":        "east",
+	resp, body := postWhere(t, ts.URL, 0, heading("east"), map[string]any{
 		"passes_through": map[string]float64{"x0": 100, "y0": 80, "x1": 220, "y1": 160},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	sel := decodeSelect(t, body)
+	sel := decodeQuery(t, body)
 	if len(sel.Matches) != 1 || sel.Total != 1 || sel.Truncated {
 		t.Errorf("select = %+v, want 1 untruncated match (%s)", sel, body)
 	}
 	// The opposite heading matches nothing.
-	_, body = post(t, ts.URL+"/v1/query/select", map[string]any{"heading": "west"})
-	if sel := decodeSelect(t, body); len(sel.Matches) != 0 || sel.Total != 0 {
+	_, body = postWhere(t, ts.URL, 0, heading("west"))
+	if sel := decodeQuery(t, body); len(sel.Matches) != 0 || sel.Total != 0 {
 		t.Errorf("westbound matches = %+v, want 0", sel)
 	}
 }
@@ -187,19 +203,16 @@ func TestSelectLimitTruncates(t *testing.T) {
 	ingest(t, ts, "a", 60, 1)
 	ingest(t, ts, "b", 120, 2)
 	ingest(t, ts, "c", 180, 3)
-	resp, body := post(t, ts.URL+"/v1/query/select", map[string]any{
-		"heading": "east",
-		"limit":   2,
-	})
+	resp, body := postWhere(t, ts.URL, 2, heading("east"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	sel := decodeSelect(t, body)
+	sel := decodeQuery(t, body)
 	if len(sel.Matches) != 2 || sel.Total != 3 || !sel.Truncated || sel.Limit != 2 {
 		t.Errorf("select = %+v, want 2/3 truncated at limit 2", sel)
 	}
 	// A negative limit is rejected.
-	resp, _ = post(t, ts.URL+"/v1/query/select", map[string]any{"heading": "east", "limit": -1})
+	resp, _ = postWhere(t, ts.URL, -1, heading("east"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative limit status = %d, want 400", resp.StatusCode)
 	}
@@ -214,10 +227,11 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"ingest empty", "/v1/segments", map[string]any{"stream": "x"}},
 		{"ingest no stream", "/v1/segments", map[string]any{"segment": testSegment(t, "a", 100, 1)}},
-		{"knn empty trajectory", "/v1/query/knn", map[string]any{"k": 3}},
-		{"range no radius", "/v1/query/range", map[string]any{"trajectory": [][2]float64{{1, 1}}}},
-		{"select no fields", "/v1/query/select", map[string]any{}},
-		{"select bad heading", "/v1/query/select", map[string]any{"heading": "up"}},
+		{"knn empty trajectory", "/v1/query", map[string]any{"similar": map[string]any{"k": 3}}},
+		{"range no radius", "/v1/query", map[string]any{"similar": map[string]any{"trajectory": [][2]float64{{1, 1}}}}},
+		{"select no fields", "/v1/query", map[string]any{}},
+		{"select bad heading", "/v1/query", map[string]any{"where": heading("up")}},
+		{"legacy flat fields", "/v1/query", map[string]any{"trajectory": [][2]float64{{1, 1}}, "k": 3}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -241,7 +255,7 @@ func TestBadRequests(t *testing.T) {
 		})
 	}
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/v1/query/knn", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +268,9 @@ func TestBadRequests(t *testing.T) {
 func TestBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t)
 	// A query body over the 1 MiB query limit: a huge (valid) JSON string.
-	big := append([]byte(`{"trajectory": [[1,1]], "k": 1, "pad": "`), bytes.Repeat([]byte("x"), 2<<20)...)
+	big := append([]byte(`{"similar": {"trajectory": [[1,1]], "k": 1}, "pad": "`), bytes.Repeat([]byte("x"), 2<<20)...)
 	big = append(big, []byte(`"}`)...)
-	resp, err := http.Post(ts.URL+"/v1/query/knn", "application/json", bytes.NewReader(big))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +306,34 @@ func TestNotFoundEnvelope(t *testing.T) {
 	}
 }
 
+// TestRemovedQueryRoutesAnswer404: the three legacy query routes are gone,
+// not redirected — they answer the ordinary not_found envelope, with no
+// Deprecation header left over from their deprecated phase.
+func TestRemovedQueryRoutesAnswer404(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, path := range []string{"/v1/query/knn", "/v1/query/range", "/v1/query/select"} {
+		resp, body := post(t, ts.URL+path, map[string]any{
+			"trajectory": [][2]float64{{16, 120}, {304, 120}}, "k": 1, "radius": 10, "heading": "east",
+		})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404 (%s)", path, resp.StatusCode, body)
+		}
+		var e errorEnvelope
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: envelope %s: %v", path, body, err)
+		}
+		if e.Error.Code != CodeNotFound || e.Error.RequestID == "" {
+			t.Errorf("%s: envelope = %+v", path, e)
+		}
+		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
+			t.Errorf("%s: deprecation headers on a removed route: %v", path, resp.Header)
+		}
+	}
+}
+
 func TestMethodRouting(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/query/knn")
+	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +350,7 @@ func TestConcurrentClients(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func() {
 			for i := 0; i < 20; i++ {
-				resp, _ := post(t, ts.URL+"/v1/query/knn", map[string]any{
+				resp, _ := postSimilar(t, ts.URL, map[string]any{
 					"trajectory": [][2]float64{{16, 120}, {304, 120}},
 					"k":          2,
 				})
@@ -344,7 +383,7 @@ func TestNewFromReader(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(loaded)
 	defer ts2.Close()
-	resp, body := post(t, ts2.URL+"/v1/query/knn", map[string]any{
+	resp, body := postSimilar(t, ts2.URL, map[string]any{
 		"trajectory": [][2]float64{{16, 120}, {304, 120}},
 		"k":          1,
 	})
@@ -362,7 +401,7 @@ func TestNewFromReader(t *testing.T) {
 
 func TestMethodNotAllowedEnvelope(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/query/knn")
+	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,21 +424,19 @@ func TestMethodNotAllowedEnvelope(t *testing.T) {
 func TestSelectSpeedAndFrames(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingest(t, ts, "walker", 120, 1)
-	min := 5.0
-	resp, body := post(t, ts.URL+"/v1/query/select", map[string]any{
-		"min_speed":  min,
-		"frame_from": 0,
-		"frame_to":   100,
-	})
+	resp, body := postWhere(t, ts.URL, 0,
+		map[string]any{"speed": map[string]float64{"min": 5}},
+		map[string]any{"during": map[string]int{"from": 0, "to": 100}},
+	)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if sel := decodeSelect(t, body); len(sel.Matches) != 1 {
+	if sel := decodeQuery(t, body); len(sel.Matches) != 1 {
 		t.Errorf("matches = %d, want 1 (%s)", len(sel.Matches), body)
 	}
 	// Impossible speed band.
-	_, body = post(t, ts.URL+"/v1/query/select", map[string]any{"min_speed": 1e6})
-	if sel := decodeSelect(t, body); len(sel.Matches) != 0 {
+	_, body = postWhere(t, ts.URL, 0, map[string]any{"speed": map[string]float64{"min": 1e6}})
+	if sel := decodeQuery(t, body); len(sel.Matches) != 0 {
 		t.Errorf("impossible speed matched %d", len(sel.Matches))
 	}
 }
