@@ -122,7 +122,7 @@ bench-module:
 
 # Worker-sweep benchmarks of the parallel distance engine plus the
 # columnar kernel benchmarks and the planner micro-benchmark, as JSON,
-# then the perf-floor check: batched leaf DP >= 1.5x per-pair everywhere,
+# then the perf-floor check: batched leaf DP >= 2.5x per-pair everywhere,
 # the planner's rtree-assisted select >= 2x the full scan on the ring
 # workload in <= 12 allocs/op, and PairwiseMatrix workers=4 >= 2x
 # workers=1 on hosts with >= 4 CPUs (a no-regression bound elsewhere).
@@ -132,7 +132,7 @@ bench-module:
 bench-json:
 	go test -run='^$$' -bench='PairwiseMatrix|STRGBuildParallel|Figure6ClusterBuildParallel|Figure7KNNParallel' -benchmem . \
 		| go run ./cmd/benchjson > BENCH_parallel.json
-	go test -run='^$$' -bench='BatchedLeafDP|ColumnarKNNExact' -benchmem -count=8 . \
+	go test -run='^$$' -bench='BatchedLeafDP|ColumnarKNNExact|RankStage|ApproxRerank' -benchmem -count=8 . \
 		| go run ./cmd/benchjson > BENCH_columnar.json
 	go test -run='^$$' -bench='PlannerSelect' -benchmem -count=2 . \
 		| go run ./cmd/benchjson > BENCH_planner.json

@@ -428,9 +428,11 @@ func BenchmarkCascadeKNNExact(b *testing.B) {
 // the same query × candidate-set DP workload through the per-pair
 // sequence kernel (a sync.Pool round-trip and three Norm calls per cell)
 // and through the batched columnar kernel (one arena, hoisted gap costs,
-// one Norm per cell). The results are bit-identical by construction; only
-// the time may differ. benchjson enforces batched >= 1.5x per-pair from
-// these two entries — a per-core property, so it holds on any box.
+// one inlined sqrt and a branch-free minimum per cell on 2-D input). The
+// results are bit-identical by construction; only the time may differ.
+// Both report ns/cell, the kernels' unit cost. benchjson enforces batched
+// >= 2.5x per-pair from these two entries — a per-core property, so it
+// holds on any box.
 func BenchmarkBatchedLeafDP(b *testing.B) {
 	ds := benchSequences(b, 8, 12)
 	query := ds.Items[0]
@@ -440,23 +442,99 @@ func BenchmarkBatchedLeafDP(b *testing.B) {
 	// A finite shared threshold so both kernels exercise the abandon path
 	// the way a leaf scan does.
 	ub := dist.EGEDM(query, cands[len(cands)/2], nil)
+	reportCell := func(b *testing.B, cells0 int64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dist.DPCells()-cells0), "ns/cell")
+	}
 
 	b.Run("kernel=perpair", func(b *testing.B) {
+		cells := dist.DPCells()
 		for i := 0; i < b.N; i++ {
 			for _, c := range cands {
 				dist.EGEDMUB(query, c, nil, ub)
 			}
 		}
+		reportCell(b, cells)
 	})
 	b.Run("kernel=batched", func(b *testing.B) {
 		arena := dist.NewBatchQuery(qb, nil).NewBatch()
+		cells := dist.DPCells()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, c := range blocks {
 				arena.DistanceUB(c, ub)
 			}
 		}
+		reportCell(b, cells)
 	})
+}
+
+// rankCorpus bulk-loads n synthetic pattern trajectories (the corpus
+// recipe of the end-to-end harness, scaled down) and returns the query
+// trajectories to rank against them.
+func rankCorpus(b *testing.B, n int, approx bool) (*core.VideoDB, []dist.Sequence) {
+	b.Helper()
+	ds := benchSequences(b, (n+47)/48, 48)
+	ogs := make([]*strg.OG, n)
+	for i := range ogs {
+		ogs[i] = synth.AsOG(i, ds.Items[i], ds.Patterns[ds.Labels[i]].Name)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Approx = core.ApproxConfig{Enabled: approx, NLists: 8, TrainSize: 128}
+	db := core.Open(cfg)
+	if err := db.IngestTrajectories("corpus", ogs); err != nil {
+		b.Fatal(err)
+	}
+	return db, benchSequences(b, 1, 48).Items
+}
+
+// BenchmarkRankStage measures the executor's rank stage alone: one k-NN
+// ranked over 512 stored OGs through QueryComposedCtx, under a where-tree
+// that admits them all (so the access and filter stages are a scan of
+// cheap length checks). The stage streams stored blocks through one
+// prepared query and one arena; allocs/op is the whole query's and must
+// not grow with the 512 (candidates/op records the denominator).
+func BenchmarkRankStage(b *testing.B) {
+	const n = 512
+	db, trajs := rankCorpus(b, n, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.QueryComposedCtx(context.Background(), &query.Query{
+			Where:   query.LengthNode{Min: 0},
+			Similar: &query.SimilarClause{Trajectory: trajs[i%len(trajs)], K: 10},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if in := res.Stages[len(res.Stages)-1].In; in != n {
+			b.Fatalf("rank stage saw %d candidates, want %d", in, n)
+		}
+	}
+	b.ReportMetric(n, "candidates/op")
+}
+
+// BenchmarkApproxRerank measures the approximate tier's probe + exact
+// rerank with every list probed, so all 512 stored OGs enter the rerank
+// cascade (bounds, then the batched kernel over the stored blocks).
+func BenchmarkApproxRerank(b *testing.B) {
+	const n = 512
+	db, trajs := rankCorpus(b, n, true)
+	nlists, _ := db.ApproxLists()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.QueryComposedCtx(context.Background(), &query.Query{
+			Similar: &query.SimilarClause{Trajectory: trajs[i%len(trajs)], K: 10,
+				Mode: query.ModeApprox, NProbe: nlists},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Approx.Candidates != n {
+			b.Fatalf("rerank saw %d candidates, want %d", res.Approx.Candidates, n)
+		}
+	}
+	b.ReportMetric(n, "candidates/op")
 }
 
 // BenchmarkColumnarKNNExact measures the columnar layout, with its batched

@@ -1,14 +1,16 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// array on stdout, one object per benchmark line:
+// document on stdout: a "host" header (NumCPU, GOMAXPROCS, Go version —
+// a timing means nothing without them) and "points", one object per
+// benchmark line:
 //
 //	go test -bench=PairwiseMatrix -benchmem . | benchjson > bench.json
 //
-// Each object carries the benchmark name (with any /workers=N suffix split
+// Each point carries the benchmark name (with any /workers=N suffix split
 // out), iteration count, ns/op and — when -benchmem was set — B/op and
 // allocs/op. Custom units reported via testing.B.ReportMetric (for example
-// dp_cells/op from the distance-cascade benchmarks) land in an "extra"
-// map keyed by unit. Non-benchmark lines pass through to stderr so
-// failures stay visible.
+// dp_cells/op from the distance-cascade benchmarks, or ns/cell from the
+// kernel benchmark) land in an "extra" map keyed by unit. Non-benchmark
+// lines pass through to stderr so failures stay visible.
 //
 // With -check, the command instead reads previously written JSON files
 // and enforces the perf acceptance floors (see checkFiles), exiting
@@ -40,6 +42,36 @@ type Point struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
+// Host is the header of every file benchjson writes: what the numbers
+// were measured on. GOMAXPROCS is the benchmark binary's when its lines
+// carry the -N name suffix (they do unless it is 1), else this process's.
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// File is the document benchjson writes. Files from before the header
+// existed are a bare array of points; readPoints accepts both.
+type File struct {
+	Host   Host    `json:"host"`
+	Points []Point `json:"points"`
+}
+
+// readPoints decodes a benchmark file, with or without the host header
+// (-check compares points only, so the header is ignored either way).
+func readPoints(raw []byte) ([]Point, error) {
+	var f File
+	if err := json.Unmarshal(raw, &f); err == nil {
+		return f.Points, nil
+	}
+	var pts []Point
+	if err := json.Unmarshal(raw, &pts); err != nil {
+		return nil, err
+	}
+	return pts, nil
+}
+
 func main() {
 	check := flag.Bool("check", false,
 		"read JSON files (args) and enforce the perf floors instead of converting stdin")
@@ -51,13 +83,20 @@ func main() {
 		}
 		return
 	}
-	var points []Point
+	out := File{Host: Host{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		if p, ok := parseLine(line); ok {
-			points = append(points, p)
+		if p, procs, ok := parseLine(line); ok {
+			out.Points = append(out.Points, p)
+			if procs > 0 {
+				out.Host.GOMAXPROCS = procs
+			}
 		} else {
 			fmt.Fprintln(os.Stderr, line)
 		}
@@ -68,7 +107,7 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(points); err != nil {
+	if err := enc.Encode(out); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
@@ -86,9 +125,10 @@ func main() {
 //     no-regression bound (workers=4 no more than 25% slower than
 //     workers=1 — oversubscription must stay near-free) and a note says
 //     so.
-//   - BenchmarkBatchedLeafDP: the batched columnar kernel must be >= 1.5x
-//     faster than the per-pair kernel. This is a per-core property of the
-//     kernels, so it is enforced everywhere.
+//   - BenchmarkBatchedLeafDP: the batched columnar kernel must be >= 2.5x
+//     faster than the per-pair kernel (its dimension-2 body sustains ~4x;
+//     the generic loop alone managed 1.65x). This is a per-core property
+//     of the kernels, so it is enforced everywhere.
 //   - BenchmarkPlannerSelect: the planner's rtree-assisted spatial select
 //     must run >= 2x faster than the forced full scan on the ring
 //     workload, in at most 12 allocs/op — the query engine's pruning
@@ -110,8 +150,8 @@ func checkFiles(paths []string) error {
 		if err != nil {
 			return err
 		}
-		var pts []Point
-		if err := json.Unmarshal(raw, &pts); err != nil {
+		pts, err := readPoints(raw)
+		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		for _, p := range pts {
@@ -173,10 +213,10 @@ func checkFiles(paths []string) error {
 		if err != nil {
 			return err
 		}
-		if r < 1.5 {
-			return fmt.Errorf("batched leaf DP is only %.2fx the per-pair kernel (floor 1.5x)", r)
+		if r < 2.5 {
+			return fmt.Errorf("batched leaf DP is only %.2fx the per-pair kernel (floor 2.5x)", r)
 		}
-		fmt.Printf("ok   batched leaf DP speedup %.2fx (floor 1.5x)\n", r)
+		fmt.Printf("ok   batched leaf DP speedup %.2fx (floor 2.5x)\n", r)
 	}
 
 	if has("BenchmarkPlannerSelect/access=scan", "BenchmarkPlannerSelect/access=rtree") {
@@ -271,23 +311,25 @@ func checkApproxGrid(byName map[string]Point) error {
 // parseLine handles the standard benchmark format:
 //
 //	BenchmarkName-8   123   456.7 ns/op   89 B/op   10 allocs/op
-func parseLine(line string) (Point, bool) {
+//
+// procs is the name's -GOMAXPROCS suffix (0 when absent).
+func parseLine(line string) (p Point, procs int, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Point{}, false
+		return Point{}, 0, false
 	}
 	name := fields[0]
 	// Strip the trailing -GOMAXPROCS marker.
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Point{}, false
+		return Point{}, 0, false
 	}
-	p := Point{Name: name, Iterations: iters}
+	p = Point{Name: name, Iterations: iters}
 	// A /workers=N sub-benchmark segment becomes its own field, keeping
 	// the sweep easy to plot.
 	for _, seg := range strings.Split(name, "/") {
@@ -297,7 +339,6 @@ func parseLine(line string) (Point, bool) {
 			}
 		}
 	}
-	ok := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -314,8 +355,8 @@ func parseLine(line string) (Point, bool) {
 			a := int64(val)
 			p.AllocsPerOp = &a
 		default:
-			// Any other "<value> <unit>/op" pair is a custom metric.
-			if strings.HasSuffix(fields[i+1], "/op") {
+			// Any other "<value> <unit>/<per>" pair is a custom metric.
+			if strings.Contains(fields[i+1], "/") {
 				if p.Extra == nil {
 					p.Extra = make(map[string]float64)
 				}
@@ -323,5 +364,5 @@ func parseLine(line string) (Point, bool) {
 			}
 		}
 	}
-	return p, ok
+	return p, procs, ok
 }

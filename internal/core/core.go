@@ -120,6 +120,11 @@ type VideoDB struct {
 	// ClipRecords) for predicate queries.
 	ogs     []*strg.OG
 	records []ClipRecord
+	// blocks holds each retained OG's attribute sequence in columnar form
+	// (aligned with ogs) — what the batched EGED_M kernel streams in the
+	// rank stage, the approximate tier's rerank and standing-query
+	// matching, none of which then rebuild og.Sequence() per evaluation.
+	blocks []dist.Block
 	// traj is the trajectory R-tree over the retained OGs (nil when
 	// Config.DisableTrajIndex is set); see spatial.go.
 	traj *trajIndex
@@ -241,16 +246,7 @@ func (db *VideoDB) commitSegment(stream string, b *builtSegment) (*IngestStats, 
 		// warm entries of every shard the commit could not have changed.
 		db.cache.BumpShard(uint32(shard))
 	}
-	for i, og := range d.OGs {
-		if db.traj != nil {
-			db.traj.insert(len(db.ogs), og)
-		}
-		if db.vec != nil {
-			db.vec.insert(len(db.ogs), og, db.tree.Cascade())
-		}
-		db.ogs = append(db.ogs, og)
-		db.records = append(db.records, items[i].Payload)
-	}
+	blocks := db.retain(d.OGs, items)
 	db.segments++
 	db.streamSegs[stream]++
 	db.ogCount += len(d.OGs)
@@ -270,6 +266,7 @@ func (db *VideoDB) commitSegment(stream string, b *builtSegment) (*IngestStats, 
 			Versions: db.tree.Versions(),
 			Records:  recs,
 			OGs:      d.OGs,
+			Blocks:   blocks,
 		})
 	}
 	return &IngestStats{
@@ -278,6 +275,66 @@ func (db *VideoDB) commitSegment(stream string, b *builtSegment) (*IngestStats, 
 		OGs:           len(d.OGs),
 		BGNodes:       d.BG.Order(),
 	}, nil
+}
+
+// retain appends one commit's OGs (and their clip records) to the retained
+// set and feeds the per-OG side structures — columnar blocks, trajectory
+// R-tree, approximate tier — in ingest-ordinal order. It returns the
+// commit's blocks, aligned with ogs.
+func (db *VideoDB) retain(ogs []*strg.OG, items []index.Item[ClipRecord]) []dist.Block {
+	blocks := ogBlocks(ogs)
+	for i, og := range ogs {
+		if db.traj != nil {
+			db.traj.insert(len(db.ogs), og)
+		}
+		if db.vec != nil {
+			db.vec.insert(len(db.ogs), blocks[i], db.tree.Cascade())
+		}
+		db.ogs = append(db.ogs, og)
+		db.records = append(db.records, items[i].Payload)
+	}
+	db.blocks = append(db.blocks, blocks...)
+	return blocks
+}
+
+// ogBlocks flattens each OG's centroid trajectory — exactly the (x, y)
+// rows og.Sequence() would build — into sub-blocks of one shared buffer.
+func ogBlocks(ogs []*strg.OG) []dist.Block {
+	total := 0
+	for _, og := range ogs {
+		total += 2 * len(og.Centroids)
+	}
+	buf := make([]float64, 0, total)
+	out := make([]dist.Block, len(ogs))
+	for i, og := range ogs {
+		start := len(buf)
+		for _, c := range og.Centroids {
+			buf = append(buf, c.X, c.Y)
+		}
+		// The slice holds exactly len(Centroids) rows of 2, so BlockOf
+		// cannot refuse it.
+		out[i], _ = dist.BlockOf(buf[start:len(buf):len(buf)], len(og.Centroids), 2)
+	}
+	return out
+}
+
+// ranker prepares q for repeated key-metric evaluation against retained
+// OGs by ordinal: the batched columnar kernel over the stored blocks when
+// the cascade has one (one prepared query, one arena, nothing allocated
+// per candidate), the cascade's per-pair kernel otherwise. Both are
+// bit-identical to Cascade().DistanceUB(q, ogs[i].Sequence(), ub). The
+// returned evaluator is for one goroutine.
+func (db *VideoDB) ranker(q dist.Sequence) func(i int, ub float64) (float64, bool) {
+	cas := db.tree.Cascade()
+	if bc, ok := cas.(dist.BatchCascade); ok {
+		arena, blocks := bc.BatchQuery(q).NewBatch(), db.blocks
+		return func(i int, ub float64) (float64, bool) {
+			return arena.DistanceUB(blocks[i], ub)
+		}
+	}
+	return func(i int, ub float64) (float64, bool) {
+		return cas.DistanceUB(q, db.blocks[i].Sequence(), ub)
+	}
 }
 
 // IngestVideo parses a long recording into single-background shots

@@ -1,6 +1,9 @@
 package core
 
-import "strgindex/internal/strg"
+import (
+	"strgindex/internal/dist"
+	"strgindex/internal/strg"
+)
 
 // CommitDelta describes one segment commit: exactly the Object Graphs (and
 // their clip records) that entered the index in that commit's version swap.
@@ -20,9 +23,14 @@ type CommitDelta struct {
 	// OGs[i], and Records[i].OGID is the database ID. OGIDs are dense and
 	// globally monotone in commit order, which is what lets a consumer prove
 	// exactly-once processing by watermark. The OG pointers are the retained
-	// graphs themselves — treat them as immutable.
+	// graphs themselves — treat them as immutable. Blocks[i] is OGs[i]'s
+	// attribute sequence in the columnar form the batched distance kernel
+	// reads (the database's own stored copy, equally immutable), so a
+	// consumer matching many standing queries against one OG flattens it
+	// zero times.
 	Records []ClipRecord
 	OGs     []*strg.OG
+	Blocks  []dist.Block
 }
 
 // SegmentsIn returns how many segments have been committed under stream —

@@ -159,10 +159,17 @@ func (c *distCache) PutShard(query, seq uint64, d float64, shard uint32) {
 		return
 	}
 	if sh.lru.Len() >= sh.cap {
+		// Evict by recycling: the oldest element and its entry become the
+		// new pair's, so a full cache — the steady state of a query load,
+		// which puts one entry per DP it runs — allocates nothing.
 		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.m, oldest.Value.(*cacheEntry).key)
+		e := oldest.Value.(*cacheEntry)
+		delete(sh.m, e.key)
 		cacheEvictions.Inc()
+		*e = cacheEntry{key: k, d: d, gen: gen, shard: shard}
+		sh.lru.MoveToFront(oldest)
+		sh.m[k] = oldest
+		return
 	}
 	sh.m[k] = sh.lru.PushFront(&cacheEntry{key: k, d: d, gen: gen, shard: shard})
 }

@@ -166,6 +166,7 @@ func (db *VideoDB) restore(img dbImage) error {
 	}
 	db.ogs = img.OGs
 	db.records = img.Records
+	db.blocks = ogBlocks(db.ogs)
 	if db.traj != nil {
 		for i, og := range db.ogs {
 			db.traj.insert(i, og)
@@ -185,8 +186,8 @@ func (db *VideoDB) restore(img dbImage) error {
 			db.vec.ivf = ivf
 			// The rerank caches are derived state, never persisted.
 			cas := db.tree.Cascade()
-			for _, og := range db.ogs {
-				seq := og.Sequence()
+			for _, blk := range db.blocks {
+				seq := blk.Sequence()
 				db.vec.seqs = append(db.vec.seqs, seq)
 				db.vec.sums = append(db.vec.sums, cas.Summarize(seq))
 			}
@@ -195,8 +196,8 @@ func (db *VideoDB) restore(img dbImage) error {
 			// Pre-v3 file (or one saved with the tier off): rebuild from
 			// the OG stream. Deterministic embedding + one-shot training
 			// make this bit-identical to an incrementally maintained tier.
-			for i, og := range db.ogs {
-				db.vec.insert(i, og, db.tree.Cascade())
+			for i, blk := range db.blocks {
+				db.vec.insert(i, blk, db.tree.Cascade())
 			}
 		}
 	}

@@ -134,8 +134,8 @@ func (s querySource) SpatialCandidates(b rtree.Box) ([]int, int, bool) {
 	return ids, visited, true
 }
 
-func (s querySource) DistanceUB(q dist.Sequence, i int, ub float64) (float64, bool) {
-	return s.db.tree.Cascade().DistanceUB(q, s.db.ogs[i].Sequence(), ub)
+func (s querySource) Ranker(q dist.Sequence) func(i int, ub float64) (float64, bool) {
+	return s.db.ranker(q)
 }
 
 // ApproxStats implements query.ApproxSource: the planner reads the tier's

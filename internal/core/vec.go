@@ -64,8 +64,9 @@ var ErrApproxDisabled = errors.New("core: approximate similarity tier disabled (
 
 // vecTier is the per-database state of the approximate tier: the IVF
 // index over the OG embeddings plus per-ordinal caches of what the exact
-// rerank needs (og.Sequence() allocates per call; the cascade summary is
-// pure precomputation).
+// rerank's bound tiers need. seqs are views into the database's stored
+// blocks (one copy of the data, two access paths); the cascade summary is
+// pure precomputation.
 type vecTier struct {
 	ivf  *embed.IVF
 	seqs []dist.Sequence
@@ -106,8 +107,8 @@ func newVecTier(cfg ApproxConfig) *vecTier {
 // insert embeds one OG under its ingest ordinal. Embed is a pure function
 // of the attribute sequence, so the tier is identical across worker
 // counts, shard counts and rebuilds.
-func (vt *vecTier) insert(id int, og *strg.OG, cas dist.Cascade) {
-	seq := og.Sequence()
+func (vt *vecTier) insert(id int, blk dist.Block, cas dist.Cascade) {
+	seq := blk.Sequence()
 	sum := cas.Summarize(seq)
 	vt.seqs = append(vt.seqs, seq)
 	vt.sums = append(vt.sums, sum)
@@ -238,6 +239,8 @@ func (db *VideoDB) searchApprox(ctx context.Context, seq dist.Sequence, k, nprob
 	// bit-identical to the seqs/sums path either way.
 	compact, hasCompact := cas.(dist.CompactLBer)
 
+	distanceUB := db.ranker(seq)
+
 	rerankStart := time.Now()
 	var ctxErr error
 	rank := 0
@@ -282,7 +285,7 @@ func (db *VideoDB) searchApprox(ctx context.Context, seq dist.Sequence, k, nprob
 					}
 				}
 			}
-			d, abandoned := cas.DistanceUB(seq, vt.seqs[ord], ub)
+			d, abandoned := distanceUB(ord, ub)
 			if abandoned {
 				st.DPAbandoned++
 				continue
@@ -357,16 +360,7 @@ func (db *VideoDB) IngestTrajectories(stream string, ogs []*strg.OG) error {
 	if db.cache != nil {
 		db.cache.BumpShard(uint32(shard))
 	}
-	for i, og := range ogs {
-		if db.traj != nil {
-			db.traj.insert(len(db.ogs), og)
-		}
-		if db.vec != nil {
-			db.vec.insert(len(db.ogs), og, db.tree.Cascade())
-		}
-		db.ogs = append(db.ogs, og)
-		db.records = append(db.records, items[i].Payload)
-	}
+	db.retain(ogs, items)
 	db.segments++
 	db.ogCount += len(ogs)
 	ingestSegments.Inc()

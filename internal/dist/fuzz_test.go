@@ -41,6 +41,39 @@ func decodeFuzzSequences(data []byte) (a, b Sequence) {
 	return a, b
 }
 
+// decodeFuzzShape reads the columnar target's shape byte — the last byte
+// of inputs at least two long, so the seeds that predate it keep their
+// lengths and coordinates — and returns the remaining data with the
+// decoded choices: the sample dimension (2 five times in eight, since
+// that is the body under test; otherwise 1, 3 or 4), whether the gap is
+// explicit and non-zero, and a special value to plant in one coordinate
+// (0 for none; otherwise NaN, +Inf, or a magnitude whose square
+// overflows) together with where.
+func decodeFuzzShape(data []byte) (rest []byte, dim int, explicitGap bool, special float64, at int) {
+	if len(data) < 2 {
+		return data, 2, false, 0, 0
+	}
+	s := data[len(data)-1]
+	rest = data[:len(data)-1]
+	dim = [8]int{2, 2, 2, 2, 2, 1, 3, 4}[s&7]
+	explicitGap = s&0x08 != 0
+	special = [4]float64{0, math.NaN(), math.Inf(1), 1e200}[(s>>4)&3]
+	return rest, dim, explicitGap, special, int(s >> 6)
+}
+
+// redim pads or truncates every sample of s to dim coordinates (new
+// coordinates repeat the first, so they are not all zero).
+func redim(s Sequence, dim int) Sequence {
+	out := make(Sequence, len(s))
+	for i, v := range s {
+		out[i] = make(Vec, dim)
+		for k := range out[i] {
+			out[i][k] = v[k%len(v)]
+		}
+	}
+	return out
+}
+
 // FuzzEGEDKernels cross-checks the distance kernels against each other on
 // arbitrary sequences: the early-abandoning forms must be bit-identical
 // to the exact forms whenever they do not abandon (and must never abandon
@@ -120,19 +153,40 @@ func FuzzEGEDKernels(f *testing.F) {
 }
 
 // FuzzColumnarKernels cross-checks the columnar layer against the
-// sequence kernels on arbitrary inputs: the layout round trip must be
-// bit-exact, the batched DP must match EGEDWithUB bit-for-bit (result,
-// abandon decision, and accounting) at several thresholds, and a valid
-// quantized bound must never exceed the envelope bound it short-circuits.
+// sequence kernels on arbitrary inputs — dimensions 1 to 4, the zero gap
+// or an explicit one, finite coordinates or a planted NaN, Inf or
+// overflowing value: the layout round trip must be bit-exact, the
+// batched DP (dimension-2 body and generic loop alike) must match
+// EGEDWithUB bit-for-bit (result, abandon decision, and accounting) at
+// several thresholds, and on finite input a valid quantized bound must
+// never exceed the envelope bound it short-circuits.
 func FuzzColumnarKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x32, 10, 0, 20, 0, 30, 0, 40, 0, 50, 0})
 	f.Add([]byte{0x11, 0xff, 0x7f, 0x00, 0x80}) // extreme coordinates
 	f.Add([]byte{0x05})                         // one empty side
 	f.Add([]byte{0xcc, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	// Shape byte last: dim 3; a NaN in the candidate; an explicit gap and
+	// an overflowing query coordinate; dim 1 with +Inf.
+	f.Add([]byte{0x33, 10, 0, 20, 0, 30, 0, 40, 0, 50, 0, 60, 0, 0x06})
+	f.Add([]byte{0x22, 10, 0, 20, 0, 30, 0, 40, 0, 0xd0})
+	f.Add([]byte{0x22, 10, 0, 20, 0, 30, 0, 40, 0, 0x38})
+	f.Add([]byte{0x23, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 0x25})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data, dim, explicitGap, special, at := decodeFuzzShape(data)
 		a, b := decodeFuzzSequences(data)
+		a, b = redim(a, dim), redim(b, dim)
+		if special != 0 {
+			// Plant it in the candidate when at is odd, else the query.
+			if side := [2]Sequence{a, b}[at&1]; len(side) > 0 {
+				side[(at>>1)%len(side)][0] = special
+			}
+		}
+		var g Vec
+		if explicitGap {
+			g = Vec{3, -7, 11, -2}[:dim]
+		}
 
 		// Layout round trip preserves every bit and the empty structure.
 		blocks := FromSequences([]Sequence{a, b})
@@ -153,11 +207,11 @@ func FuzzColumnarKernels(f *testing.F) {
 		// Batched kernel: bit-identical to the per-pair kernel, including
 		// the eval/cell accounting, at +Inf, the exact value, and a cutoff
 		// that forces abandonment.
-		exact := EGEDMZero(a, b)
-		arena := NewBatchQuery(blocks[0], nil).NewBatch()
-		for _, ub := range []float64{math.Inf(1), exact, exact / 2} {
+		exact := EGEDM(a, b, g)
+		arena := NewBatchQuery(blocks[0], g).NewBatch()
+		for _, ub := range []float64{math.Inf(1), exact, exact / 2, 0} {
 			e0, c0 := TotalEvals(), DPCells()
-			wantD, wantAb := EGEDWithUB(a, b, GapConstant, nil, ub)
+			wantD, wantAb := EGEDWithUB(a, b, GapConstant, g, ub)
 			e1, c1 := TotalEvals(), DPCells()
 			gotD, gotAb := arena.DistanceUB(blocks[1], ub)
 			e2, c2 := TotalEvals(), DPCells()
@@ -171,8 +225,12 @@ func FuzzColumnarKernels(f *testing.F) {
 		}
 
 		// Quantized tier: for whatever grid the candidate's own envelope
-		// fits, LBQuant must stay at or below LBEnvelope bit-for-bit.
-		casc := EGEDMCascade(nil)
+		// fits, LBQuant must stay at or below LBEnvelope bit-for-bit. (A
+		// bound on non-finite input bounds nothing.)
+		if special != 0 {
+			return
+		}
+		casc := EGEDMCascade(g)
 		qc := casc.(QuantCascade)
 		sb := casc.Summarize(b)
 		grid := BuildQuantGrid([]Box{sb.Box})

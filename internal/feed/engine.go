@@ -332,7 +332,7 @@ func (e *Engine) applyDelta(d core.CommitDelta) {
 			if rec.OGID <= sub.watermark {
 				continue // already covered by seed or reconcile
 			}
-			e.evaluate(sub, rec, d.OGs[i])
+			e.evaluate(sub, rec, d.OGs[i], d.Blocks[i])
 		}
 		if sub.matcher.K() > 0 {
 			sub.sinceRec++
@@ -344,8 +344,9 @@ func (e *Engine) applyDelta(d core.CommitDelta) {
 	}
 }
 
-// evaluate applies one new OG to one subscription.
-func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, og *strg.OG) {
+// evaluate applies one new OG — and its attribute sequence in columnar
+// form, which the similarity arms measure — to one subscription.
+func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, og *strg.OG, seq dist.Block) {
 	if !sub.matcher.Match(og) {
 		return
 	}
@@ -354,7 +355,7 @@ func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, og *strg.OG) {
 		if sub.member[rec.OGID] {
 			return
 		}
-		d := sub.matcher.Distance(og)
+		d := sub.matcher.Distance(seq)
 		k := sub.matcher.K()
 		cand := topEntry{rec.OGID, d, rec}
 		if len(sub.topk) >= k && !lessTop(cand, sub.topk[len(sub.topk)-1]) {
@@ -371,7 +372,7 @@ func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, og *strg.OG) {
 		}
 		sub.ring.append(matchEvent("enter", rec, d))
 	case sub.matcher.Radius() > 0:
-		if d := sub.matcher.Distance(og); d <= sub.matcher.Radius() {
+		if d := sub.matcher.Distance(seq); d <= sub.matcher.Radius() {
 			sub.ring.append(matchEvent("match", rec, d))
 		}
 	default:

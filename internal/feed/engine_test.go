@@ -2,6 +2,7 @@ package feed
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"strgindex/internal/core"
@@ -256,9 +257,25 @@ func TestEngineRangeSubscription(t *testing.T) {
 	if len(evs) != added {
 		t.Fatalf("got %d range matches for %d OGs inside an all-covering radius", len(evs), added)
 	}
+	// The matcher measures each delta OG with its prepared batched kernel;
+	// the one-shot range query measures the same OGs through the index.
+	// Same metric, so the same bits.
+	res, err := h.db.QueryComposedCtx(context.Background(), &query.Query{
+		Similar: &query.SimilarClause{Trajectory: testTrajectory(), Radius: 1e9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneShot := make(map[int]float64, len(res.Matches))
+	for _, m := range res.Matches {
+		oneShot[m.Record.OGID] = m.Distance
+	}
 	for _, ev := range evs {
 		if ev.Type != "match" || ev.Distance < 0 {
 			t.Errorf("range event %+v", ev)
+		}
+		if want, ok := oneShot[ev.OGID]; !ok || math.Float64bits(ev.Distance) != math.Float64bits(want) {
+			t.Errorf("OG %d: standing-query distance %v, one-shot query %v (found %v)", ev.OGID, ev.Distance, want, ok)
 		}
 	}
 	info := sub.Info()

@@ -2,10 +2,12 @@ package index
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"strgindex/internal/dist"
+	"strgindex/internal/graph"
 )
 
 // buildCascadeTree builds a deterministic tree, letting the caller adjust
@@ -189,5 +191,156 @@ func TestDistCacheByteIdentical(t *testing.T) {
 	}
 	if st.CacheHits == 0 {
 		t.Fatalf("stats report no cache hits on a repeated query: %+v", st)
+	}
+}
+
+func (c *mapCache) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.m)
+	c.hits = 0
+}
+
+// TestWarmCacheByteIdentical pins the cascade order bounds -> cache -> DP:
+// at shards {1, 2, 4}, every search mode answers byte-identically from a
+// cache-less tree, a cold cache and a warm one. Sequentially the warm
+// pass replays the cold pass's thresholds exactly, so the accounting is
+// pinned too: the bounds prune the same records whether or not they are
+// cached (a pruned record is never counted as a hit), every DP the cold
+// pass completed is a warm hit, and abandoned DPs — never cached — are
+// abandoned again.
+func TestWarmCacheByteIdentical(t *testing.T) {
+	bgs, segs := shardScript(47)
+	queries := detSequences(4, 98)
+	ctx := context.Background()
+	build := func(shards int, cache DistCache) *Sharded[int] {
+		s := NewSharded[int](Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8,
+			Concurrency: 1, Shards: shards, Cache: cache})
+		for _, sg := range segs {
+			if err := s.AddSegment(bgs[sg.bg], sg.items); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	modes := []struct {
+		name string
+		run  func(*Sharded[int], *graph.Graph, dist.Sequence) ([]Result[int], SearchStats, error)
+	}{
+		{"KNN", func(s *Sharded[int], bg *graph.Graph, q dist.Sequence) ([]Result[int], SearchStats, error) {
+			return s.KNNStatsCtx(ctx, bg, q, 5)
+		}},
+		{"KNNExact", func(s *Sharded[int], bg *graph.Graph, q dist.Sequence) ([]Result[int], SearchStats, error) {
+			return s.KNNExactStatsCtx(ctx, bg, q, 9)
+		}},
+		{"Range", func(s *Sharded[int], bg *graph.Graph, q dist.Sequence) ([]Result[int], SearchStats, error) {
+			return s.RangeStatsCtx(ctx, bg, q, 150)
+		}},
+	}
+	for _, shards := range []int{1, 2, 4} {
+		cache := newMapCache()
+		plain, cached := build(shards, nil), build(shards, cache)
+		for _, mode := range modes {
+			warmHits := 0
+			for b, bg := range bgs {
+				for qi, q := range queries {
+					sq := q.Clone()
+					for _, v := range sq {
+						v[0] += 400 * float64(b)
+						v[1] += 400 * float64(b)
+					}
+					label := labelf("shards=%d %s bg=%d q=%d", shards, mode.name, b, qi)
+					cache.reset()
+					want, wantSt, err := mode.run(plain, bg, sq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cold, coldSt, err := mode.run(cached, bg, sq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					warm, warmSt, err := mode.run(cached, bg, sq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, label+" cold", cold, want)
+					sameResults(t, label+" warm", warm, want)
+					if coldSt != wantSt {
+						t.Fatalf("%s: cold-cache stats %+v, cache-less %+v", label, coldSt, wantSt)
+					}
+					if warmSt.CacheHits > warmSt.Records-warmSt.LBPruned() {
+						t.Fatalf("%s: %d cache hits among %d bound survivors (%+v)",
+							label, warmSt.CacheHits, warmSt.Records-warmSt.LBPruned(), warmSt)
+					}
+					wantWarm := coldSt
+					wantWarm.CacheHits, wantWarm.DPEvaluated = coldSt.DPEvaluated, 0
+					if warmSt != wantWarm {
+						t.Fatalf("%s: warm stats %+v, want %+v", label, warmSt, wantWarm)
+					}
+					warmHits += warmSt.CacheHits
+					if mode.name == "Range" {
+						continue
+					}
+					// A cache that holds every record (a wide range query
+					// filled it) must not keep the bounds from pruning: the
+					// pruned counters match the cache-less run and only the
+					// bound survivors are hits.
+					if _, _, err := cached.RangeStatsCtx(ctx, bg, sq, 1e9); err != nil {
+						t.Fatal(err)
+					}
+					full, fullSt, err := mode.run(cached, bg, sq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, label+" full cache", full, want)
+					wantFull := wantSt
+					wantFull.CacheHits = wantSt.DPEvaluated + wantSt.DPAbandoned
+					wantFull.DPEvaluated, wantFull.DPAbandoned = 0, 0
+					if fullSt != wantFull {
+						t.Fatalf("%s: full-cache stats %+v, want %+v", label, fullSt, wantFull)
+					}
+				}
+			}
+			if warmHits == 0 {
+				t.Fatalf("shards=%d %s: the warm passes never hit the cache", shards, mode.name)
+			}
+		}
+	}
+}
+
+// TestKNNAllocsIndependentOfLeafSize guards the per-query garbage budget
+// of the similarity path: the result heap is sized up front and the DP
+// arena comes from a pool, so scanning a leaf ten times larger allocates
+// as much — to within the arena (a struct and three rows) that the race
+// detector's sync.Pool drops at random — and stays under a ceiling a
+// little above today's 13 (k-NN) and 22 (exact) allocations per query.
+func TestKNNAllocsIndependentOfLeafSize(t *testing.T) {
+	ctx := context.Background()
+	q := detSequences(1, 91)[0]
+	measure := func(n int, exact bool) float64 {
+		tr := buildCascadeTree(t, detSequences(n, 90), 1, func(c *Config) {
+			c.NumClusters, c.MaxLeafEntries = 1, 2*n
+		})
+		return testing.AllocsPerRun(100, func() {
+			var err error
+			if exact {
+				_, _, err = tr.KNNExactStatsCtx(ctx, nil, q, 10)
+			} else {
+				_, _, err = tr.KNNStatsCtx(ctx, nil, q, 10)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		exact   bool
+		ceiling float64
+	}{{false, 20}, {true, 30}} {
+		small, large := measure(40, tc.exact), measure(400, tc.exact)
+		if math.Abs(small-large) > 4 || large > tc.ceiling {
+			t.Errorf("exact=%v: %v allocs/query over a 40-record leaf, %v over a 400-record one (ceiling %v)",
+				tc.exact, small, large, tc.ceiling)
+		}
 	}
 }

@@ -29,7 +29,8 @@ import (
 )
 
 // DistCache is an optional cache of leaf distance evaluations, consulted
-// before the lower-bound cascade. Keys are content hashes (dist.
+// for the records the lower bounds could not dispose of, in place of the
+// DP. Keys are content hashes (dist.
 // HashSequence) of the query and the stored sequence; cached values must
 // have been produced by this tree's key metric, so a hit returns the
 // exact bits an evaluation would. Implementations must be safe for

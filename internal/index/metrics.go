@@ -41,8 +41,9 @@ var (
 //	                                   and reached the DP kernel
 //	strg_dist_dp_abandoned_total       DP kernels cut short by the
 //	                                   early-abandoning threshold
-//	strg_dist_cache_search_hits_total  records answered by the distance
-//	                                   cache without touching the cascade
+//	strg_dist_cache_search_hits_total  records the bounds could not prune,
+//	                                   answered by the distance cache
+//	                                   instead of the DP
 var (
 	lbPrunedQuick = obs.Default.Counter("strg_dist_lb_pruned_total",
 		"cascade records rejected by a lower bound, by stage",
@@ -63,7 +64,7 @@ var (
 	dpAbandoned = obs.Default.Counter("strg_dist_dp_abandoned_total",
 		"DP evaluations abandoned early above the pruning threshold", nil)
 	cascadeCacheHits = obs.Default.Counter("strg_dist_cache_search_hits_total",
-		"cascade records answered by the distance cache", nil)
+		"bound-surviving cascade records answered by the distance cache instead of the DP", nil)
 )
 
 // Shard-maintenance instrumentation: copy-on-write snapshot publication

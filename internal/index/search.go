@@ -26,6 +26,10 @@ type SearchStats struct {
 	// pruning and entered the distance cascade.
 	Records int
 	// CacheHits is the number of records answered by the distance cache.
+	// The cache is probed after the lower bounds, immediately before the
+	// DP, so this counts hits among bound survivors: a cached record a
+	// bound disposes of is counted as pruned, never as a hit, and
+	// CacheHits <= Records - LBPruned().
 	CacheHits int
 	// LBQuickPruned and LBEnvelopePruned count records rejected by the
 	// O(1) and O(m) lower bounds respectively.
@@ -88,6 +92,18 @@ func (t *Tree[P]) newQueryState(query dist.Sequence) *queryState {
 	return q
 }
 
+// arena takes the scan's batched-DP scratch from the process-wide pool
+// (nil when the cascade has no batched kernel). Scans may run
+// concurrently on the worker pool, so the mutable scratch cannot live in
+// queryState; the pool hands a sequential scan the same arena leaf after
+// leaf and gives each concurrent worker its own.
+func (q *queryState) arena() *dist.Batch {
+	if q.bq == nil {
+		return nil
+	}
+	return q.bq.Acquire()
+}
+
 // cachedDist looks the (query, record) pair up in the distance cache.
 // Cached values were produced by the same deterministic kernel under
 // content-hash identity, so a hit is bit-identical to re-evaluating.
@@ -147,9 +163,9 @@ func (t *Tree[P]) KNNStatsCtx(ctx context.Context, bg *graph.Graph, query dist.S
 	if best < 0 {
 		return nil, st, nil
 	}
-	h := newResultHeap[P](k)
-	q := t.newQueryState(query)
 	cl := cls[best]
+	h := newResultHeap[P](k, len(cl.leaf))
+	q := t.newQueryState(query)
 	t.searchLeafWithCentroidDist(cl, q, t.cfg.Metric(query, cl.centroid), 0, h, math.Inf(1), &st)
 	st.CandidateLeaves, st.ScannedLeaves = len(cls), 1
 	observeSearch(len(cls), 1)
@@ -212,7 +228,7 @@ func (t *Tree[P]) KNNExactStatsCtx(ctx context.Context, bg *graph.Graph, query d
 	sort.Slice(cands, func(i, j int) bool { return cands[i].bound < cands[j].bound })
 
 	q := t.newQueryState(query)
-	h := newResultHeap[P](k)
+	h := newResultHeap[P](k, t.size)
 	batch := parallel.Workers(t.cfg.Concurrency)
 	var scanned atomic.Int64
 	type leafScan struct {
@@ -239,7 +255,7 @@ func (t *Tree[P]) KNNExactStatsCtx(ctx context.Context, bg *graph.Graph, query d
 				return nil, nil
 			}
 			scanned.Add(1)
-			ls := &leafScan{h: newResultHeap[P](k)}
+			ls := &leafScan{h: newResultHeap[P](k, len(c.cl.leaf))}
 			t.searchLeafWithCentroidDist(c.cl, q, c.keyQ, start+i, ls.h, bound, &ls.st)
 			return ls, nil
 		})
@@ -278,7 +294,9 @@ func (t *Tree[P]) Range(bg *graph.Graph, query dist.Sequence, radius float64) []
 // in-flight ones drain, and ctx.Err() is returned. The radius is a fixed
 // refinement threshold, so every cascade stage prunes against it: a record
 // whose lower bound exceeds the radius, or whose DP abandons above it,
-// provably is not a hit.
+// provably is not a hit. The distance cache is probed after the bounds,
+// like in the k-NN leaf scan; a cached hit is still filtered by d <=
+// radius, so the order is invisible in the answer.
 func (t *Tree[P]) RangeStatsCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, radius float64) ([]Result[P], SearchStats, error) {
 	var st SearchStats
 	searchesRange.Inc()
@@ -298,23 +316,13 @@ func (t *Tree[P]) RangeStatsCtx(ctx context.Context, bg *graph.Graph, query dist
 		}
 		scanned.Add(1)
 		cs := &clusterScan{}
-		// One batched-DP arena per cluster scan (scans run concurrently).
-		var arena *dist.Batch
-		if q.bq != nil {
-			arena = q.bq.NewBatch()
-		}
+		arena := q.arena()
+		defer arena.Release()
 		// Key window: |key - dc| <= radius is necessary for a hit.
 		lo := sort.Search(len(cl.leaf), func(i int) bool { return cl.leaf[i].key >= dc-radius })
 		for i := lo; i < len(cl.leaf) && cl.leaf[i].key <= dc+radius; i++ {
 			rec := &cl.leaf[i]
 			cs.st.Records++
-			if d, ok := q.cachedDist(rec.hash); ok {
-				cs.st.CacheHits++
-				if d <= radius {
-					cs.hits = append(cs.hits, Result[P]{Payload: rec.payload, Distance: d})
-				}
-				continue
-			}
 			if lb := q.casc.LBQuick(query, rec.seq, q.qs, rec.sum); lb > radius {
 				cs.st.LBQuickPruned++
 				continue
@@ -326,6 +334,13 @@ func (t *Tree[P]) RangeStatsCtx(ctx context.Context, bg *graph.Graph, query dist
 			}
 			if lb := q.casc.LBEnvelope(query, rec.sum); lb > radius {
 				cs.st.LBEnvelopePruned++
+				continue
+			}
+			if d, ok := q.cachedDist(rec.hash); ok {
+				cs.st.CacheHits++
+				if d <= radius {
+					cs.hits = append(cs.hits, Result[P]{Payload: rec.payload, Distance: d})
+				}
 				continue
 			}
 			d, abandoned := refineRecord(q, arena, rec, radius)
@@ -397,7 +412,14 @@ func (t *Tree[P]) candidateClusters(bg *graph.Graph) []*clusterRecord[P] {
 // expand outward from Key_q's position in the sorted keys, stopping each
 // side when the reverse triangle inequality (|key - Key_q| <= d(query,
 // member)) proves no closer member can remain, and running each surviving
-// record through cache -> LBQuick -> LBEnvelope -> early-abandoning DP.
+// record through LBQuick -> quant -> LBEnvelope -> cache -> early-
+// abandoning DP: the bounds cost nanoseconds and dispose of most records,
+// the cache probe costs a lock and a hash lookup and rarely hits, so the
+// selective cheap filters run first. The order cannot change an answer —
+// a record a bound prunes has d >= lb > thresh, so its cached distance
+// would have been refused by the heap (k-NN: thresh is the heap's worst
+// once full and +Inf, pruning nothing, before; exact k-NN: the global
+// worst the merge rejects against anyway).
 //
 // Every pruning comparison is strictly `>` against the threshold, and
 // every bound (including the DP's row minimum) is <= the true distance,
@@ -413,12 +435,8 @@ func (t *Tree[P]) searchLeafWithCentroidDist(cl *clusterRecord[P], q *queryState
 	if n == 0 {
 		return
 	}
-	// One batched-DP arena per leaf scan: scans may run concurrently on
-	// the worker pool, so the mutable scratch cannot live in queryState.
-	var arena *dist.Batch
-	if q.bq != nil {
-		arena = q.bq.NewBatch()
-	}
+	arena := q.arena()
+	defer arena.Release()
 	start := sort.Search(n, func(i int) bool { return cl.leaf[i].key >= keyQ })
 	lo, hi := start-1, start
 	// The expansion order depends only on the stored keys and Key_q —
@@ -459,11 +477,6 @@ func (t *Tree[P]) searchLeafWithCentroidDist(cl *clusterRecord[P], q *queryState
 			continue
 		}
 		st.Records++
-		if d, ok := q.cachedDist(rec.hash); ok {
-			st.CacheHits++
-			h.offer(Result[P]{Payload: rec.payload, Distance: d}, uint64(leafRank)<<32|uint64(step))
-			continue
-		}
 		if lb := q.casc.LBQuick(q.query, rec.seq, q.qs, rec.sum); lb > thresh {
 			st.LBQuickPruned++
 			continue
@@ -478,6 +491,11 @@ func (t *Tree[P]) searchLeafWithCentroidDist(cl *clusterRecord[P], q *queryState
 		}
 		if lb := q.casc.LBEnvelope(q.query, rec.sum); lb > thresh {
 			st.LBEnvelopePruned++
+			continue
+		}
+		if d, ok := q.cachedDist(rec.hash); ok {
+			st.CacheHits++
+			h.offer(Result[P]{Payload: rec.payload, Distance: d}, uint64(leafRank)<<32|uint64(step))
 			continue
 		}
 		d, abandoned := refineRecord(q, arena, rec, thresh)
@@ -537,8 +555,11 @@ type resultHeap[P any] struct {
 	items []heapItem[P]
 }
 
-func newResultHeap[P any](k int) *resultHeap[P] {
-	return &resultHeap[P]{k: k}
+// newResultHeap returns a heap for the k best of at most n offered
+// results, sized up front (offer holds k+1 items for an instant) so a
+// scan never regrows it.
+func newResultHeap[P any](k, n int) *resultHeap[P] {
+	return &resultHeap[P]{k: k, items: make([]heapItem[P], 0, min(k, n)+1)}
 }
 
 func (h *resultHeap[P]) full() bool { return len(h.items) >= h.k }

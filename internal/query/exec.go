@@ -157,6 +157,7 @@ func allIndices(n int) []int {
 }
 
 func rank(ctx context.Context, src Source, c *SimilarClause, ids []int) ([]RankedMatch, error) {
+	distanceUB := src.Ranker(c.Trajectory)
 	if c.Radius > 0 {
 		var hits []RankedMatch
 		for i, id := range ids {
@@ -165,7 +166,7 @@ func rank(ctx context.Context, src Source, c *SimilarClause, ids []int) ([]Ranke
 					return nil, err
 				}
 			}
-			d, abandoned := src.DistanceUB(c.Trajectory, id, c.Radius)
+			d, abandoned := distanceUB(id, c.Radius)
 			if abandoned || d > c.Radius {
 				continue
 			}
@@ -177,7 +178,7 @@ func rank(ctx context.Context, src Source, c *SimilarClause, ids []int) ([]Ranke
 	// k-NN: a max-heap of the k best (distance, index) pairs; the kernel
 	// abandons strictly above the heap's worst, so a candidate tying the
 	// worst is always fully evaluated and the index tie-break is exact.
-	h := rankHeap{k: c.K}
+	h := rankHeap{k: c.K, items: make([]RankedMatch, 0, min(c.K, len(ids))+1)}
 	for i, id := range ids {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
@@ -188,7 +189,7 @@ func rank(ctx context.Context, src Source, c *SimilarClause, ids []int) ([]Ranke
 		if h.full() {
 			thresh = h.worst()
 		}
-		d, abandoned := src.DistanceUB(c.Trajectory, id, thresh)
+		d, abandoned := distanceUB(id, thresh)
 		if abandoned {
 			continue
 		}

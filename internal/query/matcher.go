@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 
 	"strgindex/internal/dist"
 	"strgindex/internal/strg"
@@ -11,11 +12,15 @@ import (
 // shape a standing query needs: as each commit's OG delta arrives, every
 // subscription asks "does this new OG qualify, and how far is it?" without
 // re-planning or rescanning the corpus. The where tree is compiled once to
-// a closure predicate; the similar clause keeps its trajectory and a pinned
-// exact metric.
+// a closure predicate; the similar clause is prepared once for the batched
+// EGED_M kernel (its gap costs hoisted at registration, not per committed
+// OG), or keeps its trajectory beside a caller-pinned metric.
 type Matcher struct {
-	pred   Predicate
-	sim    *SimilarClause
+	pred Predicate
+	sim  *SimilarClause
+	// Exactly one of bq and metric is set when sim is: bq for the index
+	// default metric, metric when the caller pinned its own.
+	bq     *dist.BatchQuery
 	metric dist.Metric
 }
 
@@ -31,14 +36,16 @@ func NewMatcher(q *Query, metric dist.Metric) (*Matcher, error) {
 	if q.Similar != nil && q.Similar.Mode == ModeApprox {
 		return nil, fmt.Errorf("query: mode %q cannot stand: incremental evaluation is exact-only", ModeApprox)
 	}
-	if metric == nil {
-		metric = dist.EGEDMZero
-	}
-	m := &Matcher{pred: Compile(q.Where), metric: metric}
+	m := &Matcher{pred: Compile(q.Where)}
 	if q.Similar != nil {
 		c := *q.Similar
 		c.Trajectory = append(dist.Sequence(nil), q.Similar.Trajectory...)
 		m.sim = &c
+		if metric == nil {
+			m.bq = dist.NewBatchQuery(dist.FromSequence(c.Trajectory), nil)
+		} else {
+			m.metric = metric
+		}
 	}
 	return m, nil
 }
@@ -48,8 +55,15 @@ func NewMatcher(q *Query, metric dist.Metric) (*Matcher, error) {
 func (m *Matcher) Match(og *strg.OG) bool { return m.pred(og) }
 
 // Distance returns the metric distance from the similar clause's trajectory
-// to og. It panics for a query with no similar clause — check HasSimilar.
-func (m *Matcher) Distance(og *strg.OG) float64 {
+// to an OG's attribute sequence in columnar form — one block serves every
+// subscription that meets the OG. Under the default metric the value is
+// dist.EGEDMZero's, bit for bit. It panics for a query with no similar
+// clause — check HasSimilar. Safe for concurrent use.
+func (m *Matcher) Distance(og dist.Block) float64 {
+	if m.bq != nil {
+		d, _ := m.bq.DistanceUB(og, math.Inf(1))
+		return d
+	}
 	return m.metric(m.sim.Trajectory, og.Sequence())
 }
 

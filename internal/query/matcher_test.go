@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"strgindex/internal/dist"
@@ -36,15 +37,16 @@ func TestMatcherDistance(t *testing.T) {
 	if !m.HasSimilar() || m.K() != 3 {
 		t.Fatalf("similar clause lost: HasSimilar=%v K=%d", m.HasSimilar(), m.K())
 	}
-	if d := m.Distance(og); d != 0 {
+	if d := m.Distance(dist.FromSequence(og.Sequence())); d != 0 {
 		t.Errorf("self-distance = %g, want 0", d)
 	}
 	far := lineOG(0, 500, 100, 500, 0, 8)
-	if d := m.Distance(far); d <= 0 {
+	farBlock := dist.FromSequence(far.Sequence())
+	if d := m.Distance(farBlock); d <= 0 {
 		t.Errorf("distance to a distant OG = %g, want > 0", d)
 	}
 	// The pinned metric must agree with the index default.
-	if got, want := m.Distance(far), dist.EGEDMZero(og.Sequence(), far.Sequence()); got != want {
+	if got, want := m.Distance(farBlock), dist.EGEDMZero(og.Sequence(), far.Sequence()); got != want {
 		t.Errorf("matcher distance %g != EGEDMZero %g", got, want)
 	}
 	// A pure-similarity matcher's predicate is vacuously true.
@@ -60,7 +62,7 @@ func TestMatcherCustomMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := m.Distance(og); d != 42 {
+	if d := m.Distance(dist.FromSequence(og.Sequence())); d != 42 {
 		t.Errorf("custom metric ignored: got %g", d)
 	}
 }
@@ -72,7 +74,7 @@ func TestMatcherTrajectoryCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	og := lineOG(0, 0, 10, 0, 0, 2)
+	og := dist.FromSequence(lineOG(0, 0, 10, 0, 0, 2).Sequence())
 	before := m.Distance(og)
 	traj[0] = dist.Vec{1e6, 1e6} // caller scribbles on its slice
 	if after := m.Distance(og); after != before {
@@ -114,4 +116,32 @@ func TestMatcherRangeClause(t *testing.T) {
 	if m.K() != 0 || m.Radius() != 10 {
 		t.Errorf("K=%d Radius=%g, want 0/10", m.K(), m.Radius())
 	}
+}
+
+// TestMatcherDistanceConcurrent: Distance draws its DP scratch from a
+// shared pool, so one matcher (and several) may be asked from many
+// goroutines at once and must still return the metric's bits.
+func TestMatcherDistanceConcurrent(t *testing.T) {
+	traj := lineOG(0, 0, 100, 0, 0, 8).Sequence()
+	m, err := NewMatcher(&Query{Similar: &SimilarClause{Trajectory: traj, K: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		og := lineOG(0, float64(10*g), 100, float64(20*g), 0, 5+g).Sequence()
+		want := dist.EGEDMZero(traj, og)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blk := dist.FromSequence(og)
+			for i := 0; i < 200; i++ {
+				if got := m.Distance(blk); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("concurrent Distance = %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -30,10 +30,14 @@ type Source interface {
 	// (or otherwise unshared) slice per call, as Execute filters it in
 	// place.
 	SpatialCandidates(b rtree.Box) (ids []int, visited int, ok bool)
-	// DistanceUB evaluates the key metric between q and OG i's attribute
-	// sequence with early-abandoning threshold ub: abandoned reports that
-	// the true distance provably exceeds ub (the value is then invalid).
-	DistanceUB(q dist.Sequence, i int, ub float64) (d float64, abandoned bool)
+	// Ranker prepares q once for the rank stage and returns the
+	// evaluator the stage calls per candidate: the key metric between q
+	// and OG i's attribute sequence with early-abandoning threshold ub.
+	// abandoned reports that the true distance provably exceeds ub (the
+	// value is then invalid). Whatever depends only on q — gap costs,
+	// scratch rows — is paid here, not per candidate. The evaluator is
+	// for one goroutine.
+	Ranker(q dist.Sequence) func(i int, ub float64) (d float64, abandoned bool)
 }
 
 // Strategy names the access path a plan starts from.

@@ -74,10 +74,15 @@ func (s *fakeSource) SpatialCandidates(b rtree.Box) ([]int, int, bool) {
 	return ids, visited, true
 }
 
-// DistanceUB sums pointwise Euclidean distances over the shorter prefix
+// Ranker binds q to distanceUB.
+func (s *fakeSource) Ranker(q dist.Sequence) func(i int, ub float64) (float64, bool) {
+	return func(i int, ub float64) (float64, bool) { return s.distanceUB(q, i, ub) }
+}
+
+// distanceUB sums pointwise Euclidean distances over the shorter prefix
 // plus a per-extra-sample penalty — a cheap true metric stand-in. It
 // abandons (soundly) when the running sum exceeds ub.
-func (s *fakeSource) DistanceUB(q dist.Sequence, i int, ub float64) (float64, bool) {
+func (s *fakeSource) distanceUB(q dist.Sequence, i int, ub float64) (float64, bool) {
 	og := s.ogs[i]
 	var d float64
 	n := len(q)
@@ -96,9 +101,9 @@ func (s *fakeSource) DistanceUB(q dist.Sequence, i int, ub float64) (float64, bo
 	return d, false
 }
 
-// exact is DistanceUB without abandoning, for brute-force oracles.
+// exact is distanceUB without abandoning, for brute-force oracles.
 func (s *fakeSource) exact(q dist.Sequence, i int) float64 {
-	d, _ := s.DistanceUB(q, i, math.Inf(1))
+	d, _ := s.distanceUB(q, i, math.Inf(1))
 	return d
 }
 
