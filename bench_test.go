@@ -360,14 +360,12 @@ func BenchmarkFigure7KNNParallel(b *testing.B) {
 
 // --- Filter-and-refine distance cascade --------------------------------
 
-// BenchmarkCascadeKNNExact measures the three-stage distance cascade on
-// the exact k-NN workload over one tree layout:
+// BenchmarkCascadeKNNExact measures the distance cascade on the exact
+// k-NN workload over one tree layout:
 //
 //	stage=exact    cascade disabled — every surviving record pays the
 //	               full DP (the pre-cascade baseline)
 //	stage=cascade  lower bounds + early-abandoning kernels
-//	stage=cached   cascade plus the distance cache, with queries repeating
-//	               as real workloads do
 //
 // Beyond ns/op it reports DP cells evaluated and the per-stage record
 // dispositions as custom /op metrics (benchjson collects them under
@@ -386,7 +384,6 @@ func BenchmarkCascadeKNNExact(b *testing.B) {
 	}{
 		{"stage=exact", func(c *index.Config) { c.DisableCascade = true }},
 		{"stage=cascade", nil},
-		{"stage=cached", func(c *index.Config) { c.Cache = core.NewDistCache(core.DefaultDistCacheSize) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := index.Config{NumClusters: 12, EMMaxIter: 12, Seed: 1}
@@ -406,7 +403,6 @@ func BenchmarkCascadeKNNExact(b *testing.B) {
 					b.Fatal(err)
 				}
 				agg.Records += st.Records
-				agg.CacheHits += st.CacheHits
 				agg.LBQuickPruned += st.LBQuickPruned
 				agg.LBEnvelopePruned += st.LBEnvelopePruned
 				agg.DPEvaluated += st.DPEvaluated
@@ -419,7 +415,6 @@ func BenchmarkCascadeKNNExact(b *testing.B) {
 			b.ReportMetric(float64(agg.LBPruned())/n, "lb_pruned/op")
 			b.ReportMetric(float64(agg.DPAbandoned)/n, "dp_abandoned/op")
 			b.ReportMetric(float64(agg.DPEvaluated)/n, "dp_evaluated/op")
-			b.ReportMetric(float64(agg.CacheHits)/n, "cache_hits/op")
 		})
 	}
 }
@@ -537,11 +532,9 @@ func BenchmarkApproxRerank(b *testing.B) {
 	b.ReportMetric(n, "candidates/op")
 }
 
-// BenchmarkColumnarKNNExact measures the columnar layout, with its batched
-// kernel and quantized 8-bit tier, end to end on the exact k-NN workload
-// (BenchmarkBatchedLeafDP keeps the per-pair kernel as its reference).
-// Reports the quantized tier's hit rate (records killed by the 2-byte code
-// before any column data was touched) as quant_pruned/op.
+// BenchmarkColumnarKNNExact measures the columnar layout and its batched
+// kernel end to end on the exact k-NN workload (BenchmarkBatchedLeafDP
+// keeps the per-pair kernel as its reference).
 func BenchmarkColumnarKNNExact(b *testing.B) {
 	ds := benchSequences(b, 20, 12)
 	items := make([]index.Item[int], len(ds.Items))
@@ -551,13 +544,11 @@ func BenchmarkColumnarKNNExact(b *testing.B) {
 	queries := benchSequences(b, 1, 12).Items
 	b.Run("layout=columnar", func(b *testing.B) {
 		// Few clusters leave each leaf holding several patterns, so the
-		// record-level tiers (not leaf skipping) do the pruning — the
-		// regime the quantized tier exists for.
+		// record-level tiers (not leaf skipping) do the pruning.
 		tr := index.New[int](index.Config{NumClusters: 2, EMMaxIter: 12, Seed: 1})
 		if err := tr.AddSegment(nil, items); err != nil {
 			b.Fatal(err)
 		}
-		quant := index.QuantPruned()
 		cells := dist.DPCells()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -568,7 +559,6 @@ func BenchmarkColumnarKNNExact(b *testing.B) {
 		b.StopTimer()
 		n := float64(b.N)
 		b.ReportMetric(float64(dist.DPCells()-cells)/n, "dp_cells/op")
-		b.ReportMetric(float64(index.QuantPruned()-quant)/n, "quant_pruned/op")
 	})
 }
 

@@ -67,6 +67,7 @@ import (
 
 	"strgindex/internal/core"
 	"strgindex/internal/feed"
+	"strgindex/internal/index"
 	"strgindex/internal/obs"
 	"strgindex/internal/replica"
 	"strgindex/internal/server"
@@ -81,7 +82,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "worker budget for ingest and search (0 = one per CPU, 1 = sequential); responses are identical at every setting")
 	shards := flag.Int("shards", 4, "copy-on-write index shard count (1-256); queries never block on ingest, and responses are identical at every setting")
 	asyncSplit := flag.Bool("async-split", true, "evaluate BIC cluster splits on background goroutines instead of the ingest path")
-	distCache := flag.Int("dist-cache", -1, "distance cache capacity in entries (0 disables, negative = built-in default); results are identical either way")
 	approx := flag.Bool("approx", false, "build the approximate similarity tier (IVF over deterministic OG embeddings); queries opt in per-request with \"mode\": \"approx\" — default paths are untouched")
 	nlists := flag.Int("nlists", 0, "IVF inverted-list count for -approx (0 = built-in default)")
 	nprobe := flag.Int("nprobe", 0, "default probe count for approximate queries that do not set one (0 = ceil(sqrt(nlists)))")
@@ -113,9 +113,12 @@ func run() int {
 		logger.Error("-feeds is incompatible with -replicate-from (a read replica cannot ingest)")
 		return 2
 	}
+	if *shards < 1 || *shards > index.MaxShards {
+		logger.Error("-shards out of range", "shards", *shards, "min", 1, "max", index.MaxShards)
+		return 2
+	}
 	cfg := core.DefaultConfig()
 	cfg.Concurrency = *workers
-	cfg.DistCacheSize = *distCache
 	cfg.Index.Shards = *shards
 	cfg.Index.AsyncSplit = *asyncSplit
 	cfg.Approx = core.ApproxConfig{Enabled: *approx, NLists: *nlists, NProbe: *nprobe}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -332,4 +333,37 @@ func TestSecondSIGTERMForcesExit(t *testing.T) {
 		t.Fatal("second SIGTERM did not force exit")
 	}
 	pw.Close()
+}
+
+// TestFlagMisuseExits2: every flag combination the help text rules out is
+// refused at validation — exit status 2 and one log line — before the
+// listener binds or the data directory is created, so a typo can never
+// start (or half-initialize) a server the operator did not ask for.
+func TestFlagMisuseExits2(t *testing.T) {
+	for _, tc := range []struct{ name, args string }{
+		{"data-dir with db", "-data-dir DIR -db x.gob"},
+		{"replicate-from without data-dir", "-replicate-from http://127.0.0.1:1"},
+		{"feeds without data-dir", "-feeds"},
+		{"feeds on a replica", "-feeds -data-dir DIR -replicate-from http://127.0.0.1:1"},
+		{"shards 0", "-shards 0 -data-dir DIR"},
+		{"shards 257", "-shards 257 -data-dir DIR"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir() + "/data"
+			args := "-addr 127.0.0.1:0 " + strings.ReplaceAll(tc.args, "DIR", dir)
+			cmd := exec.Command(os.Args[0])
+			cmd.Env = append(os.Environ(), "STRG_SERVER_MAIN=1", "STRG_SERVER_ARGS="+args)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%q: err = %v, want exit status 2\n%s", args, err, out)
+			}
+			if !bytes.Contains(out, []byte("level=ERROR")) || listenRE.Match(out) {
+				t.Fatalf("%q: want one error line and no listener, got\n%s", args, out)
+			}
+			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%q: data directory was touched (stat err = %v)", args, err)
+			}
+		})
+	}
 }

@@ -52,12 +52,7 @@ type Config struct {
 	// 1 reproduces the fully sequential pipeline. Results are identical
 	// at every setting.
 	Concurrency int
-	// DistCacheSize bounds the distance cache in entries: searches memoize
-	// fully evaluated query-to-record distances under content-hash
-	// identity, so repeated or overlapping queries skip the DP entirely.
-	// 0 (the default) disables the cache; negative selects
-	// DefaultDistCacheSize. Cached values are bit-identical to
-	// re-evaluation, so results are unchanged at every setting.
+	// Deprecated: ignored. Kept only because the bench/ module assigns it.
 	DistCacheSize int
 	// DisableTrajIndex turns off the trajectory R-tree maintained at
 	// ingest. The declarative planner then always scans; answers are
@@ -68,10 +63,6 @@ type Config struct {
 	// that the exact cascade reranks. Default paths are untouched.
 	Approx ApproxConfig
 }
-
-// DefaultDistCacheSize is the cache bound selected by a negative
-// Config.DistCacheSize: 64k entries ≈ 4 MB of entries plus map overhead.
-const DefaultDistCacheSize = 1 << 16
 
 // DefaultConfig is the configuration used by the examples and experiments.
 func DefaultConfig() Config {
@@ -110,7 +101,6 @@ type IngestStats struct {
 // VideoDB is an indexed video database. Not safe for concurrent use.
 type VideoDB struct {
 	cfg       Config
-	cache     *distCache
 	tree      *index.Sharded[ClipRecord]
 	segments  int
 	ogCount   int
@@ -158,15 +148,8 @@ func Open(cfg Config) *VideoDB {
 			cfg.Index.Concurrency = cfg.Concurrency
 		}
 	}
-	if cfg.DistCacheSize < 0 {
-		cfg.DistCacheSize = DefaultDistCacheSize
-	}
 	db := &VideoDB{cfg: cfg, streamSegs: make(map[string]int)}
-	if cfg.DistCacheSize > 0 && cfg.Index.Cache == nil {
-		db.cache = newDistCache(cfg.DistCacheSize)
-		db.cfg.Index.Cache = db.cache
-	}
-	db.tree = index.NewSharded[ClipRecord](db.cfg.Index)
+	db.tree = index.NewSharded[ClipRecord](cfg.Index)
 	if !cfg.DisableTrajIndex {
 		db.traj = newTrajIndex()
 	}
@@ -237,14 +220,6 @@ func (db *VideoDB) commitSegment(stream string, b *builtSegment) (*IngestStats, 
 	}
 	if err := db.tree.AddSegment(d.BG, items); err != nil {
 		return nil, fmt.Errorf("core: indexing %s: %w", seg.Name, err)
-	}
-	if db.cache != nil {
-		// Invalidate cached distances for the shard this commit touched:
-		// content hashing already makes entries immune to staleness, but
-		// bumping the generation keeps the cache protocol independent of
-		// the key scheme — and scoping the bump to one shard preserves the
-		// warm entries of every shard the commit could not have changed.
-		db.cache.BumpShard(uint32(shard))
 	}
 	blocks := db.retain(d.OGs, items)
 	db.segments++

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"strgindex/internal/dist"
 	"strgindex/internal/geom"
 	"strgindex/internal/graph"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
 
@@ -186,5 +188,36 @@ func TestStatsOnEmptyDatabase(t *testing.T) {
 	}
 	if got := db.OGs(); len(got) != 0 {
 		t.Errorf("OGs on empty db = %d", len(got))
+	}
+}
+
+// TestDistCacheSizeIgnored documents the contract of the deprecated
+// Config.DistCacheSize until the field can go: whatever it is set to, a
+// database answers and accounts identically — also on a repeated query,
+// where a cache would have shifted work between stats columns.
+func TestDistCacheSizeIgnored(t *testing.T) {
+	open := func(size int) *VideoDB {
+		cfg := DefaultConfig()
+		cfg.DistCacheSize = size
+		db := Open(cfg)
+		if err := db.IngestStream(miniStream(t, 12, 1)); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	a, b := open(-1), open(0)
+	seq := toSeq([][2]float64{{20, 20}, {60, 60}, {100, 100}})
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range []query.SimilarClause{
+			{Trajectory: seq, K: 5},
+			{Trajectory: seq, K: 5, Exact: true},
+			{Trajectory: seq, Radius: 150},
+		} {
+			ra, rb := similar(t, a, c), similar(t, b, c)
+			if !reflect.DeepEqual(ra.Matches, rb.Matches) || ra.Search != rb.Search {
+				t.Fatalf("pass %d %+v: DistCacheSize -1 answered %+v %+v, 0 answered %+v %+v",
+					pass, c, ra.Matches, ra.Search, rb.Matches, rb.Search)
+			}
+		}
 	}
 }

@@ -45,27 +45,6 @@ var (
 		"database query duration in seconds, by kind", obs.Labels{"kind": "composed"}, nil)
 )
 
-// Distance-cache instrumentation (see distcache.go for the protocol).
-// The index probes the cache after its lower bounds, immediately before
-// the DP, so a lookup happens only for a record the bounds could not
-// prune: hits + misses counts bound survivors, not records visited, and
-// the hit ratio is over that smaller base.
-//
-//	strg_dist_cache_hits_total       lookups answered from the cache (a
-//	                                 DP not run)
-//	strg_dist_cache_misses_total     lookups that fell through to the DP
-//	                                 (including stale-generation entries)
-//	strg_dist_cache_evictions_total  entries dropped by LRU pressure or
-//	                                 generation invalidation
-var (
-	cacheHits = obs.Default.Counter("strg_dist_cache_hits_total",
-		"distance-cache lookups (made for bound-surviving records only) answered from the cache", nil)
-	cacheMisses = obs.Default.Counter("strg_dist_cache_misses_total",
-		"distance-cache lookups (made for bound-surviving records only) that fell through to the DP", nil)
-	cacheEvictions = obs.Default.Counter("strg_dist_cache_evictions_total",
-		"distance-cache entries dropped by LRU pressure or invalidation", nil)
-)
-
 // Durability instrumentation (see durable.go and persist.go).
 //
 //	strg_snapshot_saves_total              snapshot files durably written

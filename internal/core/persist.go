@@ -28,17 +28,16 @@ import (
 var snapshotMagic = [8]byte{'S', 'T', 'R', 'G', 'S', 'N', 'P', 1}
 
 const (
-	// snapshotVersion is the version stamped into new snapshots. Version
-	// 2 added the packed columnar encoding of leaf sequences
-	// (index.ClusterSnapshot.ColData/ColLens/ColDim); version 1 files —
-	// per-record nested Seqs — still load, since gob tolerates the absent
-	// fields and the index restore accepts either encoding. Version 3
-	// added the optional approximate-tier vector index (dbImage.Vec);
-	// older files load with Vec nil and the tier — when enabled — is
-	// rebuilt from the retained OGs, bit-identically (the embedding and
-	// the one-shot IVF training are both deterministic in ingest order).
+	// snapshotVersion is the version stamped into new snapshots; files
+	// from snapshotMinVersion on load. Version 2 is the packed columnar
+	// encoding of leaf sequences (index.ClusterSnapshot.ColData/ColLens/
+	// ColDim), the only one the index restores. Version 3 added the
+	// optional approximate-tier vector index (dbImage.Vec); version 2
+	// files load with Vec nil and the tier — when enabled — is rebuilt
+	// from the retained OGs, bit-identically (the embedding and the
+	// one-shot IVF training are both deterministic in ingest order).
 	snapshotVersion     = 3
-	snapshotMinVersion  = 1
+	snapshotMinVersion  = 2
 	snapshotHeaderSize  = 12 // magic + version
 	snapshotTrailerSize = 12 // payload length + CRC32C
 )

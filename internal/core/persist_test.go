@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"strgindex/internal/dist"
@@ -155,5 +157,54 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 	}
 	if _, err := LoadFile(nil, path, DefaultConfig()); err != nil {
 		t.Errorf("previous snapshot damaged by torn rewrite: %v", err)
+	}
+}
+
+// TestV1SnapshotRefused: a version-1 container — nested per-record
+// sequences, the form no build has written since the packed columnar
+// encoding — is refused with a typed *CorruptError naming the version:
+// never a panic, never a silently empty database. The header version is
+// not covered by the CRC, so rewriting it is all a test needs. Version 2
+// (the same payload shape without the vector tier) still loads, and a
+// version beyond the writer's is refused like one before the reader's.
+func TestV1SnapshotRefused(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Index.MaxLeafEntries = 8
+	cfg.Index.NumClusters = 2
+
+	old := Open(cfg)
+	for _, seg := range miniStream(t, 6, 201).Segments {
+		if _, err := old.IngestSegment("v", seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := old.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if v := binary.LittleEndian.Uint32(data[8:]); v != snapshotVersion {
+		t.Fatalf("saved version = %d, want %d", v, snapshotVersion)
+	}
+
+	for _, v := range []uint32{0, 1, snapshotVersion + 1} {
+		binary.LittleEndian.PutUint32(data[8:], v)
+		db, err := Load(bytes.NewReader(data), cfg)
+		var ce *CorruptError
+		if db != nil || !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version %d: Load = (%v, %v), want a *CorruptError", v, db, err)
+		}
+		if want := "unsupported snapshot version"; !strings.Contains(ce.Reason, want) {
+			t.Fatalf("version %d: reason %q does not say %q", v, ce.Reason, want)
+		}
+	}
+
+	binary.LittleEndian.PutUint32(data[8:], 2)
+	db, err := Load(bytes.NewReader(data), cfg)
+	if err != nil {
+		t.Fatalf("v2 container rejected: %v", err)
+	}
+	if got, want := db.Stats(), old.Stats(); got != want {
+		t.Fatalf("v2 load: stats %+v, want %+v", got, want)
 	}
 }

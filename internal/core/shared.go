@@ -85,8 +85,8 @@ func (s *SharedDB) IngestVideo(stream string, seg *video.Segment, shotCfg shot.C
 // the one place the query lock rule lives: a query goes lock-free only
 // when its plan reads nothing but the sharded index (StrategyIndex) — the
 // index publishes immutable copy-on-write snapshots, so the search
-// assembles a consistent view and never waits on an in-flight ingest (the
-// distance cache is independently concurrency-safe). Every other plan
+// assembles a consistent view and never waits on an in-flight ingest.
+// Every other plan
 // reads state that ingest mutates in place under the write lock — the
 // retained OGs and records, the trajectory R-tree, the approximate tier's
 // IVF lists and rerank caches — and holds the read lock from planning

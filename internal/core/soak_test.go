@@ -32,7 +32,7 @@ func soakDuration(t *testing.T) time.Duration {
 // that enters the cascade is dispatched to exactly one fate.
 func checkSearchStats(t *testing.T, kind string, st index.SearchStats) {
 	t.Helper()
-	if got := st.CacheHits + st.LBQuickPruned + st.LBEnvelopePruned + st.DPEvaluated + st.DPAbandoned; got != st.Records {
+	if got := st.LBQuickPruned + st.LBEnvelopePruned + st.DPEvaluated + st.DPAbandoned; got != st.Records {
 		t.Errorf("%s: SearchStats fates %d != Records %d (%+v)", kind, got, st.Records, st)
 	}
 	if st.ScannedLeaves > st.CandidateLeaves {

@@ -188,8 +188,7 @@ func (db *VideoDB) ApproxLists() (nlists, defaultNProbe int) {
 // nprobe nearest IVF lists (the planner-resolved count, in [1, NLists]),
 // rerank every candidate with the exact EGED_M cascade. Distances in the
 // result are exact; results are ordered by (distance, OGID). The returned
-// SearchStats follow the tree-search invariant — Records == CacheHits +
-// LBQuickPruned + LBEnvelopePruned + DPEvaluated + DPAbandoned — with
+// SearchStats follow the tree-search invariant (see index.SearchStats) with
 // CandidateLeaves = total lists and ScannedLeaves = lists probed. The tier
 // must be enabled, and — unlike the index operators — it reads state that
 // ingest appends to in place, so a concurrent caller holds the read lock.
@@ -339,7 +338,6 @@ func (db *VideoDB) IngestTrajectories(stream string, ogs []*strg.OG) error {
 	if len(ogs) == 0 {
 		return nil
 	}
-	shard := db.tree.RouteShard(nil)
 	items := make([]index.Item[ClipRecord], len(ogs))
 	for i, og := range ogs {
 		clip := og.Clip
@@ -356,9 +354,6 @@ func (db *VideoDB) IngestTrajectories(stream string, ogs []*strg.OG) error {
 	}
 	if err := db.tree.AddSegment(nil, items); err != nil {
 		return fmt.Errorf("core: bulk-indexing %d trajectories: %w", len(ogs), err)
-	}
-	if db.cache != nil {
-		db.cache.BumpShard(uint32(shard))
 	}
 	db.retain(ogs, items)
 	db.segments++

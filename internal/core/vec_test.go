@@ -37,7 +37,7 @@ func approxDB(t *testing.T, mut func(*Config)) *VideoDB {
 // holds.
 func checkStatsInvariant(t *testing.T, st index.SearchStats) {
 	t.Helper()
-	if sum := st.CacheHits + st.LBQuickPruned + st.LBEnvelopePruned + st.DPEvaluated + st.DPAbandoned; st.Records != sum {
+	if sum := st.LBQuickPruned + st.LBEnvelopePruned + st.DPEvaluated + st.DPAbandoned; st.Records != sum {
 		t.Errorf("stats invariant broken: Records=%d but cascade outcomes sum to %d (%+v)", st.Records, sum, st)
 	}
 }

@@ -335,114 +335,3 @@ func TestBatchCascadeMatchesDistanceUB(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantEncodeBrackets: a Valid code's dequantized interval always
-// contains the record's true axis extent — the admissibility precondition,
-// including under adversarial grid/box misalignment.
-func TestQuantEncodeBrackets(t *testing.T) {
-	rng := rand.New(rand.NewSource(405))
-	for trial := 0; trial < 200; trial++ {
-		boxes := make([]Box, 1+rng.Intn(8))
-		for i := range boxes {
-			a, b := rng.NormFloat64()*100, rng.NormFloat64()*100
-			boxes[i] = Box{Min: Vec{math.Min(a, b), -1}, Max: Vec{math.Max(a, b), 1}}
-		}
-		g := BuildQuantGrid(boxes)
-		if !g.Ok {
-			t.Fatalf("trial %d: no grid from %d non-empty boxes", trial, len(boxes))
-		}
-		for i, b := range boxes {
-			c := g.Encode(b)
-			if !c.Valid {
-				t.Fatalf("trial %d box %d: in-range box failed to encode", trial, i)
-			}
-			if !(g.Dequant(c.Lo) <= b.Min[g.Axis]) || !(g.Dequant(c.Hi) >= b.Max[g.Axis]) {
-				t.Fatalf("trial %d box %d: code [%v,%v] does not bracket extent [%v,%v]",
-					trial, i, g.Dequant(c.Lo), g.Dequant(c.Hi), b.Min[g.Axis], b.Max[g.Axis])
-			}
-		}
-		// A box outside the grid must come back invalid, not wrong.
-		far := Box{Min: Vec{g.Lo - 1e6, 0}, Max: Vec{g.Lo - 1e5, 0}}
-		if c := g.Encode(far); c.Valid && g.Dequant(c.Lo) > far.Min[0] {
-			t.Fatalf("trial %d: out-of-range box encoded non-bracketing code", trial)
-		}
-	}
-}
-
-// TestQuantLBAdmissible is the quant tier's load-bearing inequality:
-// LBQuant <= LBEnvelope bit-for-bit for every Valid code, so every record
-// the quant tier prunes the envelope tier would also have pruned (which is
-// why search may count quant prunes as envelope prunes without changing
-// SearchStats).
-func TestQuantLBAdmissible(t *testing.T) {
-	rng := rand.New(rand.NewSource(406))
-	for _, g := range []Vec{nil, {2, -3}} {
-		casc := EGEDMCascade(g)
-		qc, ok := casc.(QuantCascade)
-		if !ok {
-			t.Fatal("EGEDMCascade does not implement QuantCascade")
-		}
-		for trial := 0; trial < 60; trial++ {
-			seqs := colSequences(rng, 10)
-			var boxes []Box
-			var sums []Summary
-			for _, s := range seqs[1:] {
-				sum := casc.Summarize(s)
-				sums = append(sums, sum)
-				boxes = append(boxes, sum.Box)
-			}
-			grid := BuildQuantGrid(boxes)
-			q := seqs[0]
-			gaps := qc.QueryGaps(q)
-			for i, s := range seqs[1:] {
-				code := grid.Encode(sums[i].Box)
-				if !grid.Ok || !code.Valid {
-					continue
-				}
-				lbq := qc.LBQuant(q, gaps, grid, code)
-				lbe := casc.LBEnvelope(q, sums[i])
-				if lbq > lbe {
-					t.Fatalf("g=%v trial %d cand %d: LBQuant %v > LBEnvelope %v", g, trial, i, lbq, lbe)
-				}
-				if exact := casc.Metric(q, s); lbq > exact+1e-9*math.Max(1, exact) {
-					t.Fatalf("g=%v trial %d cand %d: LBQuant %v exceeds exact %v", g, trial, i, lbq, exact)
-				}
-			}
-		}
-	}
-}
-
-// TestBuildQuantGridEdgeCases: degenerate inputs must disable the tier
-// (Ok=false) rather than produce a bogus grid.
-func TestBuildQuantGridEdgeCases(t *testing.T) {
-	if g := BuildQuantGrid(nil); g.Ok {
-		t.Fatal("grid from no boxes is Ok")
-	}
-	if g := BuildQuantGrid([]Box{{}, {}}); g.Ok {
-		t.Fatal("grid from empty boxes is Ok")
-	}
-	nan := math.NaN()
-	if g := BuildQuantGrid([]Box{{Min: Vec{nan}, Max: Vec{nan}}}); g.Ok {
-		t.Fatal("grid from NaN box is Ok")
-	}
-	// A single degenerate (zero-spread) box still yields a usable grid.
-	g := BuildQuantGrid([]Box{{Min: Vec{5, 0}, Max: Vec{5, 0}}})
-	if !g.Ok || g.Step != 0 {
-		t.Fatalf("degenerate grid = %+v", g)
-	}
-	c := g.Encode(Box{Min: Vec{5, 0}, Max: Vec{5, 0}})
-	if !c.Valid {
-		t.Fatal("degenerate box failed to encode on its own grid")
-	}
-	if bad := g.Encode(Box{Min: Vec{6, 0}, Max: Vec{7, 0}}); bad.Valid {
-		t.Fatal("box outside a zero-step grid encoded Valid")
-	}
-	// Mismatched-dimension box: Encode must refuse, not index out of range.
-	wide := BuildQuantGrid([]Box{{Min: Vec{0, 0, 0}, Max: Vec{1, 2, 9}}})
-	if wide.Axis != 2 {
-		t.Fatalf("widest-spread axis = %d, want 2", wide.Axis)
-	}
-	if c := wide.Encode(Box{Min: Vec{0}, Max: Vec{1}}); c.Valid {
-		t.Fatal("short box encoded Valid on a 3-D grid")
-	}
-}

@@ -283,31 +283,3 @@ func (exactOnly) LBEnvelope(_ Sequence, _ Summary) float64    { return 0 }
 func (c exactOnly) DistanceUB(a, b Sequence, _ float64) (float64, bool) {
 	return c.m(a, b), false
 }
-
-// HashSequence returns a 64-bit FNV-1a content hash of a sequence — the
-// identity under which computed distances are cached. Two sequences hash
-// equal iff (modulo astronomically unlikely collisions) they have the
-// same lengths and the same float64 bits, which is exactly the identity
-// the deterministic kernels respect.
-func HashSequence(s Sequence) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for k := 0; k < 8; k++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
-	mix(uint64(len(s)))
-	for _, v := range s {
-		mix(uint64(len(v)))
-		for _, f := range v {
-			mix(math.Float64bits(f))
-		}
-	}
-	return h
-}

@@ -51,6 +51,50 @@ func TestLowerBoundsAdmissible(t *testing.T) {
 	testCascadeAdmissible(t, "ExactOnly", ExactOnly(EGEDMZero), seqs)
 }
 
+// TestLBQuickCompactMatchesLBQuick pins CompactLBer's contract: fed the
+// candidate's end elements and summary, the compact bound returns the
+// bits LBQuick returns from the whole sequence — empties included.
+func TestLBQuickCompactMatchesLBQuick(t *testing.T) {
+	seqs := lbSequences(40, 108)
+	for name, c := range map[string]Cascade{
+		"EGEDM(nil)": EGEDMCascade(nil),
+		"EGEDM(g)":   EGEDMCascade(Vec{5, -3}),
+		"DTW":        DTWCascade(),
+	} {
+		compact := c.(CompactLBer)
+		for i, a := range seqs {
+			sa := c.Summarize(a)
+			for j, b := range seqs {
+				sb := c.Summarize(b)
+				var first, last Vec
+				if len(b) > 0 {
+					first, last = b[0], b[len(b)-1]
+				}
+				want := c.LBQuick(a, b, sa, sb)
+				got := compact.LBQuickCompact(a, sa, first, last, sb)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s(%d, %d): compact %v != LBQuick %v", name, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExactOnlyNeverAbandons: the degenerate cascade pays the wrapped
+// metric in full whatever the threshold.
+func TestExactOnlyNeverAbandons(t *testing.T) {
+	seqs := lbSequences(10, 109)
+	c := ExactOnly(EGEDMZero)
+	for _, a := range seqs {
+		for _, b := range seqs {
+			d, abandoned := c.DistanceUB(a, b, 0)
+			if abandoned || math.Float64bits(d) != math.Float64bits(EGEDMZero(a, b)) {
+				t.Fatalf("ExactOnly.DistanceUB = (%v, %v), want (%v, false)", d, abandoned, EGEDMZero(a, b))
+			}
+		}
+	}
+}
+
 // TestUBInfEqualsExact verifies the ub=+Inf contract bit-for-bit: the
 // early-abandoning kernels ARE the exact kernels when the threshold can
 // never fire, which is what makes delegating the exact path to them safe.
@@ -175,26 +219,6 @@ func TestBoxDistInsideAndMonotone(t *testing.T) {
 				t.Fatalf("boxDist %v > norm %v", bd, n)
 			}
 		}
-	}
-}
-
-func TestHashSequence(t *testing.T) {
-	a := seq2([2]float64{1, 2}, [2]float64{3, 4})
-	b := seq2([2]float64{1, 2}, [2]float64{3, 4})
-	if HashSequence(a) != HashSequence(b) {
-		t.Fatal("equal sequences hash differently")
-	}
-	c := seq2([2]float64{1, 2}, [2]float64{3, 4.0000000001})
-	if HashSequence(a) == HashSequence(c) {
-		t.Fatal("distinct sequences collide")
-	}
-	// Length structure matters: [[1,2],[3,4]] vs [[1,2,3,4]].
-	flat := Sequence{Vec{1, 2, 3, 4}}
-	if HashSequence(a) == HashSequence(flat) {
-		t.Fatal("shape-distinct sequences collide")
-	}
-	if HashSequence(nil) == HashSequence(Sequence{Vec{}}) {
-		t.Fatal("empty sequence collides with one empty vector")
 	}
 }
 

@@ -28,31 +28,6 @@ import (
 	"strgindex/internal/parallel"
 )
 
-// DistCache is an optional cache of leaf distance evaluations, consulted
-// for the records the lower bounds could not dispose of, in place of the
-// DP. Keys are content hashes (dist.
-// HashSequence) of the query and the stored sequence; cached values must
-// have been produced by this tree's key metric, so a hit returns the
-// exact bits an evaluation would. Implementations must be safe for
-// concurrent use (leaf scans run on the worker pool) and own their
-// invalidation — core's versioned cache bumps a generation on ingest.
-type DistCache interface {
-	Get(query, seq uint64) (float64, bool)
-	Put(query, seq uint64, d float64)
-}
-
-// ShardAwareDistCache is an optional DistCache extension for sharded
-// trees: PutShard carries the stored record's shard, letting the cache
-// stamp each entry with a per-shard generation and invalidate only the
-// shard an ingest actually touched instead of wiping the whole warm cache
-// on every commit. Searches detect the extension once per query; plain
-// DistCache implementations keep working unchanged (their entries behave
-// as shard 0).
-type ShardAwareDistCache interface {
-	DistCache
-	PutShard(query, seq uint64, d float64, shard uint32)
-}
-
 // Config parameterizes an STRG-Index.
 type Config struct {
 	// Metric is the leaf key metric — EGED_M in the paper. It must satisfy
@@ -72,9 +47,6 @@ type Config struct {
 	// DisableCascade forces exact-only evaluation even for the default
 	// metric (ablation/benchmark knob).
 	DisableCascade bool
-	// Cache is an optional distance cache for leaf scans. Nil disables
-	// caching. The cache must be scoped to this tree's key metric.
-	Cache DistCache
 	// ClusterDistance is the (possibly non-metric) distance used to build
 	// and choose clusters — the non-metric EGED in the paper. Nil means
 	// dist.EGED.
@@ -176,29 +148,21 @@ type Result[P any] struct {
 
 // leafRecord is one record of a leaf node: (Key, OG_mem, ptr), extended
 // with the lower-bound cascade's per-sequence precomputation (gap sum and
-// envelope) and the sequence's content hash (distance-cache identity).
-// Both are derived from seq at insert/restore time, never serialized.
+// envelope), derived from seq at insert/restore time and never serialized.
 type leafRecord[P any] struct {
 	key     float64
 	seq     dist.Sequence
 	payload P
 	sum     dist.Summary
-	hash    uint64
 	// col is the columnar form of seq — the same float64s flattened into
 	// one contiguous block for the batched DP kernel. seq's vectors are
 	// views into col's buffer, so the data exists exactly once.
 	col dist.Block
-	// qc is the record's quantized-summary code on its cluster's grid
-	// (Valid=false when the record predates the grid or falls outside it).
-	qc dist.QuantCode
-	// shard tags the record with its tree's shard index (0 for a plain
-	// tree) so shard-aware distance caches can scope invalidation.
-	shard uint32
 }
 
 // newLeafRecord builds a leaf record for seq under centroid: the key is
-// the metric distance to the centroid, the summary and hash are the
-// cascade/cache precomputations. The sequence is flattened once here and
+// the metric distance to the centroid, the summary is the cascade's
+// precomputation. The sequence is flattened once here and
 // re-exposed as views into the block, so the batched kernel and the
 // pointer-based bounds share one copy of the floats.
 func (t *Tree[P]) newLeafRecord(centroid, seq dist.Sequence, payload P) leafRecord[P] {
@@ -209,9 +173,7 @@ func (t *Tree[P]) newLeafRecord(centroid, seq dist.Sequence, payload P) leafReco
 		seq:     seq,
 		payload: payload,
 		sum:     t.cfg.Cascade.Summarize(seq),
-		hash:    dist.HashSequence(seq),
 		col:     col,
-		shard:   t.shardTag,
 	}
 }
 
@@ -221,12 +183,6 @@ type clusterRecord[P any] struct {
 	id       int
 	centroid dist.Sequence
 	leaf     []leafRecord[P]
-	// qgrid is the leaf's shared 8-bit quantization grid (quant.go),
-	// fitted whenever the membership is rebuilt wholesale (bootstrap,
-	// split, restore) and left fixed across incremental inserts — a
-	// record that does not fit the fixed grid simply carries an invalid
-	// code and skips the tier.
-	qgrid dist.QuantGrid
 	// splitChecked is the leaf size at which the last BIC evaluation
 	// declined to split, 0 if never evaluated (or since invalidated by a
 	// delete or an adopted split). Cluster quality cannot have degraded
@@ -260,9 +216,6 @@ type Tree[P any] struct {
 	roots   []*rootRecord[P]
 	size    int
 	nextCl  int
-	// shardTag is this tree's index within a Sharded wrapper (0 for a
-	// plain tree); stamped into every leaf record at insert/restore time.
-	shardTag uint32
 }
 
 // clone returns a shallow copy sharing every root record — the starting
@@ -402,7 +355,7 @@ func (t *Tree[P]) addItemsAt(x *txn[P], ri int, items []Item[P]) error {
 // merges each cluster's newcomers into its leaf in one pass. The final
 // leaf contents are byte-identical to per-item insertIntoRoot calls:
 // routing sees the same centroids (no inline splits), records are keyed
-// and quant-encoded identically, and sortedLeaf/mergeLeaf replicate
+// identically, and sortedLeaf/mergeLeaf replicate
 // insertSorted's arrival-tie order. Only the split-candidate list
 // differs — one candidate per touched oversized cluster instead of one
 // per insert — which the asynchronous evaluator treats identically
@@ -423,11 +376,7 @@ func (t *Tree[P]) bulkInsert(x *txn[P], root *rootRecord[P], items []Item[P]) er
 		cl := x.cluster(root, ci)
 		recs := make([]leafRecord[P], len(bucket))
 		for bi, i := range bucket {
-			rec := t.newLeafRecord(cl.centroid, items[i].Seq, items[i].Payload)
-			// Same grid policy as insertIntoRoot: encode against the
-			// leaf's existing grid, which stays fixed across inserts.
-			rec.qc = cl.qgrid.Encode(rec.sum.Box)
-			recs[bi] = rec
+			recs[bi] = t.newLeafRecord(cl.centroid, items[i].Seq, items[i].Payload)
 		}
 		cl.leaf = mergeLeaf(cl.leaf, sortedLeaf(recs))
 		t.size += len(bucket)
@@ -520,7 +469,6 @@ func (t *Tree[P]) buildClusters(x *txn[P], root *rootRecord[P], items []Item[P])
 			recs[mi] = t.newLeafRecord(cl.centroid, items[j].Seq, items[j].Payload)
 		}
 		cl.leaf = sortedLeaf(recs)
-		t.refitQuant(cl)
 		root.clusters = append(root.clusters, cl)
 		t.size += len(members)
 	}
@@ -533,21 +481,6 @@ func (t *Tree[P]) buildClusters(x *txn[P], root *rootRecord[P], items []Item[P])
 	return nil
 }
 
-// refitQuant fits cl's quantization grid to its current membership and
-// re-encodes every record's code. Called wherever the membership is
-// rebuilt wholesale (bootstrap, adopted split, snapshot restore); cl must
-// be owned by the transaction.
-func (t *Tree[P]) refitQuant(cl *clusterRecord[P]) {
-	boxes := make([]dist.Box, len(cl.leaf))
-	for i := range cl.leaf {
-		boxes[i] = cl.leaf[i].sum.Box
-	}
-	cl.qgrid = dist.BuildQuantGrid(boxes)
-	for i := range cl.leaf {
-		cl.leaf[i].qc = cl.qgrid.Encode(cl.leaf[i].sum.Box)
-	}
-}
-
 // insertIntoRoot routes one item to the most similar centroid (non-metric
 // EGED, Algorithm 3's descent) and inserts it into that leaf by key. root
 // must be owned by the transaction.
@@ -557,12 +490,7 @@ func (t *Tree[P]) insertIntoRoot(x *txn[P], root *rootRecord[P], it Item[P]) err
 		return fmt.Errorf("index: root %d has no clusters", root.id)
 	}
 	cl := x.cluster(root, ci)
-	rec := t.newLeafRecord(cl.centroid, it.Seq, it.Payload)
-	// Encode against the leaf's existing grid: the grid stays fixed across
-	// incremental inserts, and a record outside its range just carries an
-	// invalid code (falling through to the envelope bound).
-	rec.qc = cl.qgrid.Encode(rec.sum.Box)
-	cl.insertSorted(rec)
+	cl.insertSorted(t.newLeafRecord(cl.centroid, it.Seq, it.Payload))
 	t.size++
 	t.maybeSplit(x, root, cl)
 	return nil
@@ -711,8 +639,7 @@ func (t *Tree[P]) applySplit(root *rootRecord[P], cl *clusterRecord[P], two *clu
 		recs := make([]leafRecord[P], len(members))
 		for mi, j := range members {
 			// Re-key against the new centroid, but keep the record's
-			// summary and hash: both depend only on the sequence, not the
-			// cluster.
+			// summary: it depends only on the sequence, not the cluster.
 			rec := records[j]
 			rec.key = t.cfg.Metric(rec.seq, centroid)
 			recs[mi] = rec
@@ -721,9 +648,6 @@ func (t *Tree[P]) applySplit(root *rootRecord[P], cl *clusterRecord[P], two *clu
 	}
 	cl.leaf = rekey(mem0, cl.centroid)
 	newCl.leaf = rekey(mem1, newCl.centroid)
-	// Both memberships changed wholesale; give each leaf a fresh grid.
-	t.refitQuant(cl)
-	t.refitQuant(newCl)
 	root.clusters = append(root.clusters, newCl)
 	return true
 }
@@ -816,10 +740,9 @@ func (t *Tree[P]) Items() []Item[P] {
 	return out
 }
 
-// CheckInvariants verifies leaf key order, key correctness, that every
-// record's column block mirrors its sequence bit-for-bit and that every
-// valid quant code brackets the record's envelope (the admissibility
-// precondition). Intended for tests.
+// CheckInvariants verifies leaf key order, key correctness and that every
+// record's column block mirrors its sequence bit-for-bit. Intended for
+// tests.
 func (t *Tree[P]) CheckInvariants() error {
 	for _, r := range t.roots {
 		for _, cl := range r.clusters {
@@ -839,18 +762,6 @@ func (t *Tree[P]) CheckInvariants() error {
 						if math.Float64bits(v[k]) != math.Float64bits(row[k]) {
 							return fmt.Errorf("index: cluster %d record %d sample %d diverges from its column block", cl.id, i, si)
 						}
-					}
-				}
-				if rec.qc.Valid {
-					if !cl.qgrid.Ok {
-						return fmt.Errorf("index: cluster %d record %d has a quant code but the leaf has no grid", cl.id, i)
-					}
-					b := rec.sum.Box
-					if lo := cl.qgrid.Dequant(rec.qc.Lo); !(lo <= b.Min[cl.qgrid.Axis]) {
-						return fmt.Errorf("index: cluster %d record %d quant low edge %v above box min %v", cl.id, i, lo, b.Min[cl.qgrid.Axis])
-					}
-					if hi := cl.qgrid.Dequant(rec.qc.Hi); !(hi >= b.Max[cl.qgrid.Axis]) {
-						return fmt.Errorf("index: cluster %d record %d quant high edge %v below box max %v", cl.id, i, hi, b.Max[cl.qgrid.Axis])
 					}
 				}
 			}

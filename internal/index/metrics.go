@@ -41,9 +41,9 @@ var (
 //	                                   and reached the DP kernel
 //	strg_dist_dp_abandoned_total       DP kernels cut short by the
 //	                                   early-abandoning threshold
-//	strg_dist_cache_search_hits_total  records the bounds could not prune,
-//	                                   answered by the distance cache
-//	                                   instead of the DP
+//
+// Summed over its stages, lb_pruned plus lb_passed counts every record
+// that entered the cascade exactly once (SearchStats.Records).
 var (
 	lbPrunedQuick = obs.Default.Counter("strg_dist_lb_pruned_total",
 		"cascade records rejected by a lower bound, by stage",
@@ -51,20 +51,10 @@ var (
 	lbPrunedEnvelope = obs.Default.Counter("strg_dist_lb_pruned_total",
 		"cascade records rejected by a lower bound, by stage",
 		obs.Labels{"stage": "envelope"})
-	// lbPrunedQuant observes the quantized 8-bit tier's hit rate. Quant
-	// prunes are a strict subset of envelope prunes (the bound is weaker
-	// by construction) and are counted as LBEnvelopePruned in SearchStats
-	// so stats stay identical with the tier on or off; this counter is the
-	// only place the tier is separately visible.
-	lbPrunedQuant = obs.Default.Counter("strg_dist_lb_pruned_total",
-		"cascade records rejected by a lower bound, by stage",
-		obs.Labels{"stage": "quant"})
 	lbPassed = obs.Default.Counter("strg_dist_lb_passed_total",
 		"cascade records that passed all lower bounds into the DP kernel", nil)
 	dpAbandoned = obs.Default.Counter("strg_dist_dp_abandoned_total",
 		"DP evaluations abandoned early above the pruning threshold", nil)
-	cascadeCacheHits = obs.Default.Counter("strg_dist_cache_search_hits_total",
-		"bound-surviving cascade records answered by the distance cache instead of the DP", nil)
 )
 
 // Shard-maintenance instrumentation: copy-on-write snapshot publication
@@ -98,11 +88,6 @@ var (
 		"shard versions published during the most recent search", nil)
 )
 
-// QuantPruned returns the process-wide number of leaf records pruned by
-// the quantized summary tier — the tier's hit rate, observable even
-// though SearchStats folds these prunes into LBEnvelopePruned.
-func QuantPruned() int64 { return lbPrunedQuant.Value() }
-
 // observeCascade records one search's cascade accounting.
 func observeCascade(st SearchStats) {
 	if st.LBQuickPruned > 0 {
@@ -116,9 +101,6 @@ func observeCascade(st SearchStats) {
 	}
 	if st.DPAbandoned > 0 {
 		dpAbandoned.Add(int64(st.DPAbandoned))
-	}
-	if st.CacheHits > 0 {
-		cascadeCacheHits.Add(int64(st.CacheHits))
 	}
 }
 

@@ -12,10 +12,15 @@ import (
 )
 
 // SearchStats is one search's filter-and-refine accounting: how many
-// candidates each stage of the distance cascade disposed of. Counts are
-// deterministic at Concurrency 1; at higher worker counts the same
-// records are pruned, but snapshot thresholds inside a batch may shift a
-// few candidates between stages (never into or out of the result set).
+// candidates each stage of the distance cascade disposed of. Every record
+// that enters the cascade leaves it through exactly one stage, so
+//
+//	Records == LBQuickPruned + LBEnvelopePruned + DPEvaluated + DPAbandoned
+//
+// Counts are deterministic at Concurrency 1; at higher worker counts the
+// same records are pruned, but snapshot thresholds inside a batch may
+// shift a few candidates between stages (never into or out of the result
+// set).
 type SearchStats struct {
 	// CandidateLeaves is the number of leaves considered; ScannedLeaves
 	// the number actually scanned (the rest were pruned by the cluster
@@ -25,12 +30,6 @@ type SearchStats struct {
 	// Records is the number of leaf records that survived key-window
 	// pruning and entered the distance cascade.
 	Records int
-	// CacheHits is the number of records answered by the distance cache.
-	// The cache is probed after the lower bounds, immediately before the
-	// DP, so this counts hits among bound survivors: a cached record a
-	// bound disposes of is counted as pruned, never as a hit, and
-	// CacheHits <= Records - LBPruned().
-	CacheHits int
 	// LBQuickPruned and LBEnvelopePruned count records rejected by the
 	// O(1) and O(m) lower bounds respectively.
 	LBQuickPruned    int
@@ -47,7 +46,6 @@ func (s SearchStats) LBPruned() int { return s.LBQuickPruned + s.LBEnvelopePrune
 // add accumulates another (per-leaf or per-cluster) stats block.
 func (s *SearchStats) add(o SearchStats) {
 	s.Records += o.Records
-	s.CacheHits += o.CacheHits
 	s.LBQuickPruned += o.LBQuickPruned
 	s.LBEnvelopePruned += o.LBEnvelopePruned
 	s.DPEvaluated += o.DPEvaluated
@@ -55,39 +53,23 @@ func (s *SearchStats) add(o SearchStats) {
 }
 
 // queryState is the per-search precomputation shared by every leaf scan:
-// the query's cascade summary and content hash, plus handles resolved
-// once instead of per record.
+// the query's cascade summary, plus handles resolved once instead of per
+// record.
 type queryState struct {
 	query dist.Sequence
 	qs    dist.Summary
-	qh    uint64
 	casc  dist.Cascade
-	cache DistCache
-	// scache is cache's shard-aware extension, resolved once per query;
-	// nil when the cache does not implement it.
-	scache ShardAwareDistCache
-	// Columnar-layer state, resolved once per query and nil/zero when the
-	// cascade lacks the extensions (a custom metric): bq is the prepared
-	// batched query (immutable, shared by all leaf scans — each scan
-	// derives its own mutable arena), qcasc/qgaps feed the quantized tier.
-	bq    *dist.BatchQuery
-	qcasc dist.QuantCascade
-	qgaps []float64
+	// bq is the prepared batched query (immutable, shared by all leaf scans
+	// — each scan derives its own mutable arena); nil when the cascade has
+	// no batched kernel (a custom metric).
+	bq *dist.BatchQuery
 }
 
 func (t *Tree[P]) newQueryState(query dist.Sequence) *queryState {
-	q := &queryState{query: query, casc: t.cfg.Cascade, cache: t.cfg.Cache}
+	q := &queryState{query: query, casc: t.cfg.Cascade}
 	q.qs = q.casc.Summarize(query)
-	if q.cache != nil {
-		q.qh = dist.HashSequence(query)
-		q.scache, _ = q.cache.(ShardAwareDistCache)
-	}
 	if bc, ok := q.casc.(dist.BatchCascade); ok {
 		q.bq = bc.BatchQuery(query)
-	}
-	if qc, ok := q.casc.(dist.QuantCascade); ok {
-		q.qcasc = qc
-		q.qgaps = qc.QueryGaps(query)
 	}
 	return q
 }
@@ -102,28 +84,6 @@ func (q *queryState) arena() *dist.Batch {
 		return nil
 	}
 	return q.bq.Acquire()
-}
-
-// cachedDist looks the (query, record) pair up in the distance cache.
-// Cached values were produced by the same deterministic kernel under
-// content-hash identity, so a hit is bit-identical to re-evaluating.
-func (q *queryState) cachedDist(hash uint64) (float64, bool) {
-	if q.cache == nil {
-		return 0, false
-	}
-	return q.cache.Get(q.qh, hash)
-}
-
-// putDist records a fully evaluated distance, tagged with the record's
-// shard when the cache understands shards. Abandoned evaluations are
-// never cached — they are threshold-relative, not values of the metric.
-func (q *queryState) putDist(hash uint64, shard uint32, d float64) {
-	switch {
-	case q.scache != nil:
-		q.scache.PutShard(q.qh, hash, d, shard)
-	case q.cache != nil:
-		q.cache.Put(q.qh, hash, d)
-	}
 }
 
 // KNN implements Algorithm 3: match the query background against the root
@@ -294,9 +254,7 @@ func (t *Tree[P]) Range(bg *graph.Graph, query dist.Sequence, radius float64) []
 // in-flight ones drain, and ctx.Err() is returned. The radius is a fixed
 // refinement threshold, so every cascade stage prunes against it: a record
 // whose lower bound exceeds the radius, or whose DP abandons above it,
-// provably is not a hit. The distance cache is probed after the bounds,
-// like in the k-NN leaf scan; a cached hit is still filtered by d <=
-// radius, so the order is invisible in the answer.
+// provably is not a hit.
 func (t *Tree[P]) RangeStatsCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, radius float64) ([]Result[P], SearchStats, error) {
 	var st SearchStats
 	searchesRange.Inc()
@@ -322,35 +280,7 @@ func (t *Tree[P]) RangeStatsCtx(ctx context.Context, bg *graph.Graph, query dist
 		lo := sort.Search(len(cl.leaf), func(i int) bool { return cl.leaf[i].key >= dc-radius })
 		for i := lo; i < len(cl.leaf) && cl.leaf[i].key <= dc+radius; i++ {
 			rec := &cl.leaf[i]
-			cs.st.Records++
-			if lb := q.casc.LBQuick(query, rec.seq, q.qs, rec.sum); lb > radius {
-				cs.st.LBQuickPruned++
-				continue
-			}
-			if quantPrune(q, cl, rec, radius) {
-				cs.st.LBEnvelopePruned++
-				lbPrunedQuant.Inc()
-				continue
-			}
-			if lb := q.casc.LBEnvelope(query, rec.sum); lb > radius {
-				cs.st.LBEnvelopePruned++
-				continue
-			}
-			if d, ok := q.cachedDist(rec.hash); ok {
-				cs.st.CacheHits++
-				if d <= radius {
-					cs.hits = append(cs.hits, Result[P]{Payload: rec.payload, Distance: d})
-				}
-				continue
-			}
-			d, abandoned := refineRecord(q, arena, rec, radius)
-			if abandoned {
-				cs.st.DPAbandoned++
-				continue
-			}
-			cs.st.DPEvaluated++
-			q.putDist(rec.hash, rec.shard, d)
-			if d <= radius {
+			if d, ok := refine(q, arena, rec, radius, &cs.st); ok && d <= radius {
 				cs.hits = append(cs.hits, Result[P]{Payload: rec.payload, Distance: d})
 			}
 		}
@@ -412,20 +342,7 @@ func (t *Tree[P]) candidateClusters(bg *graph.Graph) []*clusterRecord[P] {
 // expand outward from Key_q's position in the sorted keys, stopping each
 // side when the reverse triangle inequality (|key - Key_q| <= d(query,
 // member)) proves no closer member can remain, and running each surviving
-// record through LBQuick -> quant -> LBEnvelope -> cache -> early-
-// abandoning DP: the bounds cost nanoseconds and dispose of most records,
-// the cache probe costs a lock and a hash lookup and rarely hits, so the
-// selective cheap filters run first. The order cannot change an answer —
-// a record a bound prunes has d >= lb > thresh, so its cached distance
-// would have been refused by the heap (k-NN: thresh is the heap's worst
-// once full and +Inf, pruning nothing, before; exact k-NN: the global
-// worst the merge rejects against anyway).
-//
-// Every pruning comparison is strictly `>` against the threshold, and
-// every bound (including the DP's row minimum) is <= the true distance,
-// so a record whose distance ties the heap's worst is never pruned — the
-// (distance, ordinal) tie-break sees exactly the same contenders as an
-// exhaustive scan, keeping results byte-identical with the cascade off.
+// record through refine.
 //
 // bound is an external threshold that is valid for the whole scan (the
 // batch-snapshot global worst in KNNExact; +Inf when there is none): the
@@ -476,61 +393,49 @@ func (t *Tree[P]) searchLeafWithCentroidDist(cl *clusterRecord[P], q *queryState
 			}
 			continue
 		}
-		st.Records++
-		if lb := q.casc.LBQuick(q.query, rec.seq, q.qs, rec.sum); lb > thresh {
-			st.LBQuickPruned++
-			continue
-		}
-		if quantPrune(q, cl, rec, thresh) {
-			// Counted as an envelope prune: the quant bound is <= the
-			// envelope bound, so the envelope stage would have made the
-			// same decision — just after touching the float columns.
-			st.LBEnvelopePruned++
-			lbPrunedQuant.Inc()
-			continue
-		}
-		if lb := q.casc.LBEnvelope(q.query, rec.sum); lb > thresh {
-			st.LBEnvelopePruned++
-			continue
-		}
-		if d, ok := q.cachedDist(rec.hash); ok {
-			st.CacheHits++
+		if d, ok := refine(q, arena, rec, thresh, st); ok {
 			h.offer(Result[P]{Payload: rec.payload, Distance: d}, uint64(leafRank)<<32|uint64(step))
-			continue
 		}
-		d, abandoned := refineRecord(q, arena, rec, thresh)
-		if abandoned {
-			st.DPAbandoned++
-			continue
-		}
-		st.DPEvaluated++
-		q.putDist(rec.hash, rec.shard, d)
-		h.offer(Result[P]{Payload: rec.payload, Distance: d}, uint64(leafRank)<<32|uint64(step))
 	}
 }
 
-// quantPrune reports whether the quantized 8-bit tier disposes of rec at
-// thresh — a 2-byte-per-record check that runs before the envelope bound
-// ever touches the record's float columns. The bound is admissible and
-// weaker-or-equal to LBEnvelope bit-for-bit, so any record it prunes the
-// envelope stage would have pruned too: callers count a quant prune as an
-// envelope prune and SearchStats cannot tell the tier is on.
-func quantPrune[P any](q *queryState, cl *clusterRecord[P], rec *leafRecord[P], thresh float64) bool {
-	if q.qcasc == nil || !rec.qc.Valid || !cl.qgrid.Ok {
-		return false
+// refine is the per-record distance cascade, cheapest stage first:
+// LBQuick (O(1)) -> LBEnvelope (O(len(query))) -> early-abandoning DP. It
+// books the stage that disposed of rec in st and reports ok with the exact
+// distance only when the DP ran to completion.
+//
+// Every pruning comparison is strictly `>` against thresh, and every
+// bound (including the DP's row minimum) is <= the true distance, so a
+// record whose distance ties thresh is never pruned — the k-NN heap's
+// (distance, ordinal) tie-break sees exactly the same contenders as an
+// exhaustive scan, keeping results byte-identical with the cascade off.
+//
+// The DP is the batched columnar kernel when the scan has an arena, the
+// per-pair kernel otherwise (a cascade without the BatchCascade
+// extension); the two are bit-identical in value, abandon decision and
+// eval/cell accounting.
+func refine[P any](q *queryState, arena *dist.Batch, rec *leafRecord[P], thresh float64, st *SearchStats) (d float64, ok bool) {
+	st.Records++
+	if q.casc.LBQuick(q.query, rec.seq, q.qs, rec.sum) > thresh {
+		st.LBQuickPruned++
+		return 0, false
 	}
-	return q.qcasc.LBQuant(q.query, q.qgaps, cl.qgrid, rec.qc) > thresh
-}
-
-// refineRecord runs the cascade's final DP stage: the batched columnar
-// kernel when the scan has an arena, the per-pair kernel otherwise (a
-// cascade without the BatchCascade extension). The two are bit-identical
-// in value, abandon decision and eval/cell accounting.
-func refineRecord[P any](q *queryState, b *dist.Batch, rec *leafRecord[P], thresh float64) (float64, bool) {
-	if b != nil {
-		return b.DistanceUB(rec.col, thresh)
+	if q.casc.LBEnvelope(q.query, rec.sum) > thresh {
+		st.LBEnvelopePruned++
+		return 0, false
 	}
-	return q.casc.DistanceUB(q.query, rec.seq, thresh)
+	var abandoned bool
+	if arena != nil {
+		d, abandoned = arena.DistanceUB(rec.col, thresh)
+	} else {
+		d, abandoned = q.casc.DistanceUB(q.query, rec.seq, thresh)
+	}
+	if abandoned {
+		st.DPAbandoned++
+		return 0, false
+	}
+	st.DPEvaluated++
+	return d, true
 }
 
 // heapItem pairs a result with its canonical scan ordinal. Ordering is

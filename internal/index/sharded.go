@@ -73,8 +73,8 @@ type rootEntry struct {
 	local int
 }
 
-// MaxShards bounds Config.Shards; the shard index must fit the distance
-// cache's fixed generation table.
+// MaxShards bounds Config.Shards: a shard is a unit of write concurrency,
+// and no host runs more concurrent writers than this.
 const MaxShards = 256
 
 // NewSharded creates an empty sharded STRG-Index with cfg.Shards shards
@@ -92,9 +92,7 @@ func NewSharded[P any](cfg Config) *Sharded[P] {
 	s := &Sharded[P]{cfg: cfg, matcher: graph.NewMatcher(cfg.Tol), n: n, async: cfg.AsyncSplit}
 	s.shards = make([]shardSlot[P], n)
 	for i := range s.shards {
-		t := New[P](cfg)
-		t.shardTag = uint32(i)
-		s.shards[i].cur.Store(&shardVersion[P]{tree: t})
+		s.shards[i].cur.Store(&shardVersion[P]{tree: New[P](cfg)})
 	}
 	dir := []rootEntry{}
 	s.dir.Store(&dir)

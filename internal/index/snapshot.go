@@ -24,22 +24,14 @@ type RootSnapshot[P any] struct {
 	Clusters []ClusterSnapshot[P]
 }
 
-// ClusterSnapshot serializes one cluster record with its leaf. Two
-// equivalent encodings of the member sequences exist:
-//
-//   - Seqs: one dist.Sequence per record (the v1 container form, read
-//     but no longer written);
-//   - ColData/ColLens/ColDim: every record's samples packed into one
-//     flat row-major float64 column block (record i owns ColLens[i]
-//     rows), the form Snapshot writes — one contiguous gob slice instead
-//     of len(leaf) nested slice-of-slices.
-//
-// A snapshot populates exactly one of the two; restore accepts either.
+// ClusterSnapshot serializes one cluster record with its leaf. Every
+// record's samples are packed into one flat row-major float64 column
+// block (record i owns ColLens[i] rows of ColDim floats in ColData) — one
+// contiguous gob slice instead of len(leaf) nested slice-of-slices.
 type ClusterSnapshot[P any] struct {
 	ID       int
 	Centroid dist.Sequence
 	Keys     []float64
-	Seqs     []dist.Sequence
 	ColData  []float64
 	ColLens  []int
 	ColDim   int
@@ -88,7 +80,7 @@ func FromSnapshot[P any](s Snapshot[P], cfg Config) (*Tree[P], error) {
 }
 
 // restoreRoot appends one serialized root to the tree, recomputing the
-// derived per-record state (cascade summary, content hash, shard tag).
+// derived per-record state (the cascade summary).
 // Shared by FromSnapshot and the sharded restore, which re-partitions the
 // same root sequence across shard trees.
 func (t *Tree[P]) restoreRoot(rs RootSnapshot[P]) error {
@@ -101,57 +93,43 @@ func (t *Tree[P]) restoreRoot(rs RootSnapshot[P]) error {
 		root.bg = bg
 	}
 	for _, cs := range rs.Clusters {
-		columnar := cs.ColLens != nil
-		if columnar {
-			if len(cs.Keys) != len(cs.ColLens) || len(cs.Keys) != len(cs.Payloads) {
-				return fmt.Errorf("index: cluster %d snapshot length mismatch", cs.ID)
-			}
-		} else if len(cs.Keys) != len(cs.Seqs) || len(cs.Keys) != len(cs.Payloads) {
+		if len(cs.Keys) != len(cs.ColLens) || len(cs.Keys) != len(cs.Payloads) {
 			return fmt.Errorf("index: cluster %d snapshot length mismatch", cs.ID)
 		}
 		cl := &clusterRecord[P]{id: cs.ID, centroid: cs.Centroid}
 		off := 0
 		for i := range cs.Keys {
-			// Materialize the record's column block from whichever encoding
-			// the snapshot carries (see ClusterSnapshot); the sequence is a
-			// view sharing the block's buffer.
-			var col dist.Block
-			if columnar {
-				n := cs.ColLens[i]
-				dim := cs.ColDim
-				if n == 0 {
-					dim = 0
-				}
-				end := off + n*dim
-				if end > len(cs.ColData) {
-					return fmt.Errorf("index: cluster %d column block truncated at record %d", cs.ID, i)
-				}
-				var err error
-				if col, err = dist.BlockOf(cs.ColData[off:end:end], n, dim); err != nil {
-					return fmt.Errorf("index: cluster %d record %d: %w", cs.ID, i, err)
-				}
-				off = end
-			} else {
-				col = dist.FromSequence(cs.Seqs[i])
+			// Materialize the record's column block; the sequence is a view
+			// sharing the block's buffer.
+			n := cs.ColLens[i]
+			dim := cs.ColDim
+			if n == 0 {
+				dim = 0
 			}
+			end := off + n*dim
+			if end > len(cs.ColData) {
+				return fmt.Errorf("index: cluster %d column block truncated at record %d", cs.ID, i)
+			}
+			col, err := dist.BlockOf(cs.ColData[off:end:end], n, dim)
+			if err != nil {
+				return fmt.Errorf("index: cluster %d record %d: %w", cs.ID, i, err)
+			}
+			off = end
 			seq := col.Sequence()
-			// The cascade summary and cache hash are derived state;
-			// recompute them rather than trusting the snapshot.
+			// The cascade summary is derived state; recompute it rather
+			// than trusting the snapshot.
 			cl.leaf = append(cl.leaf, leafRecord[P]{
 				key:     cs.Keys[i],
 				seq:     seq,
 				payload: cs.Payloads[i],
 				sum:     t.cfg.Cascade.Summarize(seq),
-				hash:    dist.HashSequence(seq),
 				col:     col,
-				shard:   t.shardTag,
 			})
 			t.size++
 		}
-		if columnar && off != len(cs.ColData) {
+		if off != len(cs.ColData) {
 			return fmt.Errorf("index: cluster %d column block has %d trailing floats", cs.ID, len(cs.ColData)-off)
 		}
-		t.refitQuant(cl)
 		if cs.ID >= t.nextCl {
 			t.nextCl = cs.ID + 1
 		}

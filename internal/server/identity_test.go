@@ -15,9 +15,8 @@ import (
 
 // identityHarness is one server plus a reference database built from the
 // same configuration and fed the same segments in the same order. Every
-// HTTP query the test issues is mirrored by exactly one direct core call
-// on the reference, so per-database state (the distance cache) evolves in
-// lockstep and stats must agree byte for byte.
+// HTTP query the test issues is mirrored by one direct core call on the
+// reference, and stats must agree byte for byte.
 type identityHarness struct {
 	srv *Server
 	ts  *httptest.Server

@@ -19,7 +19,7 @@
 //
 // where stats carries the search's filter-and-refine accounting
 // (candidates evaluated, records pruned by each lower-bound stage, DP
-// kernels abandoned, cache hits) plus per-stage candidate counts, and
+// kernels abandoned) plus per-stage candidate counts, and
 // plan describes the chosen access path.
 //
 // Every error response is the JSON envelope
@@ -346,7 +346,6 @@ type searchStatsJSON struct {
 	CandidateLeaves  int `json:"candidate_leaves"`
 	ScannedLeaves    int `json:"scanned_leaves"`
 	Records          int `json:"records"`
-	CacheHits        int `json:"cache_hits"`
 	LBQuickPruned    int `json:"lb_quick_pruned"`
 	LBEnvelopePruned int `json:"lb_envelope_pruned"`
 	DPEvaluated      int `json:"dp_evaluated"`
@@ -358,7 +357,6 @@ func toStatsJSON(st index.SearchStats) searchStatsJSON {
 		CandidateLeaves:  st.CandidateLeaves,
 		ScannedLeaves:    st.ScannedLeaves,
 		Records:          st.Records,
-		CacheHits:        st.CacheHits,
 		LBQuickPruned:    st.LBQuickPruned,
 		LBEnvelopePruned: st.LBEnvelopePruned,
 		DPEvaluated:      st.DPEvaluated,

@@ -156,7 +156,7 @@ func TestKNNQuery(t *testing.T) {
 	if q.Stats.Records == 0 {
 		t.Errorf("stats.records = 0, want > 0 (%s)", body)
 	}
-	if got := q.Stats.CacheHits + q.Stats.LBQuickPruned + q.Stats.LBEnvelopePruned +
+	if got := q.Stats.LBQuickPruned + q.Stats.LBEnvelopePruned +
 		q.Stats.DPEvaluated + q.Stats.DPAbandoned; got != q.Stats.Records {
 		t.Errorf("stats dispositions = %d, want records = %d (%s)", got, q.Stats.Records, body)
 	}
