@@ -48,10 +48,12 @@ chaos-replica:
 # (sync failures at every point over feed checkpoints), durable restart
 # mid-feed with duplicate re-sends, and the feed/subscription soak under
 # the race detector (writers, subscribers and churn against one engine,
-# with read-your-writes and sequence-monotonicity asserted throughout).
+# with read-your-writes and sequence-monotonicity asserted throughout),
+# and the dispatch differential test (subscription index, probe boxes and
+# bounded k-NN evaluation against the walk-everything reference).
 chaos-feed:
 	STRG_SOAK_MS=$(STRG_SOAK_MS) go test -race -count=1 \
-		-run 'FeedCrashMatrix|FeedDurableRestartResume|FeedSoak' \
+		-run 'FeedCrashMatrix|FeedDurableRestartResume|FeedSoak|DispatchMatchesBruteForce' \
 		./internal/feed
 
 cover:

@@ -17,10 +17,12 @@ import (
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
 	"strgindex/internal/experiments"
+	"strgindex/internal/feed"
 	"strgindex/internal/geom"
 	"strgindex/internal/graph"
 	"strgindex/internal/index"
 	"strgindex/internal/mtree"
+	"strgindex/internal/obs"
 	"strgindex/internal/query"
 	"strgindex/internal/rtree"
 	"strgindex/internal/shot"
@@ -916,4 +918,99 @@ func BenchmarkPlannerSelect(b *testing.B) {
 	fullScan := ringDB(b, true)
 	b.Run("access=rtree", func(b *testing.B) { run(b, withIndex, query.StrategyRTree) })
 	b.Run("access=scan", func(b *testing.B) { run(b, fullScan, query.StrategyScan) })
+}
+
+// BenchmarkFeedDispatch prices one commit against the feed_live
+// subscription mix of the end-to-end harness: 9 000 30×30 passes_through
+// rectangles, 1 000 pure k-NN (k = 5) and one catch-all, all registered
+// before the first frame. Each op ingests one six-frame segment carrying a
+// single walker — a 1-OG delta — and waits for the engine to quiesce, so
+// ns/op is the whole commit (video pipeline, index insert, dispatch). The
+// engine's own share is reported from its /metrics families, the same
+// numbers an operator reads: dispatch_ns/op, candidates/op (of the 10 001
+// a walk of every subscription would evaluate), dp_abandoned/op (k-NN DPs
+// the kth distance cut short, of 1 000) and reconcile_share (the periodic
+// full re-queries' part of dispatch time).
+func BenchmarkFeedDispatch(b *testing.B) {
+	cfg := core.DefaultConfig()
+	db := core.OpenShared(cfg)
+	svc, err := feed.Open(feed.Options{Dir: b.TempDir(), DB: db, STRG: &cfg.STRG})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	eng := svc.Engine()
+
+	rng := rand.New(rand.NewSource(24))
+	trajs := benchSequences(b, 21, 48).Items
+	const subs = 10000
+	for i := 0; i < subs; i++ {
+		var q *query.Query
+		if i%10 == 9 {
+			q = &query.Query{Similar: &query.SimilarClause{Trajectory: trajs[i/10], K: 5}}
+		} else {
+			x, y := float64(rng.Intn(int(synth.FieldW)-30)), float64(rng.Intn(int(synth.FieldH)-30))
+			q = &query.Query{Where: query.SpatialNode{Kind: query.SpatialPasses,
+				Rect: geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+30, y+30)}}}
+		}
+		if _, err := eng.Register(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := eng.Register(&query.Query{Where: query.LengthNode{Min: 0}}); err != nil {
+		b.Fatal(err)
+	}
+
+	// One walker per segment on a short random chord (4 px a frame: slow
+	// enough to track, fast enough not to fade into the background).
+	segs := make([]*video.Segment, 64)
+	for s := range segs {
+		c, ang := geom.Pt(30+rng.Float64()*260, 30+rng.Float64()*180), 2*math.Pi*rng.Float64()
+		dx, dy := 12*math.Cos(ang), 12*math.Sin(ang)
+		from, to := geom.Pt(c.X-dx, c.Y-dy), geom.Pt(c.X+dx, c.Y+dy)
+		segs[s], err = video.Generate(video.SceneConfig{
+			Name: fmt.Sprintf("walk-%d", s), Width: 320, Height: 240, FPS: 12, Frames: 6,
+			BackgroundRows: 3, BackgroundCols: 4, Jitter: 0.5, Seed: int64(2400 + s),
+			Objects: []video.ObjectSpec{{
+				Label: "walker", Start: 0, End: 6, Path: []geom.Point{from, to},
+				Parts: []video.PartSpec{{Size: 300, Color: graphColor(0.8, 0.3, 0.3)}},
+			}},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	commit := func(i int) {
+		seg := *segs[i%len(segs)]
+		seg.Name = fmt.Sprintf("walk-%d", i)
+		before := db.Stats().OGs
+		if _, err := db.IngestSegment("bench", &seg); err != nil {
+			b.Fatal(err)
+		}
+		if got := db.Stats().OGs - before; got != 1 {
+			b.Fatalf("segment %d committed %d OGs, want a 1-OG delta", i, got)
+		}
+		eng.Quiesce()
+	}
+	// Warm up past k, so every k-NN result set is full and bounded.
+	const warm = 16
+	for i := 0; i < warm; i++ {
+		commit(i)
+	}
+
+	counter := func(name string) int64 { return obs.Default.Counter(name, "", nil).Value() }
+	seconds := func(name string) float64 { return obs.Default.Histogram(name, "", nil, nil).Sum() }
+	cand0, aband0 := counter("strg_feed_dispatch_candidates_total"), counter("strg_feed_dispatch_dp_abandoned_total")
+	disp0, rec0 := seconds("strg_feed_dispatch_seconds"), seconds("strg_feed_reconcile_seconds")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit(warm + i)
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	disp := seconds("strg_feed_dispatch_seconds") - disp0
+	b.ReportMetric(disp*1e9/n, "dispatch_ns/op")
+	b.ReportMetric(float64(counter("strg_feed_dispatch_candidates_total")-cand0)/n, "candidates/op")
+	b.ReportMetric(float64(counter("strg_feed_dispatch_dp_abandoned_total")-aband0)/n, "dp_abandoned/op")
+	b.ReportMetric((seconds("strg_feed_reconcile_seconds")-rec0)/disp, "reconcile_share")
 }

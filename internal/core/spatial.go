@@ -38,28 +38,13 @@ func newTrajIndex() *trajIndex {
 
 // insert indexes one OG under its ingest ordinal.
 func (ti *trajIndex) insert(id int, og *strg.OG) {
-	n := og.Len()
-	if n == 0 {
+	if og.Len() == 0 {
 		return
 	}
 	if id >= ti.maxID {
 		ti.maxID = id + 1
 	}
-	if n == 1 {
-		c, f := og.Centroids[0], float64(og.Frames[0])
-		ti.tree.Insert(rtree.NewBox(
-			[3]float64{c.X, c.Y, f},
-			[3]float64{c.X, c.Y, f},
-		), int32(id))
-		return
-	}
-	for i := 1; i < n; i++ {
-		a, b := og.Centroids[i-1], og.Centroids[i]
-		ti.tree.Insert(rtree.NewBox(
-			[3]float64{a.X, a.Y, float64(og.Frames[i-1])},
-			[3]float64{b.X, b.Y, float64(og.Frames[i])},
-		), int32(id))
-	}
+	rtree.StepBoxes(og.Centroids, og.Frames, func(b rtree.Box) { ti.tree.Insert(b, int32(id)) })
 }
 
 // probeScratch is the per-probe working set candidates reuses across

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
@@ -16,7 +18,8 @@ import (
 // Engine evaluates standing queries incrementally. It attaches to the
 // database's commit-delta hook: every index version swap hands it exactly
 // the OGs that commit added, and a single dispatcher goroutine evaluates
-// each subscription against only that delta — no rescans. The hook runs
+// that delta against only the subscriptions it can match (see subIndex) —
+// no rescans, in either direction. The hook runs
 // under the database's write lock, so it only enqueues; all evaluation
 // (which takes database read locks for seeding and reconciliation)
 // happens on the dispatcher, which never holds the queue lock while
@@ -34,7 +37,7 @@ type Engine struct {
 
 	qmu     sync.Mutex
 	cond    *sync.Cond
-	queue   []any // core.CommitDelta | *regOp, in arrival order
+	queue   []any // core.CommitDelta | *regOp | unregOp, in arrival order
 	pending int   // queued plus in-flight work items
 	closed  bool
 	done    chan struct{}
@@ -42,23 +45,32 @@ type Engine struct {
 	smu    sync.Mutex
 	subs   map[string]*Subscription
 	nextID int
+
+	// index is dispatcher-owned: registrations and unregistrations reach
+	// it through the queue, in order with the deltas around them.
+	index subIndex
 }
 
 // Subscription is one registered standing query.
 type Subscription struct {
-	id      string
+	id string
+	// n is the registration counter id is printed from. Everything that
+	// orders subscriptions orders on n: the id string stops sorting
+	// numerically at sub-1000000.
+	n       int
 	q       *query.Query
 	matcher *query.Matcher
-	ring    *ring
+	ring    ring
 	closed  chan struct{}
 	once    sync.Once
 
 	// Dispatcher-owned evaluation state.
-	seeded    bool
-	watermark int // highest OGID covered by seed or reconcile
+	watermark int    // highest OGID covered by seed or reconcile
+	stamp     uint64 // subIndex.stamp of the last OG this was a candidate for
 	topk      []topEntry
-	member    map[int]bool
-	sinceRec  int
+	member    map[int]bool // k-NN only: the OGIDs in topk
+	sinceRec  int          // deltas since the last reconcile slot
+	admitted  bool         // topk changed since the last reconcile
 }
 
 // topEntry is one member of a k-NN subscription's current result set,
@@ -84,10 +96,13 @@ type regOp struct {
 	done chan error
 }
 
+type unregOp struct{ sub *Subscription }
+
 func newEngine(db *core.SharedDB, metric dist.Metric, reconcileEvery, ringSize int) *Engine {
 	e := &Engine{
 		db: db, metric: metric, reconcileEvery: reconcileEvery, ringSize: ringSize,
 		done: make(chan struct{}), subs: make(map[string]*Subscription),
+		index: newSubIndex(),
 	}
 	e.cond = sync.NewCond(&e.qmu)
 	go e.run()
@@ -102,11 +117,15 @@ func (e *Engine) enqueueDelta(d core.CommitDelta) {
 		e.qmu.Unlock()
 		return
 	}
-	e.queue = append(e.queue, d)
+	e.enqueueLocked(d)
+	e.qmu.Unlock()
+}
+
+func (e *Engine) enqueueLocked(item any) {
+	e.queue = append(e.queue, item)
 	e.pending++
 	deltaQueue.Set(int64(e.pending))
 	e.cond.Broadcast()
-	e.qmu.Unlock()
 }
 
 // Register compiles q as a standing query and returns the live
@@ -125,14 +144,10 @@ func (e *Engine) Register(q *query.Query) (*Subscription, error) {
 		c.Trajectory = append(dist.Sequence(nil), q.Similar.Trajectory...)
 		qc.Similar = &c
 	}
-	sub := &Subscription{
-		q: &qc, matcher: m, ring: newRing(e.ringSize),
-		closed: make(chan struct{}), member: make(map[int]bool),
+	sub := &Subscription{q: &qc, matcher: m, ring: newRing(e.ringSize), closed: make(chan struct{})}
+	if m.K() > 0 {
+		sub.member = make(map[int]bool)
 	}
-	e.smu.Lock()
-	e.nextID++
-	sub.id = fmt.Sprintf("sub-%06d", e.nextID)
-	e.smu.Unlock()
 
 	op := &regOp{sub: sub, done: make(chan error, 1)}
 	e.qmu.Lock()
@@ -140,15 +155,17 @@ func (e *Engine) Register(q *query.Query) (*Subscription, error) {
 		e.qmu.Unlock()
 		return nil, errors.New("feed: engine closed")
 	}
-	// In the map before the op so Unregister works immediately; the
-	// dispatcher skips unseeded subscriptions until the op runs.
+	// The counter is drawn under the queue lock so registration order is
+	// queue order, and the subscription is in the map before the op so
+	// Unregister works immediately; the dispatcher meets it only once the
+	// op has seeded and indexed it.
 	e.smu.Lock()
+	e.nextID++
+	sub.n = e.nextID
+	sub.id = fmt.Sprintf("sub-%06d", sub.n)
 	e.subs[sub.id] = sub
 	e.smu.Unlock()
-	e.queue = append(e.queue, op)
-	e.pending++
-	deltaQueue.Set(int64(e.pending))
-	e.cond.Broadcast()
+	e.enqueueLocked(op)
 	e.qmu.Unlock()
 
 	if err := <-op.done; err != nil {
@@ -172,6 +189,13 @@ func (e *Engine) Unregister(id string) bool {
 	}
 	sub.once.Do(func() { close(sub.closed) })
 	subsActive.Set(int64(e.subCount()))
+	// The dispatcher drops it from the index at this queue position; a
+	// closed engine has no dispatcher left to care.
+	e.qmu.Lock()
+	if !e.closed {
+		e.enqueueLocked(unregOp{sub})
+	}
+	e.qmu.Unlock()
 	return true
 }
 
@@ -183,7 +207,7 @@ func (e *Engine) Get(id string) (*Subscription, bool) {
 	return sub, ok
 }
 
-// Subs returns every live subscription's summary, sorted by ID.
+// Subs returns every live subscription's summary in registration order.
 func (e *Engine) Subs() []SubInfo {
 	e.smu.Lock()
 	subs := make([]*Subscription, 0, len(e.subs))
@@ -191,11 +215,11 @@ func (e *Engine) Subs() []SubInfo {
 		subs = append(subs, sub)
 	}
 	e.smu.Unlock()
+	sort.Slice(subs, func(i, j int) bool { return subs[i].n < subs[j].n })
 	infos := make([]SubInfo, len(subs))
 	for i, sub := range subs {
 		infos[i] = sub.Info()
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	return infos
 }
 
@@ -260,7 +284,13 @@ func (e *Engine) run() {
 		case core.CommitDelta:
 			e.applyDelta(v)
 		case *regOp:
-			v.done <- e.seed(v.sub)
+			err := e.seed(v.sub)
+			if err == nil {
+				e.index.add(v.sub)
+			}
+			v.done <- err
+		case unregOp:
+			e.index.remove(v.sub)
 		}
 
 		e.qmu.Lock()
@@ -292,7 +322,6 @@ func (e *Engine) seed(sub *Subscription) error {
 			sub.ring.append(matchEvent("enter", t.rec, t.dist))
 		}
 	}
-	sub.seeded = true
 	return nil
 }
 
@@ -313,71 +342,104 @@ func (e *Engine) standingQuery(sub *Subscription) ([]core.Match, error) {
 	return res.Matches, nil
 }
 
-// applyDelta evaluates one commit's OGs against every seeded
-// subscription.
+// applyDelta meets one commit's OGs with the subscriptions that can match
+// them: per OG, the candidates its step boxes find in the subscription
+// index plus the always-evaluate list. A subscription's events still
+// arrive in OG order within the delta, with any reconcile's corrections
+// after them — the order walking every subscription produced.
 func (e *Engine) applyDelta(d core.CommitDelta) {
-	e.smu.Lock()
-	subs := make([]*Subscription, 0, len(e.subs))
-	for _, sub := range e.subs {
-		subs = append(subs, sub)
+	start := time.Now()
+	var candidates, matched int64
+	for i, rec := range d.Records {
+		og, seq := d.OGs[i], d.Blocks[i]
+		// One event per OG, copied per subscription: the clip string is
+		// formatted once however many rings it lands in.
+		ev := matchEvent("match", rec, 0)
+		visit := func(sub *Subscription) {
+			if rec.OGID <= sub.watermark {
+				return // already covered by seed or reconcile
+			}
+			candidates++
+			if e.evaluate(sub, rec, ev, og, seq) {
+				matched++
+			}
+		}
+		e.index.probe(og, visit)
+		for _, sub := range e.index.always {
+			visit(sub)
+		}
 	}
-	e.smu.Unlock()
-	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
-
-	for _, sub := range subs {
-		if !sub.seeded {
+	for _, sub := range e.index.always {
+		if sub.matcher.K() == 0 {
 			continue
 		}
-		for i, rec := range d.Records {
-			if rec.OGID <= sub.watermark {
-				continue // already covered by seed or reconcile
-			}
-			e.evaluate(sub, rec, d.OGs[i], d.Blocks[i])
-		}
-		if sub.matcher.K() > 0 {
-			sub.sinceRec++
-			if sub.sinceRec >= e.reconcileEvery {
-				sub.sinceRec = 0
+		sub.sinceRec++
+		if sub.sinceRec >= e.reconcileEvery {
+			sub.sinceRec = 0
+			// A set that admitted nothing cannot disagree with a full query
+			// over an append-only corpus: every OG since was turned away as
+			// farther than its kth member, and still is.
+			if sub.admitted {
+				sub.admitted = false
 				e.reconcile(sub)
 			}
 		}
 	}
+	dispatchCandidates.Add(candidates)
+	dispatchMatched.Add(matched)
+	dispatchSeconds.Observe(time.Since(start).Seconds())
 }
 
 // evaluate applies one new OG — and its attribute sequence in columnar
-// form, which the similarity arms measure — to one subscription.
-func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, og *strg.OG, seq dist.Block) {
+// form, which the similarity arms measure — to one subscription, and
+// reports whether the where tree accepted it. ev is the OG's "match" event
+// at distance 0, to be retyped as the subscription's kind requires.
+func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, ev Event, og *strg.OG, seq dist.Block) bool {
 	if !sub.matcher.Match(og) {
-		return
+		return false
 	}
-	switch {
-	case sub.matcher.K() > 0:
+	switch k := sub.matcher.K(); {
+	case k > 0:
 		if sub.member[rec.OGID] {
-			return
+			break
 		}
-		d := sub.matcher.Distance(seq)
-		k := sub.matcher.K()
+		// Once the set is full the kth distance bounds the DP: an abandoned
+		// evaluation is strictly farther than the kth member, which lessTop
+		// would have turned away at any OGID, so nothing observable moves.
+		ub := math.Inf(1)
+		if len(sub.topk) >= k {
+			ub = sub.topk[len(sub.topk)-1].dist
+		}
+		d, abandoned := sub.matcher.DistanceUB(seq, ub)
+		if abandoned {
+			dispatchAbandoned.Inc()
+			break
+		}
 		cand := topEntry{rec.OGID, d, rec}
 		if len(sub.topk) >= k && !lessTop(cand, sub.topk[len(sub.topk)-1]) {
-			return // not close enough to enter the result set
+			break // not close enough to enter the result set
 		}
 		sub.topk = append(sub.topk, cand)
 		sortTopk(sub.topk)
 		sub.member[rec.OGID] = true
+		sub.admitted = true
 		if len(sub.topk) > k {
 			evicted := sub.topk[len(sub.topk)-1]
 			sub.topk = sub.topk[:len(sub.topk)-1]
 			delete(sub.member, evicted.ogID)
 			sub.ring.append(matchEvent("leave", evicted.rec, evicted.dist))
 		}
-		sub.ring.append(matchEvent("enter", rec, d))
+		ev.Type, ev.Distance = "enter", d
+		sub.ring.append(ev)
 	case sub.matcher.Radius() > 0:
 		if d := sub.matcher.Distance(seq); d <= sub.matcher.Radius() {
-			sub.ring.append(matchEvent("match", rec, d))
+			ev.Distance = d
+			sub.ring.append(ev)
 		}
 	default:
-		sub.ring.append(matchEvent("match", rec, 0))
+		sub.ring.append(ev)
 	}
+	return true
 }
 
 // reconcile re-runs a k-NN subscription's full query and reconciles the
@@ -390,6 +452,8 @@ func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, og *strg.OG, s
 // query already delivered: exactly-once is preserved across the re-seed.
 func (e *Engine) reconcile(sub *Subscription) {
 	reconcilesTotal.Inc()
+	start := time.Now()
+	defer func() { reconcileSeconds.Observe(time.Since(start).Seconds()) }()
 	wm := e.db.Stats().OGs - 1
 	matches, err := e.standingQuery(sub)
 	if err != nil {
@@ -459,15 +523,22 @@ func (s *Subscription) Wait() <-chan struct{} { return s.ring.wait() }
 func (s *Subscription) Done() <-chan struct{} { return s.closed }
 
 // LastSeq returns the most recent event sequence number (0 if none).
-func (s *Subscription) LastSeq() uint64 { return s.ring.lastSeq() }
+func (s *Subscription) LastSeq() uint64 {
+	last, _ := s.ring.cursor()
+	return last
+}
 
 // Dropped returns how many events were evicted before delivery.
-func (s *Subscription) Dropped() int64 { return s.ring.droppedCount() }
+func (s *Subscription) Dropped() int64 {
+	_, dropped := s.ring.cursor()
+	return dropped
+}
 
-// Info returns the subscription's public summary.
+// Info returns the subscription's public summary; LastSeq and Dropped are
+// one consistent reading of the ring.
 func (s *Subscription) Info() SubInfo {
-	info := SubInfo{ID: s.id, Kind: "predicate",
-		LastSeq: s.ring.lastSeq(), Dropped: s.ring.droppedCount()}
+	info := SubInfo{ID: s.id, Kind: "predicate"}
+	info.LastSeq, info.Dropped = s.ring.cursor()
 	switch {
 	case s.matcher.K() > 0:
 		info.Kind, info.K = "knn", s.matcher.K()

@@ -22,42 +22,68 @@ type Event struct {
 // ring is a bounded drop-oldest event buffer. Appends never block — a
 // stalled consumer loses the oldest undelivered events (counted, and
 // surfaced to it as an SSE gap event), never the feed's ingest latency.
+//
+// A ring costs what it holds: a subscription that never matched owns no
+// buffer and no channel. buf appears on the first append and doubles until
+// it reaches limit; only a ring at its limit ever evicts, so growth never
+// changes what a reader sees.
 type ring struct {
 	mu  sync.Mutex
 	buf []Event
+	// limit caps len(buf): the configured ring size.
+	limit int
 	// start indexes the oldest retained event; n counts retained.
 	start, n int
 	// next is the sequence number the next append assigns (first is 1).
 	next    uint64
 	dropped int64
-	// notify is closed and replaced on every append; readers arm it before
-	// scanning so no append can slip between scan and wait.
+	// notify, when a reader has armed it, is closed by the next append;
+	// readers arm it before scanning so no append can slip between scan
+	// and wait.
 	notify chan struct{}
 }
 
-func newRing(capacity int) *ring {
-	if capacity <= 0 {
-		capacity = 1
+func newRing(limit int) ring {
+	if limit <= 0 {
+		limit = 1
 	}
-	return &ring{buf: make([]Event, capacity), next: 1, notify: make(chan struct{})}
+	return ring{limit: limit, next: 1}
+}
+
+// ringMinBuf is the first allocation: four events, 352 bytes.
+const ringMinBuf = 4
+
+// grow doubles a full buffer that is still under the limit. Nothing has
+// been evicted yet, so the events sit at buf[0:n] and copy straight over.
+func (r *ring) grow() {
+	size := min(max(2*len(r.buf), ringMinBuf), r.limit)
+	buf := make([]Event, size)
+	copy(buf, r.buf[:r.n])
+	r.buf = buf
 }
 
 // append stamps the event's sequence number, stores it (evicting the
-// oldest if full) and wakes waiting readers.
+// oldest if the ring is at its limit) and wakes waiting readers.
 func (r *ring) append(ev Event) uint64 {
 	r.mu.Lock()
 	ev.Seq = r.next
 	r.next++
 	if r.n == len(r.buf) {
-		r.start = (r.start + 1) % len(r.buf)
-		r.n--
-		r.dropped++
-		eventsDropped.Inc()
+		if len(r.buf) < r.limit {
+			r.grow()
+		} else {
+			r.start = (r.start + 1) % len(r.buf)
+			r.n--
+			r.dropped++
+			eventsDropped.Inc()
+		}
 	}
 	r.buf[(r.start+r.n)%len(r.buf)] = ev
 	r.n++
-	close(r.notify)
-	r.notify = make(chan struct{})
+	if r.notify != nil {
+		close(r.notify)
+		r.notify = nil
+	}
 	r.mu.Unlock()
 	eventsTotal.Inc()
 	return ev.Seq
@@ -94,19 +120,16 @@ func (r *ring) eventsSince(after uint64) (evs []Event, gapped bool, missedFrom u
 func (r *ring) wait() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.notify == nil {
+		r.notify = make(chan struct{})
+	}
 	return r.notify
 }
 
-// lastSeq returns the most recently assigned sequence number (0 if none).
-func (r *ring) lastSeq() uint64 {
+// cursor returns, in one reading, the most recently assigned sequence
+// number (0 if none) and how many events the ring has evicted undelivered.
+func (r *ring) cursor() (lastSeq uint64, dropped int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next - 1
-}
-
-// droppedCount returns how many events this ring has evicted undelivered.
-func (r *ring) droppedCount() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
+	return r.next - 1, r.dropped
 }

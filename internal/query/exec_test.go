@@ -47,6 +47,9 @@ func TestExecuteRTreeMatchesScan(t *testing.T) {
 			}},
 		}},
 		NotNode{Child: SpatialNode{Kind: SpatialPasses, Rect: geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(500, 500)}}},
+		// An inverted window: During still accepts OGs spanning [to, from],
+		// so it must not be offered to the R-tree as a probe.
+		DuringNode{From: 404, To: 402},
 	}
 	for qi, where := range queries {
 		q := &Query{Where: where}

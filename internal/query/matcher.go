@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"strgindex/internal/dist"
+	"strgindex/internal/rtree"
 	"strgindex/internal/strg"
 )
 
@@ -17,7 +18,11 @@ import (
 // OG), or keeps its trajectory beside a caller-pinned metric.
 type Matcher struct {
 	pred Predicate
-	sim  *SimilarClause
+	// probe is the where tree's standing probe box; hasProbe is false when
+	// no required conjunct is indexable.
+	probe    rtree.Box
+	hasProbe bool
+	sim      *SimilarClause
 	// Exactly one of bq and metric is set when sim is: bq for the index
 	// default metric, metric when the caller pinned its own.
 	bq     *dist.BatchQuery
@@ -37,6 +42,7 @@ func NewMatcher(q *Query, metric dist.Metric) (*Matcher, error) {
 		return nil, fmt.Errorf("query: mode %q cannot stand: incremental evaluation is exact-only", ModeApprox)
 	}
 	m := &Matcher{pred: Compile(q.Where)}
+	m.probe, m.hasProbe = standingProbe(q.Where)
 	if q.Similar != nil {
 		c := *q.Similar
 		c.Trajectory = append(dist.Sequence(nil), q.Similar.Trajectory...)
@@ -54,17 +60,32 @@ func NewMatcher(q *Query, metric dist.Metric) (*Matcher, error) {
 // pure-similarity query). Safe for concurrent use.
 func (m *Matcher) Match(og *strg.OG) bool { return m.pred(og) }
 
+// ProbeBox returns an (x, y, t) box that at least one of an OG's per-step
+// boxes (rtree.StepBoxes) must intersect for Match to accept the OG — a
+// necessary condition only; Match still decides. ok is false when the where
+// tree implies none (no where tree, an Or/Not root, attribute predicates
+// only): such a query has to meet every OG.
+func (m *Matcher) ProbeBox() (box rtree.Box, ok bool) { return m.probe, m.hasProbe }
+
 // Distance returns the metric distance from the similar clause's trajectory
 // to an OG's attribute sequence in columnar form — one block serves every
 // subscription that meets the OG. Under the default metric the value is
 // dist.EGEDMZero's, bit for bit. It panics for a query with no similar
 // clause — check HasSimilar. Safe for concurrent use.
 func (m *Matcher) Distance(og dist.Block) float64 {
+	d, _ := m.DistanceUB(og, math.Inf(1))
+	return d
+}
+
+// DistanceUB is Distance with an early-abandoning threshold: when abandoned
+// is true the true distance provably exceeds ub and d is only a lower bound
+// on it; otherwise d is Distance's value, bit for bit. A caller-pinned
+// metric has no abandoning form and always runs to completion.
+func (m *Matcher) DistanceUB(og dist.Block, ub float64) (d float64, abandoned bool) {
 	if m.bq != nil {
-		d, _ := m.bq.DistanceUB(og, math.Inf(1))
-		return d
+		return m.bq.DistanceUB(og, ub)
 	}
-	return m.metric(m.sim.Trajectory, og.Sequence())
+	return m.metric(m.sim.Trajectory, og.Sequence()), false
 }
 
 // HasSimilar reports whether the query ranks by similarity at all.

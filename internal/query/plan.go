@@ -241,10 +241,16 @@ func probeBox(n Node) rtree.Box {
 	return rtree.Box{}
 }
 
+// indexable reports whether probeBox(n) is a necessary condition for n. An
+// inverted during window is not: During(from, to) with from > to still
+// accepts an OG whose span covers [to, from], while its box — inverted on
+// the t axis — intersects nothing.
 func indexable(n Node) bool {
-	switch n.(type) {
-	case SpatialNode, WithinNode, DuringNode:
+	switch v := n.(type) {
+	case SpatialNode, WithinNode:
 		return true
+	case DuringNode:
+		return v.From <= v.To
 	}
 	return false
 }
@@ -294,6 +300,28 @@ func requiredConjuncts(n Node) []Node {
 	default:
 		return []Node{n}
 	}
+}
+
+// standingProbe returns the tightest probe box among where's required,
+// indexable conjuncts — the same necessary-condition argument BuildPlan
+// rests a StrategyRTree plan on, for a caller that indexes the queries
+// instead of the corpus (a standing query met by each committed OG's step
+// boxes). With no corpus bounds to estimate selectivity against, tightest
+// means smallest volume once unbounded axes are clamped (rtree.Box.Finite):
+// a within window beats a rectangle over all time beats a frame window
+// over all space.
+func standingProbe(where Node) (box rtree.Box, ok bool) {
+	best := math.Inf(1)
+	for _, leaf := range requiredConjuncts(where) {
+		if !indexable(leaf) {
+			continue
+		}
+		b := probeBox(leaf)
+		if v := b.Finite().Volume(); v < best {
+			box, best, ok = b, v, true
+		}
+	}
+	return box, ok
 }
 
 // BuildPlan compiles a validated query against src: pick the cheapest

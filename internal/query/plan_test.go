@@ -27,17 +27,7 @@ func newFakeSource(t *testing.T, ogs []*strg.OG) *fakeSource {
 		t.Fatal(err)
 	}
 	for id, og := range ogs {
-		for i := 1; i < og.Len(); i++ {
-			a, b := og.Centroids[i-1], og.Centroids[i]
-			tree.Insert(rtree.NewBox(
-				[3]float64{a.X, a.Y, float64(og.Frames[i-1])},
-				[3]float64{b.X, b.Y, float64(og.Frames[i])},
-			), int32(id))
-		}
-		if og.Len() == 1 {
-			c, f := og.Centroids[0], float64(og.Frames[0])
-			tree.Insert(rtree.NewBox([3]float64{c.X, c.Y, f}, [3]float64{c.X, c.Y, f}), int32(id))
-		}
+		rtree.StepBoxes(og.Centroids, og.Frames, func(b rtree.Box) { tree.Insert(b, int32(id)) })
 	}
 	return &fakeSource{ogs: ogs, tree: tree}
 }

@@ -14,6 +14,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Box is an axis-aligned 3-D box over (x, y, t).
@@ -70,6 +71,25 @@ func (b Box) Contains(o Box) bool {
 	return true
 }
 
+// finiteLimit is where Finite clamps: three extents of 2·finiteLimit still
+// multiply to a finite float64, so Volume and enlargement never produce
+// Inf − Inf = NaN, which choose-subtree cannot rank.
+const finiteLimit = 1e100
+
+// Finite returns b with every coordinate clamped into ±1e100. Insert's
+// volume arithmetic needs finite boxes, so a caller indexing half-open
+// boxes (a rectangle over all time, a frame window over all space) stores
+// b.Finite() and clamps its search boxes the same way: clamping is
+// monotone, so two boxes that intersect still intersect once both are
+// clamped — the probe stays a superset. NaN coordinates pass through.
+func (b Box) Finite() Box {
+	for i := 0; i < 3; i++ {
+		b.Min[i] = math.Max(-finiteLimit, math.Min(finiteLimit, b.Min[i]))
+		b.Max[i] = math.Max(-finiteLimit, math.Min(finiteLimit, b.Max[i]))
+	}
+	return b
+}
+
 // enlargement is the volume increase of b when extended to cover o.
 func (b Box) enlargement(o Box) float64 {
 	return b.Union(o).Volume() - b.Volume()
@@ -121,14 +141,78 @@ func New[P any](maxEntries int) (*Tree[P], error) {
 // Len returns the number of indexed boxes.
 func (t *Tree[P]) Len() int { return t.size }
 
-// Insert adds one box.
+// Insert adds one box. Coordinates must be finite (see Box.Finite).
 func (t *Tree[P]) Insert(b Box, payload P) {
-	e := &entry[P]{box: b, payload: payload}
-	split := t.insert(t.root, e)
-	if split != nil {
+	t.insertEntry(&entry[P]{box: b, payload: payload})
+	t.size++
+}
+
+func (t *Tree[P]) insertEntry(e *entry[P]) {
+	if split := t.insert(t.root, e); split != nil {
 		t.root = &node[P]{leaf: false, entries: []*entry[P]{split[0], split[1]}}
 	}
-	t.size++
+}
+
+// Delete removes one indexed box equal to b whose payload satisfies match
+// and reports whether it found one. It is Guttman's Delete with the
+// simple CondenseTree: a node left under the minimum fill is dissolved and
+// the leaf entries beneath it are re-inserted from the root, so every
+// surviving node keeps its fill and every leaf its depth.
+func (t *Tree[P]) Delete(b Box, match func(P) bool) bool {
+	var orphans []*entry[P]
+	if !t.remove(t.root, b, match, &orphans) {
+		return false
+	}
+	t.size--
+	for !t.root.leaf && len(t.root.entries) == 1 {
+		t.root = t.root.entries[0].child
+	}
+	if len(t.root.entries) == 0 {
+		t.root = &node[P]{leaf: true}
+	}
+	for _, e := range orphans {
+		t.insertEntry(e)
+	}
+	return true
+}
+
+// remove deletes the matching leaf entry under n, tightening the routing
+// boxes on the way back up and dissolving any child left under-full.
+func (t *Tree[P]) remove(n *node[P], b Box, match func(P) bool, orphans *[]*entry[P]) bool {
+	if n.leaf {
+		for i, e := range n.entries {
+			if e.box == b && match(e.payload) {
+				// slices.Delete zeroes the vacated slot: the leaf must not
+				// keep the removed payload reachable.
+				n.entries = slices.Delete(n.entries, i, i+1)
+				return true
+			}
+		}
+		return false
+	}
+	for i, r := range n.entries {
+		if !r.box.Contains(b) || !t.remove(r.child, b, match, orphans) {
+			continue
+		}
+		if len(r.child.entries) < t.minEntries {
+			n.entries = slices.Delete(n.entries, i, i+1)
+			*orphans = collectLeaves(r.child, *orphans)
+		} else {
+			r.box = r.child.boundingBox()
+		}
+		return true
+	}
+	return false
+}
+
+func collectLeaves[P any](n *node[P], out []*entry[P]) []*entry[P] {
+	if n.leaf {
+		return append(out, n.entries...)
+	}
+	for _, r := range n.entries {
+		out = collectLeaves(r.child, out)
+	}
+	return out
 }
 
 func (t *Tree[P]) insert(n *node[P], e *entry[P]) []*entry[P] {
@@ -286,25 +370,49 @@ func (t *Tree[P]) Height() int {
 	return h
 }
 
-// CheckInvariants verifies that every routing box covers its subtree.
+// CheckInvariants verifies the structure Insert and Delete maintain: every
+// routing box covers its subtree, every node but the root holds between
+// the minimum and maximum fill, every leaf sits at the same depth, and
+// Len counts exactly the leaf entries.
 func (t *Tree[P]) CheckInvariants() error {
-	return t.check(t.root)
-}
-
-func (t *Tree[P]) check(n *node[P]) error {
-	if n.leaf {
-		return nil
+	leaves, err := t.check(t.root, t.Height())
+	if err != nil {
+		return err
 	}
-	for _, r := range n.entries {
-		if len(r.child.entries) == 0 {
-			return fmt.Errorf("rtree: empty child node")
-		}
-		if !r.box.Contains(r.child.boundingBox()) {
-			return fmt.Errorf("rtree: routing box does not cover child")
-		}
-		if err := t.check(r.child); err != nil {
-			return err
-		}
+	if leaves != t.size {
+		return fmt.Errorf("rtree: %d leaf entries, Len says %d", leaves, t.size)
 	}
 	return nil
+}
+
+// check validates the subtree under n, which must reach its leaves in
+// exactly height levels, and returns its leaf-entry count.
+func (t *Tree[P]) check(n *node[P], height int) (int, error) {
+	if len(n.entries) > t.maxEntries {
+		return 0, fmt.Errorf("rtree: node holds %d entries, max %d", len(n.entries), t.maxEntries)
+	}
+	if n.leaf {
+		if height != 1 {
+			return 0, fmt.Errorf("rtree: leaf %d levels above the leaf level", height-1)
+		}
+		return len(n.entries), nil
+	}
+	if height == 1 {
+		return 0, fmt.Errorf("rtree: routing node at the leaf level")
+	}
+	leaves := 0
+	for _, r := range n.entries {
+		if len(r.child.entries) < t.minEntries {
+			return 0, fmt.Errorf("rtree: child holds %d entries, min %d", len(r.child.entries), t.minEntries)
+		}
+		if !r.box.Contains(r.child.boundingBox()) {
+			return 0, fmt.Errorf("rtree: routing box does not cover child")
+		}
+		sub, err := t.check(r.child, height-1)
+		if err != nil {
+			return 0, err
+		}
+		leaves += sub
+	}
+	return leaves, nil
 }

@@ -51,6 +51,29 @@ func (ti *TrajectoryIndex[P]) Insert(seq dist.Sequence, startFrame int, payload 
 	}
 }
 
+// StepBoxes calls fn with each per-step (x, y, t) box of a centroid path
+// sampled at the given frames, in sample order: one box per pair of
+// consecutive samples, or a single point box for a one-sample path. It is
+// the one decomposition both directions of the probe argument share — the
+// database's trajectory index stores these boxes and probes them with a
+// query's box; the standing-query engine stores the queries' boxes and
+// probes them with these. Consecutive boxes share a sample, so their union
+// is connected and covers every sample and the whole frame span.
+func StepBoxes(path []geom.Point, frames []int, fn func(Box)) {
+	if len(path) == 1 {
+		c, f := path[0], float64(frames[0])
+		fn(Box{Min: [3]float64{c.X, c.Y, f}, Max: [3]float64{c.X, c.Y, f}})
+		return
+	}
+	for i := 1; i < len(path); i++ {
+		a, b := path[i-1], path[i]
+		fn(NewBox(
+			[3]float64{a.X, a.Y, float64(frames[i-1])},
+			[3]float64{b.X, b.Y, float64(frames[i])},
+		))
+	}
+}
+
 // Window returns the payloads of trajectories intersecting the spatial
 // rectangle during [t0, t1] — the query type the 3DR-tree excels at.
 func (ti *TrajectoryIndex[P]) Window(area geom.Rect, t0, t1 float64) []P {

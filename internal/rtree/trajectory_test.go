@@ -157,3 +157,39 @@ func TestWindowMatchesBruteForceProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestStepBoxes(t *testing.T) {
+	collect := func(path []geom.Point, frames []int) []Box {
+		var out []Box
+		StepBoxes(path, frames, func(b Box) { out = append(out, b) })
+		return out
+	}
+	if got := collect(nil, nil); got != nil {
+		t.Errorf("empty path produced %v", got)
+	}
+	one := collect([]geom.Point{geom.Pt(3, 4)}, []int{7})
+	if len(one) != 1 || one[0].Min != [3]float64{3, 4, 7} || one[0].Max != one[0].Min {
+		t.Errorf("one-sample path = %+v, want a single point box", one)
+	}
+	// Frames that repeat and run backwards still give normalized boxes, each
+	// sharing a corner with the next, so the union covers every sample.
+	path := []geom.Point{geom.Pt(0, 0), geom.Pt(10, -5), geom.Pt(4, 8), geom.Pt(4, 8)}
+	frames := []int{5, 9, 2, 2}
+	boxes := collect(path, frames)
+	if len(boxes) != len(path)-1 {
+		t.Fatalf("%d boxes for %d samples", len(boxes), len(path))
+	}
+	for i, b := range boxes {
+		for d := 0; d < 3; d++ {
+			if b.Min[d] > b.Max[d] {
+				t.Errorf("box %d not normalized: %+v", i, b)
+			}
+		}
+		for _, j := range []int{i, i + 1} {
+			p := [3]float64{path[j].X, path[j].Y, float64(frames[j])}
+			if !b.Intersects(Box{Min: p, Max: p}) {
+				t.Errorf("box %d misses sample %d", i, j)
+			}
+		}
+	}
+}
