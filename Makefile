@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test test-race vet chaos chaos-replica chaos-feed bench bench-module bench-json bench-cascade bench-approx bench-approx-smoke cover cover-check fuzz-smoke golden golden-update soak experiments experiments-full examples clean
+.PHONY: build test test-race vet chaos bench bench-module bench-json bench-cascade bench-approx bench-approx-smoke cover cover-check fuzz-smoke golden golden-update soak experiments experiments-full examples clean
 
 build:
 	go build ./...
@@ -21,37 +21,32 @@ test: vet
 	go test ./...
 	go test -race ./internal/dist ./internal/index ./internal/server ./internal/replica ./internal/feed
 	$(MAKE) chaos
-	$(MAKE) chaos-replica
-	$(MAKE) chaos-feed
 	$(MAKE) cover-check
 
 test-race:
 	go test -race ./...
 
-# Crash-recovery fault-injection matrix: every WAL prefix (including
-# mid-record tears), torn snapshots, rotation crash states, and bit flips
-# in both containers, under the internal/faultfs injection filesystem.
+# The fault-injection matrices, all under the race detector.
+# Crash recovery: every WAL prefix (including mid-record tears), torn
+# snapshots, rotation crash states, and bit flips in both containers,
+# under the internal/faultfs injection filesystem.
+# Replication: every replica-side apply prefix under a dying disk,
+# tampered and torn wire batches, a primary killed and restarted
+# mid-stream, a resume position rotated off the retained WAL, and planted
+# matched-position divergence caught by anti-entropy.
+# Live feeds: the journal crash matrix (sync failures at every point over
+# feed checkpoints), durable restart mid-feed with duplicate re-sends, the
+# feed/subscription soak (writers, subscribers and churn against one
+# engine, with read-your-writes and sequence-monotonicity asserted
+# throughout; STRG_SOAK_MS stretches it), and the dispatch differential
+# test (subscription index, probe boxes and bounded k-NN evaluation against
+# the walk-everything reference).
 chaos:
 	go test -race -count=1 -run 'Crash|EveryPrefix|Durable|BitFlip|Torn|Atomic' \
 		./internal/wal ./internal/faultfs ./internal/core
-
-# Replication fault-injection matrix: every replica-side apply prefix
-# under a dying disk, tampered and torn wire batches, a primary killed
-# and restarted mid-stream, a resume position rotated off the retained
-# WAL, and planted matched-position divergence caught by anti-entropy.
-chaos-replica:
 	go test -race -count=1 \
 		-run 'ReplicaCrash|ReplicaCorrupt|ReplicaTorn|ReplicaResume|ReplicaWALGone|ReplicaAntiEntropy' \
 		./internal/replica
-
-# Live-feed fault matrix and concurrency storm: the journal crash matrix
-# (sync failures at every point over feed checkpoints), durable restart
-# mid-feed with duplicate re-sends, and the feed/subscription soak under
-# the race detector (writers, subscribers and churn against one engine,
-# with read-your-writes and sequence-monotonicity asserted throughout),
-# and the dispatch differential test (subscription index, probe boxes and
-# bounded k-NN evaluation against the walk-everything reference).
-chaos-feed:
 	STRG_SOAK_MS=$(STRG_SOAK_MS) go test -race -count=1 \
 		-run 'FeedCrashMatrix|FeedDurableRestartResume|FeedSoak|DispatchMatchesBruteForce' \
 		./internal/feed
@@ -124,15 +119,14 @@ bench-module:
 
 # Worker-sweep benchmarks of the parallel distance engine plus the
 # columnar kernel benchmarks and the planner micro-benchmark, as JSON,
-# then the perf-floor check: batched leaf DP >= 2.5x per-pair everywhere,
-# the planner's rtree-assisted select >= 2x the full scan on the ring
-# workload in <= 12 allocs/op, and PairwiseMatrix workers=4 >= 2x
-# workers=1 on hosts with >= 4 CPUs (a no-regression bound elsewhere).
+# then the perf-floor check: batched leaf DP >= 2.5x per-pair everywhere
+# and the planner's rtree-assisted select >= 2x the full scan on the ring
+# workload in <= 12 allocs/op.
 # The columnar repeat count is high because the check keeps the fastest
 # run per name — on a noisy single-core host the min needs several
 # samples to converge.
 bench-json:
-	go test -run='^$$' -bench='PairwiseMatrix|STRGBuildParallel|Figure6ClusterBuildParallel|Figure7KNNParallel' -benchmem . \
+	go test -run='^$$' -bench='STRGBuildParallel|Figure6ClusterBuildParallel|Figure7KNNParallel' -benchmem . \
 		| go run ./cmd/benchjson > BENCH_parallel.json
 	go test -run='^$$' -bench='BatchedLeafDP|ColumnarKNNExact|RankStage|ApproxRerank' -benchmem -count=8 . \
 		| go run ./cmd/benchjson > BENCH_columnar.json

@@ -104,29 +104,18 @@ func BenchmarkLCS(b *testing.B) {
 }
 
 // workerSweep is the worker-count axis of the parallel benchmarks: 1
-// (the paper's sequential baseline), 2, 4 and one-per-CPU.
+// (the paper's sequential baseline), then 2, 4 and one-per-CPU as far as
+// the host has CPUs — a count beyond NumCPU would report scaling the host
+// cannot support.
 func workerSweep() []int {
-	sweep := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		sweep = append(sweep, n)
+	n := runtime.NumCPU()
+	sweep := []int{1}
+	for _, w := range []int{2, 4, n} {
+		if w <= n && w > sweep[len(sweep)-1] {
+			sweep = append(sweep, w)
+		}
 	}
 	return sweep
-}
-
-// BenchmarkPairwiseMatrix measures the tentpole primitive: the full
-// pairwise EGED matrix (upper triangle only) that dominates EM clustering
-// and index construction, across worker counts.
-func BenchmarkPairwiseMatrix(b *testing.B) {
-	ds := benchSequences(b, 2, 48)
-	for _, workers := range workerSweep() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dist.PairwiseMatrix(ds.Items, dist.EGED, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Micro-benchmarks: pipeline stages --------------------------------
@@ -414,7 +403,7 @@ func BenchmarkCascadeKNNExact(b *testing.B) {
 			n := float64(b.N)
 			b.ReportMetric(float64(dist.DPCells()-cells)/n, "dp_cells/op")
 			b.ReportMetric(float64(agg.Records)/n, "records/op")
-			b.ReportMetric(float64(agg.LBPruned())/n, "lb_pruned/op")
+			b.ReportMetric(float64(agg.LBQuickPruned+agg.LBEnvelopePruned)/n, "lb_pruned/op")
 			b.ReportMetric(float64(agg.DPAbandoned)/n, "dp_abandoned/op")
 			b.ReportMetric(float64(agg.DPEvaluated)/n, "dp_evaluated/op")
 		})
@@ -434,7 +423,10 @@ func BenchmarkBatchedLeafDP(b *testing.B) {
 	ds := benchSequences(b, 8, 12)
 	query := ds.Items[0]
 	cands := ds.Items[1:]
-	blocks := dist.FromSequences(cands)
+	blocks := make([]dist.Block, len(cands))
+	for i, c := range cands {
+		blocks[i] = dist.FromSequence(c)
+	}
 	qb := dist.FromSequence(query)
 	// A finite shared threshold so both kernels exercise the abandon path
 	// the way a leaf scan does.
@@ -702,8 +694,7 @@ func BenchmarkAblationGapModels(b *testing.B) {
 // BenchmarkAblation3DRTree quantifies the paper's Section 1 critique of
 // the 3DR-tree: for motion-similarity queries it must generate and verify
 // candidates, spending far more metric evaluations than the STRG-Index's
-// clustered descent — while remaining excellent at the window queries it
-// was built for.
+// clustered descent.
 func BenchmarkAblation3DRTree(b *testing.B) {
 	ds := benchSequences(b, 20, 12)
 	items := make([]index.Item[int], len(ds.Items))
@@ -730,12 +721,6 @@ func BenchmarkAblation3DRTree(b *testing.B) {
 	b.Run("similar-3dr-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ti.SimilarK(q, 0, 10, 60, dist.EGEDMZero)
-		}
-	})
-	b.Run("window-3dr-tree", func(b *testing.B) {
-		area := geom.Rect{Min: geom.Pt(100, 0), Max: geom.Pt(200, 240)}
-		for i := 0; i < b.N; i++ {
-			ti.Window(area, 0, 8)
 		}
 	})
 }

@@ -3,7 +3,7 @@
 // a timing means nothing without them) and "points", one object per
 // benchmark line:
 //
-//	go test -bench=PairwiseMatrix -benchmem . | benchjson > bench.json
+//	go test -bench=BatchedLeafDP -benchmem . | benchjson > bench.json
 //
 // Each point carries the benchmark name (with any /workers=N suffix split
 // out), iteration count, ns/op and — when -benchmem was set — B/op and
@@ -119,12 +119,6 @@ func main() {
 // files a target regenerated — but at least one group must match, so a
 // typo'd file set fails instead of passing vacuously:
 //
-//   - BenchmarkPairwiseMatrix: workers=4 must run >= 2x faster than
-//     workers=1. Scaling floors are only meaningful with cores to scale
-//     onto, so on hosts with fewer than 4 CPUs the floor relaxes to a
-//     no-regression bound (workers=4 no more than 25% slower than
-//     workers=1 — oversubscription must stay near-free) and a note says
-//     so.
 //   - BenchmarkBatchedLeafDP: the batched columnar kernel must be >= 2.5x
 //     faster than the per-pair kernel (its dimension-2 body sustains ~4x;
 //     the generic loop alone managed 1.65x). This is a per-core property
@@ -183,29 +177,6 @@ func checkFiles(paths []string) error {
 		return s.NsPerOp / f.NsPerOp, nil
 	}
 	groups := 0
-
-	if has("BenchmarkPairwiseMatrix/workers=1", "BenchmarkPairwiseMatrix/workers=4") {
-		groups++
-		r, err := ratio("BenchmarkPairwiseMatrix/workers=1", "BenchmarkPairwiseMatrix/workers=4")
-		if err != nil {
-			return err
-		}
-		if runtime.NumCPU() >= 4 {
-			if r < 2.0 {
-				return fmt.Errorf("PairwiseMatrix workers=4 is only %.2fx workers=1 (floor 2.0x on a %d-CPU host)",
-					r, runtime.NumCPU())
-			}
-			fmt.Printf("ok   PairwiseMatrix workers=4 speedup %.2fx (floor 2.0x)\n", r)
-		} else {
-			// 1/r is the slowdown of workers=4 relative to workers=1.
-			if r < 1/1.25 {
-				return fmt.Errorf("PairwiseMatrix workers=4 is %.2fx slower than workers=1 on a %d-CPU host (no-regression bound 1.25x)",
-					1/r, runtime.NumCPU())
-			}
-			fmt.Printf("note PairwiseMatrix scaling floor skipped: host has %d CPU(s); no-regression bound held (%.2fx)\n",
-				runtime.NumCPU(), r)
-		}
-	}
 
 	if has("BenchmarkBatchedLeafDP/kernel=perpair", "BenchmarkBatchedLeafDP/kernel=batched") {
 		groups++

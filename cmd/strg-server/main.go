@@ -81,7 +81,6 @@ func run() int {
 	dbPath := flag.String("db", "", "optional database file written by strg-ingest to preload (in-memory mode)")
 	workers := flag.Int("workers", 0, "worker budget for ingest and search (0 = one per CPU, 1 = sequential); responses are identical at every setting")
 	shards := flag.Int("shards", 4, "copy-on-write index shard count (1-256); queries never block on ingest, and responses are identical at every setting")
-	asyncSplit := flag.Bool("async-split", true, "evaluate BIC cluster splits on background goroutines instead of the ingest path")
 	approx := flag.Bool("approx", false, "build the approximate similarity tier (IVF over deterministic OG embeddings); queries opt in per-request with \"mode\": \"approx\" — default paths are untouched")
 	nlists := flag.Int("nlists", 0, "IVF inverted-list count for -approx (0 = built-in default)")
 	nprobe := flag.Int("nprobe", 0, "default probe count for approximate queries that do not set one (0 = ceil(sqrt(nlists)))")
@@ -120,7 +119,9 @@ func run() int {
 	cfg := core.DefaultConfig()
 	cfg.Concurrency = *workers
 	cfg.Index.Shards = *shards
-	cfg.Index.AsyncSplit = *asyncSplit
+	// Section 5.3 split evaluations run on background goroutines: ingest
+	// latency never pays for the EM fits.
+	cfg.Index.AsyncSplit = true
 	cfg.Approx = core.ApproxConfig{Enabled: *approx, NLists: *nlists, NProbe: *nprobe}
 	opts := server.Options{
 		Logger:         logger,

@@ -712,37 +712,3 @@ func weightedMedianLength(items []dist.Sequence, weights []float64, total float6
 	}
 	return 1
 }
-
-// Score returns an anomaly score for an arbitrary sequence against the
-// fitted model: the distance to the nearest centroid divided by that
-// component's σ. Scores near or below 1 are ordinary members; scores far
-// above 1 are motions unlike anything clustered — the surveillance
-// "unusual trajectory" signal.
-func (r *Result) Score(item dist.Sequence, metric dist.Metric) float64 {
-	if metric == nil {
-		metric = dist.EGED
-	}
-	best := math.Inf(1)
-	for c, cent := range r.Centroids {
-		d := metric(item, cent)
-		sigma := sigmaFloor
-		if c < len(r.Sigmas) && r.Sigmas[c] > sigma {
-			sigma = r.Sigmas[c]
-		}
-		if v := d / sigma; v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// Outliers returns the indices of items whose Score exceeds threshold.
-func (r *Result) Outliers(items []dist.Sequence, metric dist.Metric, threshold float64) []int {
-	var out []int
-	for i, it := range items {
-		if r.Score(it, metric) > threshold {
-			out = append(out, i)
-		}
-	}
-	return out
-}

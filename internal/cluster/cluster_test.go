@@ -368,30 +368,3 @@ func TestLogSumExp(t *testing.T) {
 		t.Errorf("logSumExp underflow produced %v", v)
 	}
 }
-
-func TestScoreAndOutliers(t *testing.T) {
-	items, _ := threeBlobsLen(60, 1, 71, false)
-	res, err := EM(items, Config{K: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Members score low.
-	var maxMember float64
-	for _, it := range items {
-		if s := res.Score(it, nil); s > maxMember {
-			maxMember = s
-		}
-	}
-	// A wild trajectory scores far above any member.
-	wild := dist.Sequence{{500}, {-300}, {900}, {-100}, {700}}
-	if s := res.Score(wild, nil); s < 3*maxMember {
-		t.Errorf("wild score %v not well above member max %v", s, maxMember)
-	}
-	// Outliers finds exactly the planted anomaly.
-	all := append(append([]dist.Sequence{}, items...), wild)
-	threshold := maxMember * 2
-	got := res.Outliers(all, nil, threshold)
-	if len(got) != 1 || got[0] != len(all)-1 {
-		t.Errorf("Outliers = %v, want [%d]", got, len(all)-1)
-	}
-}

@@ -78,8 +78,8 @@ type Stats struct {
 	Clusters int
 	// Shards is the number of copy-on-write index partitions. Snapshot
 	// versions are runtime state, not content — read them via
-	// IndexVersions or the shard metrics, not here, so that two databases
-	// with identical contents report identical Stats.
+	// IndexSharded().Versions() or the shard metrics, not here, so that
+	// two databases with identical contents report identical Stats.
 	Shards int
 	// STRGBytes is Equation 9 aggregated over segments: the decomposed
 	// STRG with the background repeated per frame.
@@ -427,16 +427,9 @@ func (db *VideoDB) Index() *index.Tree[ClipRecord] { return db.tree.View() }
 // tooling that needs shard versions or quiescing.
 func (db *VideoDB) IndexSharded() *index.Sharded[ClipRecord] { return db.tree }
 
-// IndexVersions returns each index shard's published snapshot version.
-func (db *VideoDB) IndexVersions() []uint64 { return db.tree.Versions() }
-
 // QuiesceIndex waits for any in-flight asynchronous split evaluations
 // (a no-op unless Config.Index.AsyncSplit is set).
 func (db *VideoDB) QuiesceIndex() { db.tree.Quiesce() }
-
-// OGs exposes the retained Object Graphs (aligned with Records order) for
-// analysis tooling. Callers must not mutate them.
-func (db *VideoDB) OGs() []*strg.OG { return db.ogs }
 
 func toMatches(rs []index.Result[ClipRecord]) []Match {
 	out := make([]Match, len(rs))

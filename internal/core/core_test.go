@@ -186,9 +186,6 @@ func TestStatsOnEmptyDatabase(t *testing.T) {
 	if got := knn(t, db, dist.Sequence{{1, 1}}, 3); len(got) != 0 {
 		t.Errorf("query on empty db = %v", got)
 	}
-	if got := db.OGs(); len(got) != 0 {
-		t.Errorf("OGs on empty db = %d", len(got))
-	}
 }
 
 // TestDistCacheSizeIgnored documents the contract of the deprecated

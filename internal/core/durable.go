@@ -193,7 +193,7 @@ func OpenDurable(cfg Config, d Durability) (*SharedDB, RecoveryStats, error) {
 
 // OpenReplica opens a crash-safe database in replica mode: the same
 // recovery path as OpenDurable, but the external ingest surface is
-// sealed (IngestSegment/IngestStream/IngestVideo return ErrReplica) and
+// sealed (IngestSegment returns ErrReplica) and
 // mutations arrive only through ApplyReplicated, which stamps each local
 // WAL record with the primary position it came from. ReplicaPos reports
 // the crash-safe resume point recovered from the snapshot and log chain.
@@ -504,16 +504,6 @@ func (s *SharedDB) waitSnapshot() {
 			return
 		}
 	}
-}
-
-// SnapshotErr returns (and clears) the most recent background snapshot
-// failure, nil if none. Monitoring should alarm on it: while snapshots
-// fail the log chain only grows.
-func (s *SharedDB) SnapshotErr() error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.takeSnapErr()
 }
 
 // WALSize returns the committed size of the current write-ahead log, or 0

@@ -160,13 +160,13 @@ func TestDurableAutomaticRotation(t *testing.T) {
 		}
 	}
 	want := querySig(t, s)
-	if err := s.SnapshotErr(); err != nil {
-		t.Fatalf("background snapshot failed: %v", err)
-	}
-	// Close waits out the background snapshot, so the reopen below sees
-	// its effect deterministically.
+	// Close waits out the background snapshot, so its outcome and the
+	// reopen below are deterministic.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.dur.takeSnapErr(); err != nil {
+		t.Fatalf("background snapshot failed: %v", err)
 	}
 	s2, rec, err := OpenDurable(DefaultConfig(), d)
 	if err != nil {
@@ -181,34 +181,6 @@ func TestDurableAutomaticRotation(t *testing.T) {
 	}
 	if got := querySig(t, s2); got != want {
 		t.Error("k-NN results differ after automatic-rotation recovery")
-	}
-}
-
-func TestDurableIngestStreamAndVideo(t *testing.T) {
-	dir := t.TempDir()
-	stream := miniStream(t, 8, 37)
-	s, _, err := OpenDurable(DefaultConfig(), noRotate(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.IngestStream(stream); err != nil {
-		t.Fatal(err)
-	}
-	want := querySig(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, rec, err := OpenDurable(DefaultConfig(), noRotate(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if rec.ReplayedRecords != len(stream.Segments) {
-		t.Errorf("stream ingest logged %d ops, want one per segment (%d)",
-			rec.ReplayedRecords, len(stream.Segments))
-	}
-	if got := querySig(t, s2); got != want {
-		t.Error("k-NN results differ after stream-ingest recovery")
 	}
 }
 

@@ -270,9 +270,6 @@ func (s *SharedDB) AppliedSegments() int {
 	return s.db.segments
 }
 
-// IsReplica reports whether the database was opened with OpenReplica.
-func (s *SharedDB) IsReplica() bool { return s.replica }
-
 // ApplyReplicated applies one fetched WAL record on a replica: the
 // payload is decoded, write-ahead logged locally with its source
 // position src (the primary position after the record's frame), and

@@ -17,8 +17,8 @@ func TestSelectByMotionPredicates(t *testing.T) {
 	if err := db.IngestStream(stream); err != nil {
 		t.Fatal(err)
 	}
-	if len(db.OGs()) != db.Stats().OGs {
-		t.Fatalf("retained %d OGs, stats say %d", len(db.OGs()), db.Stats().OGs)
+	if len(db.ogs) != db.Stats().OGs {
+		t.Fatalf("retained %d OGs, stats say %d", len(db.ogs), db.Stats().OGs)
 	}
 
 	all := selectWhere(t, db, query.AndNode{})

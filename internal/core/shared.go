@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"strgindex/internal/query"
-	"strgindex/internal/shot"
 	"strgindex/internal/video"
 )
 
@@ -56,31 +55,6 @@ func (s *SharedDB) IngestSegment(stream string, seg *video.Segment) (*IngestStat
 	return st, err
 }
 
-// IngestStream ingests a whole stream under the write lock.
-func (s *SharedDB) IngestStream(stream *video.Stream) error {
-	if s.replica {
-		return ErrReplica
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.db.IngestStream(stream)
-	s.afterIngestLocked(err)
-	return err
-}
-
-// IngestVideo shot-parses and ingests a long recording under the write
-// lock.
-func (s *SharedDB) IngestVideo(stream string, seg *video.Segment, shotCfg shot.Config) (int, error) {
-	if s.replica {
-		return 0, ErrReplica
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, err := s.db.IngestVideo(stream, seg, shotCfg)
-	s.afterIngestLocked(err)
-	return n, err
-}
-
 // QueryComposedCtx is VideoDB.QueryComposedCtx for concurrent callers, and
 // the one place the query lock rule lives: a query goes lock-free only
 // when its plan reads nothing but the sharded index (StrategyIndex) — the
@@ -123,10 +97,6 @@ func (s *SharedDB) Save(w io.Writer) error {
 	defer s.mu.Unlock()
 	return s.db.Save(w)
 }
-
-// IndexVersions returns each index shard's published snapshot version
-// (lock-free; see VideoDB.IndexVersions).
-func (s *SharedDB) IndexVersions() []uint64 { return s.db.IndexVersions() }
 
 // QuiesceIndex waits out in-flight asynchronous split evaluations.
 func (s *SharedDB) QuiesceIndex() { s.db.QuiesceIndex() }

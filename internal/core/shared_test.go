@@ -11,6 +11,17 @@ import (
 	"strgindex/internal/video"
 )
 
+// ingestShared commits a stream segment by segment through the SharedDB's
+// one write entry.
+func ingestShared(s *SharedDB, st *video.Stream) error {
+	for _, seg := range st.Segments {
+		if _, err := s.IngestSegment(st.Profile.Name, seg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestSharedDBConcurrentQueriesDuringIngest(t *testing.T) {
 	s := OpenShared(DefaultConfig())
 	streams := make([]*video.Stream, 3)
@@ -26,7 +37,7 @@ func TestSharedDBConcurrentQueriesDuringIngest(t *testing.T) {
 		streams[i] = st
 	}
 	// Seed with one stream so queries have something to chew on.
-	if err := s.IngestStream(streams[0]); err != nil {
+	if err := ingestShared(s, streams[0]); err != nil {
 		t.Fatal(err)
 	}
 	q := dist.Sequence{{20, 72}, {160, 72}, {300, 72}}
@@ -55,7 +66,7 @@ func TestSharedDBConcurrentQueriesDuringIngest(t *testing.T) {
 		wg.Add(1)
 		go func(st *video.Stream) {
 			defer wg.Done()
-			if err := s.IngestStream(st); err != nil {
+			if err := ingestShared(s, st); err != nil {
 				t.Error(err)
 			}
 		}(st)

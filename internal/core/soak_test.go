@@ -164,7 +164,7 @@ func TestSharedDBSoak(t *testing.T) {
 				return
 			default:
 			}
-			vs := db.IndexVersions()
+			vs := db.db.tree.Versions()
 			for i, v := range vs {
 				if v < last[i] {
 					t.Errorf("shard %d version went backwards: %d -> %d", i, last[i], v)

@@ -171,9 +171,6 @@ func (db *VideoDB) defaultNProbe() int {
 	return int(math.Ceil(math.Sqrt(float64(db.vec.ivf.NLists()))))
 }
 
-// ApproxEnabled reports whether the approximate tier is available.
-func (db *VideoDB) ApproxEnabled() bool { return db.vec != nil }
-
 // ApproxLists returns the tier's inverted-list count and default probe
 // count (0, 0 when the tier is disabled). The planner's cost model reads
 // these through the query.ApproxSource interface.

@@ -277,17 +277,3 @@ type BatchCascade interface {
 func (c egedmCascade) BatchQuery(a Sequence) *BatchQuery {
 	return NewBatchQuery(FromSequence(a), c.g)
 }
-
-// BatchEGEDUB streams every candidate through one arena with a shared
-// threshold — the convenience form for benchmarks and bulk rerank. It
-// returns the per-candidate distances and abandon flags; entry i is
-// exactly EGEDWithUB(q.Sequence(), cands[i].Sequence(), GapConstant, g, ub).
-func BatchEGEDUB(q Block, g Vec, cands []Block, ub float64) (ds []float64, abandoned []bool) {
-	ds = make([]float64, len(cands))
-	abandoned = make([]bool, len(cands))
-	b := NewBatchQuery(q, g).NewBatch()
-	for i, c := range cands {
-		ds[i], abandoned[i] = b.DistanceUB(c, ub)
-	}
-	return ds, abandoned
-}

@@ -86,40 +86,3 @@ func (b Block) Sequence() Sequence {
 	}
 	return s
 }
-
-// FromSequences flattens each sequence into a sub-block of one shared
-// backing buffer — the per-leaf arena built at ingest and snapshot load.
-func FromSequences(seqs []Sequence) []Block {
-	total := 0
-	for _, s := range seqs {
-		total += len(s) * s.Dim()
-	}
-	buf := make([]float64, 0, total)
-	out := make([]Block, len(seqs))
-	for i, s := range seqs {
-		if len(s) == 0 {
-			continue
-		}
-		dim := len(s[0])
-		start := len(buf)
-		for j, v := range s {
-			if len(v) != dim {
-				panic(fmt.Sprintf("dist: ragged sequence: sample %d has dim %d, want %d", j, len(v), dim))
-			}
-			buf = append(buf, v...)
-		}
-		out[i] = Block{data: buf[start:len(buf):len(buf)], n: len(s), dim: dim}
-	}
-	return out
-}
-
-// ToSequences is the inverse of FromSequences: each block expands to a
-// view Sequence (see Block.Sequence). Round-tripping preserves every
-// float64 bit and the empty/non-empty structure.
-func ToSequences(blocks []Block) []Sequence {
-	out := make([]Sequence, len(blocks))
-	for i, b := range blocks {
-		out[i] = b.Sequence()
-	}
-	return out
-}

@@ -68,32 +68,19 @@ func sameBits(a, b Sequence) bool {
 	return true
 }
 
-// TestColumnarRoundTrip is the layout property test: FromSequences →
-// ToSequences preserves every float64 bit and the empty/non-empty
-// structure, and the single-sequence forms agree with the bulk forms.
+// TestColumnarRoundTrip is the layout property test: FromSequence →
+// Block.Sequence preserves every float64 bit and the empty/non-empty
+// structure.
 func TestColumnarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 50; trial++ {
-		seqs := colSequences(rng, rng.Intn(9))
-		blocks := FromSequences(seqs)
-		if len(blocks) != len(seqs) {
-			t.Fatalf("FromSequences returned %d blocks for %d sequences", len(blocks), len(seqs))
-		}
-		back := ToSequences(blocks)
-		for i := range seqs {
-			if !sameBits(seqs[i], back[i]) {
-				t.Fatalf("trial %d seq %d: round trip changed bits: %v -> %v", trial, i, seqs[i], back[i])
+		for i, s := range colSequences(rng, rng.Intn(9)) {
+			back := FromSequence(s).Sequence()
+			if !sameBits(s, back) {
+				t.Fatalf("trial %d seq %d: round trip changed bits: %v -> %v", trial, i, s, back)
 			}
-			if len(seqs[i]) == 0 && back[i] != nil {
+			if len(s) == 0 && back != nil {
 				t.Fatalf("trial %d seq %d: empty sequence came back non-nil", trial, i)
-			}
-			single := FromSequence(seqs[i])
-			if single.Len() != blocks[i].Len() || single.Dim() != blocks[i].Dim() {
-				t.Fatalf("trial %d seq %d: FromSequence shape (%d,%d) != FromSequences (%d,%d)",
-					trial, i, single.Len(), single.Dim(), blocks[i].Len(), blocks[i].Dim())
-			}
-			if !sameBits(single.Sequence(), back[i]) {
-				t.Fatalf("trial %d seq %d: FromSequence view differs from bulk view", trial, i)
 			}
 		}
 	}
@@ -223,7 +210,7 @@ func TestBatchNonFiniteTakesGenericLoop(t *testing.T) {
 }
 
 // TestBatchDimensionMismatchPanics: a mismatched candidate, gap or query
-// must reach Norm's dimension panic (which PairwiseMatrix and CrossMatrix
+// must reach Norm's dimension panic (which CrossMatrix
 // recover as ErrMatrix) — never an index out of range inside the flat
 // loop. Blocks cannot be ragged (FromSequence refuses), so mismatch is
 // the only way dimensions go wrong here.
@@ -293,23 +280,6 @@ func TestBatchNegativeZero(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBatchEGEDUB checks the bulk convenience form against the per-pair
-// kernel on one shared threshold.
-func TestBatchEGEDUB(t *testing.T) {
-	rng := rand.New(rand.NewSource(403))
-	seqs := colSequences(rng, 10)
-	q := seqs[0]
-	cands := seqs[1:]
-	blocks := FromSequences(cands)
-	ds, ab := BatchEGEDUB(FromSequence(q), nil, blocks, 120)
-	for i, cand := range cands {
-		wantD, wantAb := EGEDWithUB(q, cand, GapConstant, nil, 120)
-		if ab[i] != wantAb || math.Float64bits(ds[i]) != math.Float64bits(wantD) {
-			t.Fatalf("cand %d: batch=(%v,%v) want (%v,%v)", i, ds[i], ab[i], wantD, wantAb)
-		}
 	}
 }
 

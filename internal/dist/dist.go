@@ -1,7 +1,7 @@
 // Package dist implements the (dis)similarity measures of the paper:
 // the Extended Graph Edit Distance (EGED, Definition 9) in its non-metric
-// and metric forms, and the baselines it is evaluated against — DTW, LCS,
-// ERP, edit distance and Lp norms.
+// and metric forms, and the clustering baselines it is evaluated against
+// — DTW and LCS (Figure 5).
 //
 // All measures operate on Sequence values: the per-frame node-attribute
 // sequences of Object Graphs. Since the paper's edit operations "deal with
@@ -44,10 +44,9 @@ func (v Vec) Clone() Vec {
 
 // Norm returns the Euclidean distance |a − b|. It panics if the dimensions
 // differ: sequences entering one distance computation must share a feature
-// space, and a mismatch is a programming error. (PairwiseMatrix and
-// CrossMatrix recover that panic and surface it as an error, so a bad
-// sequence poisons one matrix computation instead of crashing a worker
-// pool.)
+// space, and a mismatch is a programming error. (CrossMatrix recovers
+// that panic and surfaces it as an error, so a bad sequence poisons one
+// matrix computation instead of crashing a worker pool.)
 func Norm(a, b Vec) float64 {
 	return math.Sqrt(NormSq(a, b))
 }
@@ -125,8 +124,8 @@ func Resample(s Sequence, n int) Sequence {
 }
 
 // Metric is a dissimilarity function over sequences. Despite the name, not
-// every Metric satisfies the metric axioms — EGED and DTW do not; EGEDM,
-// ERP and Lp do.
+// every Metric satisfies the metric axioms — EGED and DTW do not; EGEDM
+// does (Theorem 2).
 type Metric func(a, b Sequence) float64
 
 // GapModel selects how the cost of editing a node against a gap is
@@ -250,29 +249,14 @@ func EGEDM(a, b Sequence, g Vec) float64 {
 // EGEDMZero is EGEDM with the zero gap, in Metric form.
 func EGEDMZero(a, b Sequence) float64 { return EGEDM(a, b, nil) }
 
-// ERP is Chen's Edit distance with Real Penalty — identical to EGEDM; kept
-// as a named baseline since the paper derives EGED from it.
-func ERP(a, b Sequence, g Vec) float64 { return EGEDM(a, b, g) }
-
-// MetricUB is a threshold-aware dissimilarity: it may abandon the
-// computation once the distance is provably above ub. When abandoned is
-// false, d is the exact distance (bit-identical to the plain Metric);
-// when abandoned is true, d is an admissible lower bound > ub.
-type MetricUB func(a, b Sequence, ub float64) (d float64, abandoned bool)
-
 // EGEDMUB is the threshold-aware EGED_M kernel (early row abandoning).
 func EGEDMUB(a, b Sequence, g Vec, ub float64) (float64, bool) {
 	return EGEDWithUB(a, b, GapConstant, g, ub)
 }
 
-// EGEDMZeroUB is EGEDMUB with the zero gap, in MetricUB form.
+// EGEDMZeroUB is EGEDMUB with the zero gap.
 func EGEDMZeroUB(a, b Sequence, ub float64) (float64, bool) {
 	return EGEDMUB(a, b, nil, ub)
-}
-
-// ERPUB is the threshold-aware ERP kernel (identical to EGEDMUB).
-func ERPUB(a, b Sequence, g Vec, ub float64) (float64, bool) {
-	return EGEDMUB(a, b, g, ub)
 }
 
 // DTW is classic Dynamic Time Warping: monotone alignment with repetition,
@@ -391,85 +375,8 @@ func LCSMetric(eps float64) Metric {
 	return func(a, b Sequence) float64 { return LCSDist(a, b, eps) }
 }
 
-// EditDistance is the classic symbolic edit distance with unit costs,
-// where two samples are equal when within eps.
-func EditDistance(a, b Sequence, eps float64) int {
-	totalEvals.Add(1)
-	m, n := len(a), len(b)
-	sc := getScratch()
-	defer putScratch(sc)
-	prev, cur := sc.intRows(n + 1)
-	for j := 0; j <= n; j++ {
-		prev[j] = j
-	}
-	epsSq := math.Inf(-1)
-	if eps >= 0 {
-		epsSq = eps * eps
-	}
-	for i := 1; i <= m; i++ {
-		cur[0] = i
-		for j := 1; j <= n; j++ {
-			sub := prev[j-1]
-			if NormSq(a[i-1], b[j-1]) > epsSq {
-				sub++
-			}
-			del := prev[j] + 1
-			ins := cur[j-1] + 1
-			best := sub
-			if del < best {
-				best = del
-			}
-			if ins < best {
-				best = ins
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	dpCells.Add(int64(m) * int64(n))
-	return prev[n]
-}
-
-// Lp computes the Minkowski distance of order p between two sequences,
-// resampling both to the longer length first (the traditional lock-step
-// baseline of Section 1). It panics for p <= 0. Two empty sequences are at
-// distance 0; empty vs non-empty is +Inf.
-func Lp(a, b Sequence, p float64) float64 {
-	if p <= 0 {
-		panic("dist: Lp with non-positive p")
-	}
-	totalEvals.Add(1)
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return math.Inf(1)
-	}
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	ra, rb := Resample(a, n), Resample(b, n)
-	var sum float64
-	if p == 2 {
-		// Fast path for the L2 lock-step metric: summing NormSq skips a
-		// sqrt-then-square round trip per sample.
-		for i := 0; i < n; i++ {
-			sum += NormSq(ra[i], rb[i])
-		}
-		return math.Sqrt(sum)
-	}
-	for i := 0; i < n; i++ {
-		sum += math.Pow(Norm(ra[i], rb[i]), p)
-	}
-	return math.Pow(sum, 1/p)
-}
-
-// Euclidean is the L2 lock-step Metric.
-func Euclidean(a, b Sequence) float64 { return Lp(a, b, 2) }
-
 // totalEvals counts every top-level sequence-distance evaluation in the
-// process (EGED/EGED_M/ERP, DTW, LCS, edit distance, Lp) — the quantity
+// process (EGED/EGED_M, DTW, LCS) — the quantity
 // the paper's query-cost model treats as the dominant component of query
 // time (Section 6.3), now observable at runtime. One atomic add per DP
 // call is noise next to the O(mn) kernel it counts.
@@ -480,7 +387,7 @@ var totalEvals atomic.Int64
 func TotalEvals() int64 { return totalEvals.Load() }
 
 // dpCells counts DP cells actually evaluated by the sequence kernels
-// (EGED family, DTW, LCS, edit distance) — the denominator of the
+// (EGED family, DTW, LCS) — the denominator of the
 // filter-and-refine cascade's win: early-abandoned kernels add only the
 // rows they completed. One atomic add per kernel call, like totalEvals.
 var dpCells atomic.Int64
@@ -494,7 +401,7 @@ func DPCells() int64 { return dpCells.Load() }
 // (Section 6.3) takes the number of distance evaluations as the dominant
 // component of query time; experiments wrap their metrics with Counted to
 // measure it. The count is atomic, so counted metrics remain exact when
-// evaluated from the parallel worker pools (PairwiseMatrix, parallel
+// evaluated from the parallel worker pools (CrossMatrix, parallel
 // k-NN) — though the experiment harness pins Concurrency to 1 where the
 // paper's sequential evaluation counts are being reproduced.
 type Counter struct {

@@ -302,58 +302,6 @@ func TestLCSDist(t *testing.T) {
 	}
 }
 
-func TestEditDistance(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b Sequence
-		want int
-	}{
-		{"identical", seq1(1, 2, 3), seq1(1, 2, 3), 0},
-		{"one substitution", seq1(1, 2, 3), seq1(1, 9, 3), 1},
-		{"insert", seq1(1, 3), seq1(1, 2, 3), 1},
-		{"all different", seq1(1, 2), seq1(8, 9), 2},
-		{"empty vs full", nil, seq1(1, 2, 3), 3},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := EditDistance(tt.a, tt.b, 0.1); got != tt.want {
-				t.Errorf("EditDistance = %d, want %d", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestLp(t *testing.T) {
-	a := seq1(0, 0, 0, 0)
-	b := seq1(1, 1, 1, 1)
-	if got := Lp(a, b, 2); !almostEq(got, 2) {
-		t.Errorf("L2 = %v, want 2", got)
-	}
-	if got := Lp(a, b, 1); !almostEq(got, 4) {
-		t.Errorf("L1 = %v, want 4", got)
-	}
-	// Different lengths: resampled.
-	c := seq1(0, 0)
-	if got := Lp(c, b, 1); !almostEq(got, 4) {
-		t.Errorf("L1 resampled = %v, want 4", got)
-	}
-	if got := Lp(nil, nil, 2); got != 0 {
-		t.Errorf("Lp(nil, nil) = %v, want 0", got)
-	}
-	if got := Lp(nil, b, 2); !math.IsInf(got, 1) {
-		t.Errorf("Lp(nil, b) = %v, want +Inf", got)
-	}
-}
-
-func TestLpPanicsOnBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Lp with p=0 did not panic")
-		}
-	}()
-	Lp(seq1(1), seq1(2), 0)
-}
-
 func TestResample(t *testing.T) {
 	s := seq1(0, 10)
 	got := Resample(s, 5)
@@ -417,13 +365,6 @@ func TestCounter(t *testing.T) {
 	c.Reset()
 	if c.Count() != 0 {
 		t.Errorf("Count after Reset = %d, want 0", c.Count())
-	}
-}
-
-func TestERPEqualsEGEDM(t *testing.T) {
-	a, b := seq1(1, 4, 2), seq1(2, 2, 3, 1)
-	if got, want := ERP(a, b, Vec{0}), EGEDM(a, b, Vec{0}); !almostEq(got, want) {
-		t.Errorf("ERP = %v, EGEDM = %v; want equal", got, want)
 	}
 }
 

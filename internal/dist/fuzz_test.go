@@ -127,7 +127,6 @@ func FuzzEGEDKernels(f *testing.F) {
 			exact float64
 		}{
 			{"EGEDMCascade", EGEDMCascade(nil), exact},
-			{"DTWCascade", DTWCascade(), dtw},
 		} {
 			sa, sb := c.casc.Summarize(a), c.casc.Summarize(b)
 			if lb := c.casc.LBQuick(a, b, sa, sb); lb > c.exact+tol {
@@ -179,15 +178,15 @@ func FuzzColumnarKernels(f *testing.F) {
 		}
 
 		// Layout round trip preserves every bit and the empty structure.
-		blocks := FromSequences([]Sequence{a, b})
-		back := ToSequences(blocks)
+		blocks := [2]Block{FromSequence(a), FromSequence(b)}
 		for i, orig := range []Sequence{a, b} {
-			if len(orig) != len(back[i]) {
-				t.Fatalf("seq %d: round trip changed length %d -> %d", i, len(orig), len(back[i]))
+			back := blocks[i].Sequence()
+			if len(orig) != len(back) {
+				t.Fatalf("seq %d: round trip changed length %d -> %d", i, len(orig), len(back))
 			}
 			for j := range orig {
 				for k := range orig[j] {
-					if math.Float64bits(orig[j][k]) != math.Float64bits(back[i][j][k]) {
+					if math.Float64bits(orig[j][k]) != math.Float64bits(back[j][k]) {
 						t.Fatalf("seq %d sample %d: round trip changed bits", i, j)
 					}
 				}

@@ -17,13 +17,11 @@ import "math"
 //     norm for a gap, so EGED_M(a, b) >= |A − B|.
 //  2. Ends (LB_Kim style, O(1)): the first edit operation consumes a_0 or
 //     b_0 and the last consumes a_{m−1} or b_{n−1}; each costs at least
-//     the cheapest of its three choices (match or either gap). For DTW the
-//     pairs (a_0, b_0) and (a_{m−1}, b_{n−1}) are always aligned.
+//     the cheapest of its three choices (match or either gap).
 //  3. Envelope (LB_Keogh style, O(m·dim) with an O(1)-size precomputed
 //     Box): every a_i is either matched to some b_j — costing at least the
 //     distance from a_i to b's bounding box — or gapped at cost |a_i − g|,
-//     so EGED_M(a, b) >= Σ_i min(boxDist(a_i, Box_b), |a_i − g|). For DTW
-//     there is no gap, so DTW(a, b) >= Σ_i boxDist(a_i, Box_b).
+//     so EGED_M(a, b) >= Σ_i min(boxDist(a_i, Box_b), |a_i − g|).
 //
 // The Cascade interface bundles a metric with its bounds and its
 // threshold-aware kernel; the index stores one Summary per leaf record at
@@ -110,8 +108,10 @@ type Cascade interface {
 	LBQuick(a, b Sequence, sa, sb Summary) float64
 	// LBEnvelope is the O(len(a)) bound of a against b's envelope.
 	LBEnvelope(a Sequence, sb Summary) float64
-	// DistanceUB is the early-abandoning kernel (see MetricUB).
-	DistanceUB(a, b Sequence, ub float64) (float64, bool)
+	// DistanceUB is the early-abandoning kernel: it may stop once the
+	// distance is provably above ub. When abandoned is false, d is the
+	// exact Metric value; when true, d is an admissible lower bound > ub.
+	DistanceUB(a, b Sequence, ub float64) (d float64, abandoned bool)
 }
 
 // CompactLBer is an optional Cascade capability: LBQuick computed from
@@ -128,7 +128,7 @@ type CompactLBer interface {
 
 // EGEDMCascade returns the cascade for the metric Extended Graph Edit
 // Distance with constant gap g (nil means the zero vector) — the index's
-// default key metric, and identical to ERP.
+// default key metric.
 func EGEDMCascade(g Vec) Cascade { return egedmCascade{g: g} }
 
 type egedmCascade struct{ g Vec }
@@ -203,68 +203,6 @@ func (c egedmCascade) LBEnvelope(a Sequence, sb Summary) float64 {
 
 func (c egedmCascade) DistanceUB(a, b Sequence, ub float64) (float64, bool) {
 	return EGEDMUB(a, b, c.g, ub)
-}
-
-// DTWCascade returns the cascade for classic DTW.
-func DTWCascade() Cascade { return dtwCascade{} }
-
-type dtwCascade struct{}
-
-func (dtwCascade) Metric(a, b Sequence) float64 { return DTW(a, b) }
-
-func (dtwCascade) Summarize(s Sequence) Summary {
-	return Summary{Len: len(s), Box: summarizeBox(s)}
-}
-
-func (dtwCascade) LBQuick(a, b Sequence, sa, sb Summary) float64 {
-	m, n := len(a), len(b)
-	if m == 0 || n == 0 {
-		if m == 0 && n == 0 {
-			return 0
-		}
-		return math.Inf(1) // DTW against an empty sequence is +Inf.
-	}
-	// LB_Kim: the warping path always aligns the first pair and the last
-	// pair; they are distinct pairs unless both sequences are singletons.
-	lb := Norm(a[0], b[0])
-	if m+n > 2 {
-		lb += Norm(a[m-1], b[n-1])
-	}
-	return lb
-}
-
-// LBQuickCompact implements CompactLBer (see egedmCascade's).
-func (dtwCascade) LBQuickCompact(a Sequence, _ Summary, bFirst, bLast Vec, sb Summary) float64 {
-	m, n := len(a), sb.Len
-	if m == 0 || n == 0 {
-		if m == 0 && n == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	lb := Norm(a[0], bFirst)
-	if m+n > 2 {
-		lb += Norm(a[m-1], bLast)
-	}
-	return lb
-}
-
-func (dtwCascade) LBEnvelope(a Sequence, sb Summary) float64 {
-	if sb.Len == 0 {
-		if len(a) == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	var lb float64
-	for _, v := range a {
-		lb += sb.Box.boxDist(v)
-	}
-	return lb
-}
-
-func (dtwCascade) DistanceUB(a, b Sequence, ub float64) (float64, bool) {
-	return DTWUB(a, b, ub)
 }
 
 // ExactOnly wraps an arbitrary Metric as a degenerate Cascade: both

@@ -47,7 +47,6 @@ func TestLowerBoundsAdmissible(t *testing.T) {
 	seqs := lbSequences(40, 101)
 	testCascadeAdmissible(t, "EGEDM(nil)", EGEDMCascade(nil), seqs)
 	testCascadeAdmissible(t, "EGEDM(g)", EGEDMCascade(Vec{5, -3}), seqs)
-	testCascadeAdmissible(t, "DTW", DTWCascade(), seqs)
 	testCascadeAdmissible(t, "ExactOnly", ExactOnly(EGEDMZero), seqs)
 }
 
@@ -59,7 +58,6 @@ func TestLBQuickCompactMatchesLBQuick(t *testing.T) {
 	for name, c := range map[string]Cascade{
 		"EGEDM(nil)": EGEDMCascade(nil),
 		"EGEDM(g)":   EGEDMCascade(Vec{5, -3}),
-		"DTW":        DTWCascade(),
 	} {
 		compact := c.(CompactLBer)
 		for i, a := range seqs {
@@ -107,7 +105,6 @@ func TestUBInfEqualsExact(t *testing.T) {
 			for name, pair := range map[string][2]float64{
 				"EGEDMZero": {EGEDMZero(a, b), first(EGEDMZeroUB(a, b, inf))},
 				"EGEDM(g)":  {EGEDM(a, b, g), first(EGEDMUB(a, b, g, inf))},
-				"ERP":       {ERP(a, b, g), first(ERPUB(a, b, g, inf))},
 				"DTW":       {DTW(a, b), first(DTWUB(a, b, inf))},
 			} {
 				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
@@ -248,35 +245,5 @@ func TestDPCellsCounts(t *testing.T) {
 	}
 	if got := DPCells() - ab; got >= fullCells {
 		t.Fatalf("abandoned evaluation recorded %d cells, full recorded %d", got, fullCells)
-	}
-}
-
-func TestRowChunksCoverAllRows(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 48, 100} {
-		for _, maxChunks := range []int{0, 1, 2, 5, 16, 1000} {
-			chunks := rowChunks(n, maxChunks)
-			covered := make([]bool, n)
-			prev := 0
-			for _, c := range chunks {
-				if c[0] != prev || c[1] <= c[0] || c[1] > n {
-					t.Fatalf("n=%d maxChunks=%d: bad chunk %v (prev end %d)", n, maxChunks, c, prev)
-				}
-				for i := c[0]; i < c[1]; i++ {
-					covered[i] = true
-				}
-				prev = c[1]
-			}
-			if n > 0 && prev != n {
-				t.Fatalf("n=%d maxChunks=%d: rows end at %d", n, maxChunks, prev)
-			}
-			for i, ok := range covered {
-				if !ok {
-					t.Fatalf("n=%d maxChunks=%d: row %d uncovered", n, maxChunks, i)
-				}
-			}
-			if maxChunks >= 1 && len(chunks) > maxChunks+1 {
-				t.Fatalf("n=%d maxChunks=%d: %d chunks", n, maxChunks, len(chunks))
-			}
-		}
 	}
 }

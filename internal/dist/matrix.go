@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -13,121 +12,15 @@ import (
 // inside a worker) from their own errors with errors.Is.
 var ErrMatrix = errors.New("dist: matrix computation failed")
 
-// PairwiseMatrix computes the full symmetric distance matrix
-// d[i][j] = m(seqs[i], seqs[j]) over the given worker budget (0 = one
-// worker per CPU, 1 = sequential). Only the strict upper triangle is
-// evaluated — d[j][i] mirrors d[i][j] and the diagonal is 0, halving the
-// O(n²) metric evaluations of EM clustering and index construction.
+// CrossMatrix computes the rectangular distance matrix
+// d[i][j] = m(a[i], b[j]) in parallel over the given worker budget — the
+// item × centroid pass at the heart of every EM/KM/KHM iteration and of
+// the index's cluster descent. Every cell is written by exactly one
+// worker, so results are identical to a sequential evaluation.
 //
 // A panic inside the metric (such as Norm's dimension-mismatch panic) is
 // recovered by the pool and returned as an error wrapping ErrMatrix
 // instead of crashing the process; the matrix is invalid in that case.
-// Results are identical to a sequential evaluation: every cell is written
-// by exactly one worker.
-func PairwiseMatrix(seqs []Sequence, m Metric, workers int) ([][]float64, error) {
-	return PairwiseMatrixCtx(context.Background(), seqs, m, workers)
-}
-
-// minParallelCells is the upper-triangle size below which PairwiseMatrix
-// runs sequentially: for small matrices the pool's goroutine startup and
-// work-claim traffic costs more than the distance evaluations it spreads
-// (the workers=2 regression in BENCH_parallel.json came from exactly this
-// per-row claim overhead on short rows).
-const minParallelCells = 512
-
-// PairwiseMatrixCtx is PairwiseMatrix with cancellation: a done context
-// abandons the remaining rows and returns ctx.Err().
-func PairwiseMatrixCtx(ctx context.Context, seqs []Sequence, m Metric, workers int) ([][]float64, error) {
-	n := len(seqs)
-	d := make([][]float64, n)
-	cells := make([]float64, n*n)
-	for i := range d {
-		d[i] = cells[i*n : (i+1)*n]
-	}
-	// fillRows evaluates the upper-triangle cells of rows [lo, hi); every
-	// cell is written by exactly one task, so results are identical to a
-	// sequential evaluation. Workers touch only their own rows of the
-	// shared backing array — the mirror cells d[j][i] land scattered
-	// across other workers' cache lines and are filled in one sequential
-	// pass afterwards instead, so the parallel section never ping-pongs
-	// lines between cores (the false sharing that kept this benchmark
-	// flat across worker counts).
-	fillRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := d[i]
-			for j := i + 1; j < n; j++ {
-				row[j] = m(seqs[i], seqs[j])
-			}
-		}
-	}
-	w := parallel.Workers(workers)
-	total := n * (n - 1) / 2
-	var err error
-	if w <= 1 || total < minParallelCells {
-		// Sequential fallback, still claiming row by row through the
-		// pool's sequential path so cancellation is observed per row.
-		err = parallel.ForEachCtx(ctx, 1, n, func(i int) error {
-			fillRows(i, i+1)
-			return nil
-		})
-	} else {
-		// Each task owns a contiguous block of rows holding roughly equal
-		// upper-triangle cell mass — a handful of claims per worker
-		// instead of one per row, with ~4 blocks per worker so the pool
-		// can still rebalance when metric costs are skewed.
-		chunks := rowChunks(n, 4*w)
-		err = parallel.ForEachCtx(ctx, workers, len(chunks), func(c int) error {
-			fillRows(chunks[c][0], chunks[c][1])
-			return nil
-		})
-	}
-	if err != nil {
-		return nil, matrixErr(err)
-	}
-	// Mirror pass: O(n²) float copies next to O(n² · mn) DP work above.
-	for i := 0; i < n; i++ {
-		row := d[i]
-		for j := i + 1; j < n; j++ {
-			d[j][i] = row[j]
-		}
-	}
-	return d, nil
-}
-
-// rowChunks splits the strict upper triangle of an n×n matrix into at
-// most maxChunks contiguous [lo, hi) row blocks of roughly equal cell
-// mass (row i holds n−1−i cells, so early blocks span few rows and late
-// blocks span many).
-func rowChunks(n, maxChunks int) [][2]int {
-	total := n * (n - 1) / 2
-	if maxChunks < 1 {
-		maxChunks = 1
-	}
-	per := (total + maxChunks - 1) / maxChunks
-	if per < 1 {
-		per = 1
-	}
-	// One exact allocation: the mass loop emits at most ⌈total/per⌉ + 1
-	// blocks, so growing by append would only re-copy the backing array.
-	chunks := make([][2]int, 0, total/per+2)
-	lo, mass := 0, 0
-	for i := 0; i < n; i++ {
-		mass += n - 1 - i
-		if mass >= per {
-			chunks = append(chunks, [2]int{lo, i + 1})
-			lo, mass = i+1, 0
-		}
-	}
-	if lo < n {
-		chunks = append(chunks, [2]int{lo, n})
-	}
-	return chunks
-}
-
-// CrossMatrix computes the rectangular distance matrix
-// d[i][j] = m(a[i], b[j]) in parallel over the given worker budget — the
-// item × centroid pass at the heart of every EM/KM/KHM iteration and of
-// the index's cluster descent. Error semantics match PairwiseMatrix.
 func CrossMatrix(a, b []Sequence, m Metric, workers int) ([][]float64, error) {
 	na, nb := len(a), len(b)
 	d := make([][]float64, na)

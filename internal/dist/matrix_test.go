@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -19,67 +18,6 @@ func randSequences(n, minLen, maxLen int, seed int64) []Sequence {
 		out[i] = s
 	}
 	return out
-}
-
-func TestPairwiseMatrixMatchesSequential(t *testing.T) {
-	seqs := randSequences(17, 3, 12, 41)
-	want, err := PairwiseMatrix(seqs, EGED, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 8} {
-		got, err := PairwiseMatrix(seqs, EGED, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("workers=%d: d[%d][%d] = %v, want %v (not byte-identical)",
-						workers, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
-	}
-}
-
-func TestPairwiseMatrixSymmetryAndDiagonal(t *testing.T) {
-	seqs := randSequences(9, 2, 9, 5)
-	d, err := PairwiseMatrix(seqs, EGEDMZero, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d {
-		if d[i][i] != 0 {
-			t.Errorf("diagonal d[%d][%d] = %v", i, i, d[i][i])
-		}
-		for j := range d {
-			if d[i][j] != d[j][i] {
-				t.Errorf("asymmetric: d[%d][%d]=%v, d[%d][%d]=%v", i, j, d[i][j], j, i, d[j][i])
-			}
-		}
-	}
-	// The upper triangle must hold real metric values.
-	if d[0][1] != EGEDMZero(seqs[0], seqs[1]) {
-		t.Errorf("d[0][1] = %v, want direct evaluation %v", d[0][1], EGEDMZero(seqs[0], seqs[1]))
-	}
-}
-
-// TestPairwiseMatrixDimensionMismatch verifies the satellite fix: a
-// dimension mismatch inside a worker comes back as an error wrapping
-// ErrMatrix, not a process-crashing panic.
-func TestPairwiseMatrixDimensionMismatch(t *testing.T) {
-	seqs := randSequences(6, 3, 6, 7)
-	seqs[3] = Sequence{Vec{1, 2, 3}} // 3-D sample in a 2-D set
-	for _, workers := range []int{1, 4} {
-		_, err := PairwiseMatrix(seqs, EGED, workers)
-		if err == nil {
-			t.Fatalf("workers=%d: no error for mismatched dimensions", workers)
-		}
-		if !errors.Is(err, ErrMatrix) {
-			t.Errorf("workers=%d: err = %v, want ErrMatrix", workers, err)
-		}
-	}
 }
 
 func TestCrossMatrixMatchesDirect(t *testing.T) {
@@ -108,48 +46,13 @@ func TestCrossMatrixDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestPairwiseMatrixCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := PairwiseMatrixCtx(ctx, randSequences(32, 4, 8, 1), EGED, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestPairwiseMatrixAllocsFlat pins the satellite fix for allocation
-// growth with worker count: the parallel path pays a constant setup cost
-// (chunk list + pool machinery) that must NOT scale with workers — the
-// old per-row closure allocations made allocs/op climb 4 → 17 → 20 across
-// workers 1/2/4.
-func TestPairwiseMatrixAllocsFlat(t *testing.T) {
-	seqs := randSequences(40, 3, 6, 55)
-	cheap := func(a, b Sequence) float64 { return float64(len(a) + len(b)) }
-	measure := func(w int) float64 {
-		return testing.AllocsPerRun(50, func() {
-			if _, err := PairwiseMatrix(seqs, cheap, w); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	base := measure(2)
-	for _, w := range []int{4, 8} {
-		if got := measure(w); got > base {
-			t.Errorf("allocs/op grew with workers: %v at workers=2, %v at workers=%d", base, got, w)
-		}
-	}
-	if seq := measure(1); base > seq+10 {
-		t.Errorf("parallel setup costs %v allocs over sequential %v — constant overhead regressed", base, seq)
-	}
-}
-
 func TestCountedIsExactUnderParallelism(t *testing.T) {
 	seqs := randSequences(20, 3, 6, 21)
 	var c Counter
-	if _, err := PairwiseMatrix(seqs, Counted(EGED, &c), 4); err != nil {
+	if _, err := CrossMatrix(seqs, seqs, Counted(EGED, &c), 4); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(seqs) * (len(seqs) - 1) / 2)
-	if c.Count() != want {
-		t.Errorf("counted %d evaluations, want %d (upper triangle only)", c.Count(), want)
+	if want := int64(len(seqs) * len(seqs)); c.Count() != want {
+		t.Errorf("counted %d evaluations, want %d", c.Count(), want)
 	}
 }

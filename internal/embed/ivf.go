@@ -195,14 +195,6 @@ func (x *IVF) rankLists(v []float32, nprobe int) []int32 {
 	return out
 }
 
-// ListVec returns list l's i-th vector as a view (rerank scoring).
-func (x *IVF) ListVec(l, i int) []float32 {
-	if !x.trained {
-		return x.pending[i*Dim : (i+1)*Dim]
-	}
-	return x.vecs[l][i*Dim : (i+1)*Dim]
-}
-
 func (x *IVF) nearestCentroid(v []float32) int {
 	best, bd := 0, l2sq(v, x.centroids[:Dim])
 	for l := 1; l < x.cfg.NLists; l++ {

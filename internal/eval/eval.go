@@ -209,45 +209,3 @@ func centroidDist(a, b dist.Sequence) float64 {
 	}
 	return sum / float64(n)
 }
-
-// AveragePrecision computes AP for a ranked result list: the mean of the
-// precision values at each rank where a relevant item appears, normalized
-// by the number of relevant items. Duplicates in the ranking are counted
-// once (first appearance).
-func AveragePrecision(ranked []int, relevant map[int]bool) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	seen := make(map[int]bool, len(ranked))
-	hits := 0
-	var sum float64
-	rank := 0
-	for _, r := range ranked {
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		rank++
-		if relevant[r] {
-			hits++
-			sum += float64(hits) / float64(rank)
-		}
-	}
-	return sum / float64(len(relevant))
-}
-
-// MeanAveragePrecision averages AP over queries; rankings and relevants
-// are parallel.
-func MeanAveragePrecision(rankings [][]int, relevants []map[int]bool) (float64, error) {
-	if len(rankings) != len(relevants) {
-		return 0, fmt.Errorf("eval: %d rankings vs %d relevance sets", len(rankings), len(relevants))
-	}
-	if len(rankings) == 0 {
-		return 0, fmt.Errorf("eval: no queries")
-	}
-	var sum float64
-	for i := range rankings {
-		sum += AveragePrecision(rankings[i], relevants[i])
-	}
-	return sum / float64(len(rankings)), nil
-}

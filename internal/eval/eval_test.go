@@ -220,46 +220,3 @@ func TestDistortionDifferentLengths(t *testing.T) {
 		t.Errorf("Distortion across lengths = %v, want 0", got)
 	}
 }
-
-func TestAveragePrecision(t *testing.T) {
-	relevant := map[int]bool{1: true, 2: true}
-	tests := []struct {
-		name   string
-		ranked []int
-		want   float64
-	}{
-		{"perfect", []int{1, 2, 9}, 1.0},
-		{"relevant last", []int{9, 8, 1, 2}, (1.0/3 + 2.0/4) / 2},
-		{"none found", []int{7, 8, 9}, 0},
-		{"partial", []int{1, 9, 9, 2}, (1.0 + 2.0/3) / 2}, // dup 9 counted once
-		{"empty ranking", nil, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := AveragePrecision(tt.ranked, relevant); math.Abs(got-tt.want) > 1e-9 {
-				t.Errorf("AP = %v, want %v", got, tt.want)
-			}
-		})
-	}
-	if got := AveragePrecision([]int{1}, nil); got != 0 {
-		t.Errorf("AP with no relevant = %v", got)
-	}
-}
-
-func TestMeanAveragePrecision(t *testing.T) {
-	rankings := [][]int{{1, 9}, {9, 2}}
-	relevants := []map[int]bool{{1: true}, {2: true}}
-	got, err := MeanAveragePrecision(rankings, relevants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (1.0 + 0.5) / 2; math.Abs(got-want) > 1e-9 {
-		t.Errorf("mAP = %v, want %v", got, want)
-	}
-	if _, err := MeanAveragePrecision(rankings, relevants[:1]); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := MeanAveragePrecision(nil, nil); err == nil {
-		t.Error("no queries accepted")
-	}
-}

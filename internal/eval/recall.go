@@ -35,36 +35,3 @@ func RecallAtK(approx, exact []int, k int) float64 {
 	}
 	return float64(hit) / float64(len(exact))
 }
-
-// Overlap is the symmetric set overlap of two result lists:
-// |a ∩ b| / max(|a|, |b|) over the distinct IDs of each. Two identical
-// lists overlap at 1, disjoint lists at 0. Unlike RecallAtK it does not
-// privilege either list as ground truth — the recall-proxy metric uses
-// it to compare the answers at adjacent probe depths.
-func Overlap(a, b []int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	sa := make(map[int]bool, len(a))
-	for _, id := range a {
-		sa[id] = true
-	}
-	sb := make(map[int]bool, len(b))
-	for _, id := range b {
-		sb[id] = true
-	}
-	inter := 0
-	for id := range sa {
-		if sb[id] {
-			inter++
-		}
-	}
-	den := len(sa)
-	if len(sb) > den {
-		den = len(sb)
-	}
-	if den == 0 {
-		return 1
-	}
-	return float64(inter) / float64(den)
-}

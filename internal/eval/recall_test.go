@@ -27,26 +27,3 @@ func TestRecallAtK(t *testing.T) {
 		}
 	}
 }
-
-func TestOverlap(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b []int
-		want float64
-	}{
-		{"identical", []int{1, 2, 3}, []int{3, 2, 1}, 1},
-		{"disjoint", []int{1, 2}, []int{3, 4}, 0},
-		{"subset", []int{1, 2}, []int{1, 2, 3, 4}, 0.5},
-		{"both-empty", nil, nil, 1},
-		{"one-empty", []int{1}, nil, 0},
-		{"dups-collapse", []int{1, 1, 2}, []int{1, 2, 2}, 1},
-	}
-	for _, c := range cases {
-		if got := Overlap(c.a, c.b); got != c.want {
-			t.Errorf("%s: Overlap = %v, want %v", c.name, got, c.want)
-		}
-		if got := Overlap(c.b, c.a); got != c.want {
-			t.Errorf("%s (flipped): Overlap = %v, want %v", c.name, got, c.want)
-		}
-	}
-}

@@ -528,12 +528,6 @@ func (s *Subscription) LastSeq() uint64 {
 	return last
 }
 
-// Dropped returns how many events were evicted before delivery.
-func (s *Subscription) Dropped() int64 {
-	_, dropped := s.ring.cursor()
-	return dropped
-}
-
 // Info returns the subscription's public summary; LastSeq and Dropped are
 // one consistent reading of the ring.
 func (s *Subscription) Info() SubInfo {

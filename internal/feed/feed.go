@@ -53,12 +53,6 @@ type AppendResult struct {
 	Flushed bool `json:"flushed"`
 }
 
-// ID returns the feed identifier.
-func (f *Feed) ID() string { return f.id }
-
-// Meta returns the feed's fixed frame geometry.
-func (f *Feed) Meta() Meta { return f.meta }
-
 // State is a point-in-time snapshot of a feed's progress.
 type State struct {
 	ID        string `json:"id"`

@@ -14,7 +14,7 @@ import (
 )
 
 // feedSoakDuration returns how long the storm runs: STRG_SOAK_MS in the
-// environment overrides the short default (`make chaos-feed` stretches
+// environment overrides the short default (`make chaos` stretches
 // it).
 func feedSoakDuration(t *testing.T) time.Duration {
 	if v := os.Getenv("STRG_SOAK_MS"); v != "" {
@@ -33,7 +33,7 @@ func feedSoakDuration(t *testing.T) time.Duration {
 // monotone (the ring is sized so nothing drops), a feed's committed
 // epochs are immediately visible in the database (read-your-writes), and
 // the engine drains to agreement with a one-shot query at the end. Run
-// with -race (make chaos-feed) to make the memory model part of the
+// with -race (make chaos) to make the memory model part of the
 // assertion.
 func TestFeedSoak(t *testing.T) {
 	frames, meta := feedFrames(t, 8, 17)

@@ -30,13 +30,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// DistSq returns the squared Euclidean distance between p and q. It avoids
-// the square root for comparisons.
-func (p Point) DistSq(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Lerp linearly interpolates between p (t=0) and q (t=1).
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
@@ -71,9 +64,6 @@ func (v Vector) Angle() float64 {
 	return NormalizeAngle(math.Atan2(v.DY, v.DX))
 }
 
-// Dot returns the dot product of v and w.
-func (v Vector) Dot(w Vector) float64 { return v.DX*w.DX + v.DY*w.DY }
-
 // NormalizeAngle maps an arbitrary angle in radians into [0, 2π).
 func NormalizeAngle(a float64) float64 {
 	a = math.Mod(a, 2*math.Pi)
@@ -104,42 +94,9 @@ type Rect struct {
 	Min, Max Point
 }
 
-// RectAround returns the square of side 2r centered at p.
-func RectAround(p Point, r float64) Rect {
-	return Rect{Min: Point{p.X - r, p.Y - r}, Max: Point{p.X + r, p.Y + r}}
-}
-
-// Width returns the horizontal extent of r.
-func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
-
-// Height returns the vertical extent of r.
-func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Contains reports whether p lies inside r (borders inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Intersects reports whether r and s overlap (touching borders count).
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
-// Union returns the smallest rectangle covering both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
 }
 
 // Clamp returns p moved to the closest point inside r.
@@ -148,20 +105,6 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
-}
-
-// Centroid returns the arithmetic mean of pts. It panics if pts is empty.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		panic("geom: Centroid of empty point set")
-	}
-	var sx, sy float64
-	for _, p := range pts {
-		sx += p.X
-		sy += p.Y
-	}
-	n := float64(len(pts))
-	return Point{sx / n, sy / n}
 }
 
 // ResamplePath resamples a polyline given by pts to exactly n points,
@@ -208,13 +151,4 @@ func ResamplePath(pts []Point, n int) []Point {
 		out[i] = pts[seg].Lerp(pts[seg+1], t)
 	}
 	return out
-}
-
-// PathLength returns the total arc length of the polyline pts.
-func PathLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += pts[i].Dist(pts[i-1])
-	}
-	return total
 }

@@ -27,9 +27,6 @@ func TestPointDist(t *testing.T) {
 			if got := tt.p.Dist(tt.q); !almostEq(got, tt.want) {
 				t.Errorf("Dist(%v, %v) = %v, want %v", tt.p, tt.q, got, tt.want)
 			}
-			if got := tt.p.DistSq(tt.q); !almostEq(got, tt.want*tt.want) {
-				t.Errorf("DistSq(%v, %v) = %v, want %v", tt.p, tt.q, got, tt.want*tt.want)
-			}
 		})
 	}
 }
@@ -153,22 +150,6 @@ func TestAngleDiffSymmetricAndBounded(t *testing.T) {
 	}
 }
 
-func TestRectBasics(t *testing.T) {
-	r := Rect{Min: Pt(0, 0), Max: Pt(4, 2)}
-	if got := r.Width(); got != 4 {
-		t.Errorf("Width = %v, want 4", got)
-	}
-	if got := r.Height(); got != 2 {
-		t.Errorf("Height = %v, want 2", got)
-	}
-	if got := r.Area(); got != 8 {
-		t.Errorf("Area = %v, want 8", got)
-	}
-	if got := r.Center(); got != Pt(2, 1) {
-		t.Errorf("Center = %v, want (2,1)", got)
-	}
-}
-
 func TestRectContains(t *testing.T) {
 	r := Rect{Min: Pt(0, 0), Max: Pt(10, 10)}
 	tests := []struct {
@@ -188,44 +169,6 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := Rect{Min: Pt(0, 0), Max: Pt(5, 5)}
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlapping", Rect{Pt(3, 3), Pt(8, 8)}, true},
-		{"touching edge", Rect{Pt(5, 0), Pt(8, 5)}, true},
-		{"disjoint", Rect{Pt(6, 6), Pt(8, 8)}, false},
-		{"contained", Rect{Pt(1, 1), Pt(2, 2)}, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.b.Intersects(a); got != tt.want {
-				t.Errorf("Intersects (reversed) = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestRectUnionContainsBoth(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy, dx, dy int8) bool {
-		r := Rect{Min: Pt(math.Min(float64(ax), float64(bx)), math.Min(float64(ay), float64(by))),
-			Max: Pt(math.Max(float64(ax), float64(bx)), math.Max(float64(ay), float64(by)))}
-		s := Rect{Min: Pt(math.Min(float64(cx), float64(dx)), math.Min(float64(cy), float64(dy))),
-			Max: Pt(math.Max(float64(cx), float64(dx)), math.Max(float64(cy), float64(dy)))}
-		u := r.Union(s)
-		return u.Contains(r.Min) && u.Contains(r.Max) && u.Contains(s.Min) && u.Contains(s.Max)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRectClamp(t *testing.T) {
 	r := Rect{Min: Pt(0, 0), Max: Pt(10, 10)}
 	tests := []struct {
@@ -240,22 +183,6 @@ func TestRectClamp(t *testing.T) {
 			t.Errorf("Clamp(%v) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
-}
-
-func TestCentroid(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if got := Centroid(pts); got != Pt(1, 1) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
-func TestCentroidPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Centroid of empty set did not panic")
-		}
-	}()
-	Centroid(nil)
 }
 
 func TestResamplePath(t *testing.T) {
@@ -304,26 +231,6 @@ func TestResamplePathZeroLength(t *testing.T) {
 	}
 }
 
-func TestPathLength(t *testing.T) {
-	tests := []struct {
-		name string
-		pts  []Point
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"single", []Point{Pt(1, 1)}, 0},
-		{"straight", []Point{Pt(0, 0), Pt(3, 4)}, 5},
-		{"two segments", []Point{Pt(0, 0), Pt(3, 4), Pt(3, 10)}, 11},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := PathLength(tt.pts); !almostEq(got, tt.want) {
-				t.Errorf("PathLength = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestOrientation(t *testing.T) {
 	if got := Orientation(Pt(0, 0), Pt(1, 1)); !almostEq(got, math.Pi/4) {
 		t.Errorf("Orientation = %v, want pi/4", got)
@@ -340,8 +247,5 @@ func TestVectorOps(t *testing.T) {
 	}
 	if got := v.Add(Vec(1, -1)); got != Vec(4, 3) {
 		t.Errorf("Add = %v, want (4,3)", got)
-	}
-	if got := v.Dot(Vec(2, 1)); !almostEq(got, 10) {
-		t.Errorf("Dot = %v, want 10", got)
 	}
 }

@@ -34,9 +34,6 @@ func (c Color) Dist(d Color) float64 {
 	return math.Sqrt(dr*dr + dg*dg + db*db)
 }
 
-// Gray returns the gray color with all components set to v.
-func Gray(v float64) Color { return Color{v, v, v} }
-
 // NodeAttr holds the attributes ν(v) of a region node per Definition 1:
 // size (pixel count), mean color and centroid location. Label carries the
 // ground-truth object identity where one is known (synthetic data); it is
@@ -174,20 +171,6 @@ func (g *Graph) NodeIDs() []NodeID {
 	return ids
 }
 
-// Neighbors returns the IDs adjacent to id, sorted ascending.
-func (g *Graph) Neighbors(id NodeID) []NodeID {
-	m := g.adj[id]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]NodeID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Degree returns the number of neighbors of id.
 func (g *Graph) Degree(id NodeID) int { return len(g.adj[id]) }
 
@@ -222,29 +205,6 @@ func (g *Graph) Edges() []SpatialEdge {
 	return out
 }
 
-// Subgraph returns the node-induced subgraph on ids (Definition 3). IDs not
-// present in g are ignored.
-func (g *Graph) Subgraph(ids []NodeID) *Graph {
-	sub := New()
-	keep := make(map[NodeID]bool, len(ids))
-	for _, id := range ids {
-		if n, ok := g.Node(id); ok && !keep[id] {
-			keep[id] = true
-			sub.MustAddNode(n)
-		}
-	}
-	for u := range keep {
-		for v, attr := range g.adj[u] {
-			if keep[v] && u < v {
-				if err := sub.AddEdge(u, v, attr); err != nil {
-					panic(err) // unreachable: endpoints verified above
-				}
-			}
-		}
-	}
-	return sub
-}
-
 // NeighborhoodGraph returns G_N(v) per Definition 7: the star consisting of
 // v, its adjacent nodes, and the edges (v, u) only. It returns nil if v is
 // not in g.
@@ -263,24 +223,6 @@ func (g *Graph) NeighborhoodGraph(v NodeID) *Graph {
 		}
 	}
 	return star
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, n := range g.nodes {
-		c.MustAddNode(n)
-	}
-	for u, m := range g.adj {
-		for v, attr := range m {
-			if u < v {
-				if err := c.AddEdge(u, v, attr); err != nil {
-					panic(err) // unreachable
-				}
-			}
-		}
-	}
-	return c
 }
 
 // MemoryBytes estimates the in-memory footprint of the graph, used by the

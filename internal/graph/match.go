@@ -95,30 +95,14 @@ func NewMatcher(tol Tolerance) *Matcher { return &Matcher{Tol: tol} }
 type Mapping map[NodeID]NodeID
 
 // Isomorphic reports whether a and b are isomorphic per Definition 4 and, if
-// so, returns a witnessing bijection from a's nodes to b's nodes.
+// so, returns a witnessing bijection from a's nodes to b's nodes. It
+// backtracks over candidate assignments of a's nodes onto b's nodes:
+// degrees must match exactly and edges and non-edges must map to edges and
+// non-edges (full isomorphism on induced edges in both directions).
 func (m *Matcher) Isomorphic(a, b *Graph) (Mapping, bool) {
 	if a.Order() != b.Order() || a.Size() != b.Size() {
 		return nil, false
 	}
-	return m.matchInto(a, b, true)
-}
-
-// SubgraphIsomorphic reports whether a is subgraph-isomorphic to b per
-// Definition 5 — there is an induced subgraph of b isomorphic to a — and
-// returns the injection from a's nodes into b's nodes.
-func (m *Matcher) SubgraphIsomorphic(a, b *Graph) (Mapping, bool) {
-	if a.Order() > b.Order() || a.Size() > b.Size() {
-		return nil, false
-	}
-	return m.matchInto(a, b, false)
-}
-
-// matchInto backtracks over candidate assignments of a's nodes onto b's
-// nodes. With exact set, degrees must match exactly (full isomorphism on
-// induced edges in both directions); otherwise a's adjacency must embed
-// into b's (induced: non-edges must map to non-edges, per Definition 3's
-// node-induced subgraph semantics).
-func (m *Matcher) matchInto(a, b *Graph, exact bool) (Mapping, bool) {
 	aIDs := a.NodeIDs()
 	// Order a's nodes by descending degree: high-constraint nodes first
 	// prunes much faster.
@@ -140,16 +124,13 @@ func (m *Matcher) matchInto(a, b *Graph, exact bool) (Mapping, bool) {
 				continue
 			}
 			vb, _ := b.Node(v)
-			if exact && a.Degree(u) != b.Degree(v) {
-				continue
-			}
-			if !exact && a.Degree(u) > b.Degree(v) {
+			if a.Degree(u) != b.Degree(v) {
 				continue
 			}
 			if !m.Tol.NodesCompatible(ua.Attr, vb.Attr) {
 				continue
 			}
-			if !m.consistent(a, b, assign, u, v, exact) {
+			if !m.consistent(a, b, assign, u, v) {
 				continue
 			}
 			assign[u] = v
@@ -170,8 +151,7 @@ func (m *Matcher) matchInto(a, b *Graph, exact bool) (Mapping, bool) {
 
 // consistent checks that mapping u -> v preserves (non-)adjacency and edge
 // attributes against every node already assigned.
-func (m *Matcher) consistent(a, b *Graph, assign Mapping, u, v NodeID, exact bool) bool {
-	_ = exact // induced semantics apply in both modes
+func (m *Matcher) consistent(a, b *Graph, assign Mapping, u, v NodeID) bool {
 	for au, bv := range assign {
 		ae, aok := a.EdgeAttr(u, au)
 		be, bok := b.EdgeAttr(v, bv)

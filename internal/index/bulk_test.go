@@ -103,7 +103,7 @@ func TestBulkInsertMatchesPerItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, it := range batch {
-		if err := one.Insert(nil, it.Seq, it.Payload); err != nil {
+		if err := one.AddSegment(nil, []Item[int]{it}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestColumnarAfterChurn(t *testing.T) {
 	build := func(mut func(*Config)) *Tree[int] {
 		tr := buildCascadeTree(t, seqs, 2, mut)
 		for i, s := range extra {
-			if err := tr.Insert(nil, s, 1000+i); err != nil {
+			if err := tr.AddSegment(nil, []Item[int]{{Seq: s, Payload: 1000 + i}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -63,10 +63,11 @@ func TestColumnarSnapshotCrossRestore(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := FromSnapshot(decoded, cfg)
+	sh, err := NewShardedFromSnapshot(decoded, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := sh.View()
 	if restored.Len() != tree.Len() {
 		t.Fatalf("Len = %d, want %d", restored.Len(), tree.Len())
 	}
@@ -86,7 +87,7 @@ func TestColumnarSnapshotRejectsTruncatedBlock(t *testing.T) {
 	snap := tr.Snapshot()
 	cl := &snap.Roots[0].Clusters[0]
 	cl.ColData = cl.ColData[:len(cl.ColData)-1]
-	if _, err := FromSnapshot(snap, Config{NumClusters: 5, Seed: 11, MaxLeafEntries: 16}); err == nil {
+	if _, err := NewShardedFromSnapshot(snap, Config{NumClusters: 5, Seed: 11, MaxLeafEntries: 16}); err == nil {
 		t.Fatal("truncated column block accepted")
 	}
 }

@@ -184,8 +184,8 @@ type clusterRecord[P any] struct {
 	centroid dist.Sequence
 	leaf     []leafRecord[P]
 	// splitChecked is the leaf size at which the last BIC evaluation
-	// declined to split, 0 if never evaluated (or since invalidated by a
-	// delete or an adopted split). Cluster quality cannot have degraded
+	// declined to split, 0 if never evaluated (or since an adopted split
+	// re-formed the cluster). Cluster quality cannot have degraded
 	// while the membership is unchanged, so an occupancy check at the same
 	// size skips the two EM refits — the incremental half of Section 5.3.
 	// Advisory state: searches never read it, writers are serialized, so
@@ -235,9 +235,6 @@ func New[P any](cfg Config) *Tree[P] {
 
 // Len returns the number of indexed OGs.
 func (t *Tree[P]) Len() int { return t.size }
-
-// NumRoots returns the number of root records (distinct backgrounds).
-func (t *Tree[P]) NumRoots() int { return len(t.roots) }
 
 // NumClusters returns the total number of cluster records.
 func (t *Tree[P]) NumClusters() int {
@@ -385,38 +382,47 @@ func (t *Tree[P]) bulkInsert(x *txn[P], root *rootRecord[P], items []Item[P]) er
 	return nil
 }
 
-// Insert adds a single OG, routing by background like AddSegment.
-func (t *Tree[P]) Insert(bg *graph.Graph, seq dist.Sequence, payload P) error {
-	return t.AddSegment(bg, []Item[P]{{Seq: seq, Payload: payload}})
-}
-
-// findOrCreateRoot locates the root record whose background is most
-// similar to bg (SimGraph at least the threshold) or appends a new one,
-// returning its index.
-func (t *Tree[P]) findOrCreateRoot(bg *graph.Graph) int {
+// matchBackground is the one background-matching rule (Algorithm 3 step 2),
+// shared by ingest routing and search: among n stored backgrounds in
+// creation order, a nil bg matches the first nil one; any other bg matches
+// the stored background with the highest SimGraph (the first on ties),
+// provided it reaches threshold. It returns the match's position, or -1.
+func matchBackground(m *graph.Matcher, threshold float64, bg *graph.Graph, n int, stored func(int) *graph.Graph) int {
 	if bg == nil {
-		for i, r := range t.roots {
-			if r.bg == nil {
+		for i := 0; i < n; i++ {
+			if stored(i) == nil {
 				return i
 			}
 		}
-	} else {
-		best := -1
-		bestSim := 0.0
-		for i, r := range t.roots {
-			if r.bg == nil {
-				continue
-			}
-			if sim := t.matcher.SimGraph(bg, r.bg); sim > bestSim {
+		return -1
+	}
+	best, bestSim := -1, 0.0
+	for i := 0; i < n; i++ {
+		if sb := stored(i); sb != nil {
+			if sim := m.SimGraph(bg, sb); sim > bestSim {
 				best, bestSim = i, sim
 			}
 		}
-		if best >= 0 && bestSim >= t.cfg.BGSimThreshold {
-			return best
-		}
 	}
-	r := &rootRecord[P]{id: len(t.roots), bg: bg}
-	t.roots = append(t.roots, r)
+	if bestSim < threshold {
+		return -1
+	}
+	return best
+}
+
+// matchRoot applies matchBackground to the tree's root records.
+func (t *Tree[P]) matchRoot(bg *graph.Graph) int {
+	return matchBackground(t.matcher, t.cfg.BGSimThreshold, bg, len(t.roots),
+		func(i int) *graph.Graph { return t.roots[i].bg })
+}
+
+// findOrCreateRoot returns the index of the root record bg matches,
+// appending a new one when none does.
+func (t *Tree[P]) findOrCreateRoot(bg *graph.Graph) int {
+	if i := t.matchRoot(bg); i >= 0 {
+		return i
+	}
+	t.roots = append(t.roots, &rootRecord[P]{id: len(t.roots), bg: bg})
 	return len(t.roots) - 1
 }
 
@@ -676,53 +682,6 @@ func seqBytes(s dist.Sequence) int {
 		return 0
 	}
 	return len(s) * s.Dim() * 8
-}
-
-// Delete removes the first indexed record whose sequence equals seq (under
-// the key metric: distance 0) and whose payload satisfies pred. A nil pred
-// matches any payload. It reports whether a record was removed. Cluster
-// records whose leaf empties are dropped; the root record stays (its
-// background may still route future segments).
-func (t *Tree[P]) Delete(seq dist.Sequence, pred func(P) bool) bool {
-	x := &txn[P]{t: t}
-	for ri := range t.roots {
-		if t.deleteFromRoot(x, ri, seq, pred) {
-			return true
-		}
-	}
-	return false
-}
-
-// deleteFromRoot is Delete scoped to one root. Under a COW transaction the
-// root and cluster are privatized only once a matching record is found, so
-// a miss leaves the clone sharing every node.
-func (t *Tree[P]) deleteFromRoot(x *txn[P], ri int, seq dist.Sequence, pred func(P) bool) bool {
-	r := t.roots[ri]
-	for ci, cl := range r.clusters {
-		key := t.cfg.Metric(seq, cl.centroid)
-		i := sort.Search(len(cl.leaf), func(i int) bool { return cl.leaf[i].key >= key-1e-9 })
-		for ; i < len(cl.leaf) && cl.leaf[i].key <= key+1e-9; i++ {
-			rec := cl.leaf[i]
-			if t.cfg.Metric(seq, rec.seq) > 1e-9 {
-				continue
-			}
-			if pred != nil && !pred(rec.payload) {
-				continue
-			}
-			root := x.root(ri)
-			cl = x.cluster(root, ci)
-			cl.leaf = append(cl.leaf[:i], cl.leaf[i+1:]...)
-			// The membership changed without growing: a future occupancy
-			// check at a previously-declined size must re-evaluate.
-			cl.splitChecked = 0
-			t.size--
-			if len(cl.leaf) == 0 {
-				root.clusters = append(root.clusters[:ci], root.clusters[ci+1:]...)
-			}
-			return true
-		}
-	}
-	return false
 }
 
 // Items returns every indexed item (sequence and payload), ordered by

@@ -51,7 +51,7 @@ func bgGraph(shade float64) *graph.Graph {
 	g := graph.New()
 	for i := 0; i < 4; i++ {
 		g.MustAddNode(graph.Node{ID: graph.NodeID(i), Attr: graph.NodeAttr{
-			Size: 1000, Color: graph.Gray(shade + float64(i)*0.1),
+			Size: 1000, Color: graph.Color{R: shade + float64(i)*0.1, G: shade + float64(i)*0.1, B: shade + float64(i)*0.1},
 		}})
 	}
 	_ = g.AddEdge(0, 1, graph.SpatialAttr{Dist: 50})
@@ -69,8 +69,8 @@ func TestAddSegmentAndLen(t *testing.T) {
 	if tr.Len() != 30 {
 		t.Errorf("Len = %d, want 30", tr.Len())
 	}
-	if tr.NumRoots() != 1 {
-		t.Errorf("NumRoots = %d, want 1", tr.NumRoots())
+	if len(tr.roots) != 1 {
+		t.Errorf("NumRoots = %d, want 1", len(tr.roots))
 	}
 	if tr.NumClusters() < 2 {
 		t.Errorf("NumClusters = %d, want >= 2 (BIC should find structure)", tr.NumClusters())
@@ -186,7 +186,7 @@ func TestBackgroundRouting(t *testing.T) {
 	tr := New[int](Config{Seed: 9, NumClusters: 2})
 	bgA := bgGraph(0.2)
 	bgB := graph.New() // wildly different background: single huge node
-	bgB.MustAddNode(graph.Node{ID: 0, Attr: graph.NodeAttr{Size: 99999, Color: graph.Gray(0.9)}})
+	bgB.MustAddNode(graph.Node{ID: 0, Attr: graph.NodeAttr{Size: 99999, Color: graph.Color{R: 0.9, G: 0.9, B: 0.9}}})
 
 	itemsA, _ := patternItems(8, 2, 10)
 	itemsB := []Item[int]{
@@ -200,15 +200,15 @@ func TestBackgroundRouting(t *testing.T) {
 	if err := tr.AddSegment(bgB, itemsB); err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumRoots() != 2 {
-		t.Fatalf("NumRoots = %d, want 2", tr.NumRoots())
+	if len(tr.roots) != 2 {
+		t.Fatalf("NumRoots = %d, want 2", len(tr.roots))
 	}
 	// A segment with a background similar to bgA must not create a third root.
 	if err := tr.AddSegment(bgGraph(0.2), itemsA[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumRoots() != 2 {
-		t.Errorf("NumRoots after similar background = %d, want 2", tr.NumRoots())
+	if len(tr.roots) != 2 {
+		t.Errorf("NumRoots after similar background = %d, want 2", len(tr.roots))
 	}
 	// Querying with bgB must find bgB's items.
 	got := tr.KNN(bgB, trajectory(0, 0, 11, 10, 6), 2)
@@ -254,7 +254,7 @@ func TestInsertIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tr.Len()
-	if err := tr.Insert(nil, trajectory(0, 52, 300, 48, 10), 999); err != nil {
+	if err := tr.AddSegment(nil, []Item[int]{{Seq: trajectory(0, 52, 300, 48, 10), Payload: 999}}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != before+1 {
@@ -295,7 +295,7 @@ func TestAddEmptySegment(t *testing.T) {
 	}
 	// Root record exists but has no clusters; inserting later must error
 	// only if clustering is impossible — a single item should bootstrap.
-	if err := tr.Insert(nil, trajectory(0, 0, 5, 5, 4), 1); err != nil {
+	if err := tr.AddSegment(nil, []Item[int]{{Seq: trajectory(0, 0, 5, 5, 4), Payload: 1}}); err != nil {
 		t.Fatalf("bootstrap insert: %v", err)
 	}
 	if tr.Len() != 1 {

@@ -116,7 +116,7 @@ func TestInvariantsAfterChurnProperty(t *testing.T) {
 			for j := range s {
 				s[j] = dist.Vec{rng.Float64() * 300, rng.Float64() * 200}
 			}
-			if err := tr.Insert(nil, s, 1000+i); err != nil {
+			if err := tr.AddSegment(nil, []Item[int]{{Seq: s, Payload: 1000 + i}}); err != nil {
 				return false
 			}
 		}
@@ -136,10 +136,11 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		if err := tr.AddSegment(nil, randomItems(rng, 25+rng.Intn(40))); err != nil {
 			return false
 		}
-		restored, err := FromSnapshot(tr.Snapshot(), Config{Seed: seed, NumClusters: 4})
+		sh, err := NewShardedFromSnapshot(tr.Snapshot(), Config{Seed: seed, NumClusters: 4})
 		if err != nil {
 			return false
 		}
+		restored := sh.View()
 		if restored.Len() != tr.Len() || restored.NumClusters() != tr.NumClusters() {
 			return false
 		}

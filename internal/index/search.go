@@ -40,9 +40,6 @@ type SearchStats struct {
 	DPAbandoned int
 }
 
-// LBPruned is the total number of records rejected by lower bounds.
-func (s SearchStats) LBPruned() int { return s.LBQuickPruned + s.LBEnvelopePruned }
-
 // add accumulates another (per-leaf or per-cluster) stats block.
 func (s *SearchStats) add(o SearchStats) {
 	s.Records += o.Records
@@ -304,27 +301,17 @@ func (t *Tree[P]) RangeStatsCtx(ctx context.Context, bg *graph.Graph, query dist
 	return out, st, nil
 }
 
-// candidateRoots applies Algorithm 3 step 2: the most similar stored
+// candidateRoots applies Algorithm 3 step 2: the root matching the query
 // background wins; a nil background (or no match above the threshold)
 // widens the search to every root.
 func (t *Tree[P]) candidateRoots(bg *graph.Graph) []*rootRecord[P] {
 	if bg == nil {
 		return t.roots
 	}
-	var best *rootRecord[P]
-	bestSim := 0.0
-	for _, r := range t.roots {
-		if r.bg == nil {
-			continue
-		}
-		if sim := t.matcher.SimGraph(bg, r.bg); sim > bestSim {
-			best, bestSim = r, sim
-		}
+	if i := t.matchRoot(bg); i >= 0 {
+		return []*rootRecord[P]{t.roots[i]}
 	}
-	if best == nil || bestSim < t.cfg.BGSimThreshold {
-		return t.roots
-	}
-	return []*rootRecord[P]{best}
+	return t.roots
 }
 
 // candidateClusters flattens the candidate roots' cluster records in

@@ -45,14 +45,24 @@ type Sharded[P any] struct {
 	n       int
 	async   bool
 
-	// mu serializes writers (ingest, delete, adopted async splits). Never
-	// held by readers.
+	// mu serializes writers (ingest, adopted async splits). Never held by
+	// readers.
 	mu     sync.Mutex
 	shards []shardSlot[P]
 	dir    atomic.Pointer[[]rootEntry]
 	// wg tracks in-flight asynchronous split evaluations (Quiesce waits).
 	wg sync.WaitGroup
+	// evaluating holds the clusters with a split evaluation in flight, so
+	// commits into a cluster that is still being fitted do not start a
+	// second fit over nearly the same membership. The value marks the entry
+	// dirty: a candidate was skipped, so the running evaluation owes one
+	// more round. Guarded by mu.
+	evaluating map[splitKey]bool
 }
+
+// splitKey names one cluster across the index: cluster IDs are unique per
+// shard tree.
+type splitKey struct{ shard, clusterID int }
 
 type shardSlot[P any] struct {
 	cur atomic.Pointer[shardVersion[P]]
@@ -89,7 +99,8 @@ func NewSharded[P any](cfg Config) *Sharded[P] {
 	if n > MaxShards {
 		n = MaxShards
 	}
-	s := &Sharded[P]{cfg: cfg, matcher: graph.NewMatcher(cfg.Tol), n: n, async: cfg.AsyncSplit}
+	s := &Sharded[P]{cfg: cfg, matcher: graph.NewMatcher(cfg.Tol), n: n, async: cfg.AsyncSplit,
+		evaluating: make(map[splitKey]bool)}
 	s.shards = make([]shardSlot[P], n)
 	for i := range s.shards {
 		s.shards[i].cur.Store(&shardVersion[P]{tree: New[P](cfg)})
@@ -122,32 +133,11 @@ func (s *Sharded[P]) shardOf(globalID int) int {
 // hashes that are stable across build paths.
 func (s *Sharded[P]) ShardOfRoot(globalID int) int { return s.shardOf(globalID) }
 
-// resolveRoot mirrors Tree.findOrCreateRoot's matching over the directory
-// (creation order): the index of the best SimGraph match at or above the
-// threshold, the first nil-background entry for a nil bg, or -1.
-func (s *Sharded[P]) resolveRoot(dir []rootEntry, bg *graph.Graph) int {
-	if bg == nil {
-		for i := range dir {
-			if dir[i].bg == nil {
-				return i
-			}
-		}
-		return -1
-	}
-	best := -1
-	bestSim := 0.0
-	for i := range dir {
-		if dir[i].bg == nil {
-			continue
-		}
-		if sim := s.matcher.SimGraph(bg, dir[i].bg); sim > bestSim {
-			best, bestSim = i, sim
-		}
-	}
-	if best >= 0 && bestSim >= s.cfg.BGSimThreshold {
-		return best
-	}
-	return -1
+// matchRoot applies matchBackground to the directory (creation order), so
+// a segment routes exactly as the plain tree would route it.
+func (s *Sharded[P]) matchRoot(dir []rootEntry, bg *graph.Graph) int {
+	return matchBackground(s.matcher, s.cfg.BGSimThreshold, bg, len(dir),
+		func(i int) *graph.Graph { return dir[i].bg })
 }
 
 // RouteShard returns the shard a segment with background bg commits to:
@@ -158,7 +148,7 @@ func (s *Sharded[P]) resolveRoot(dir []rootEntry, bg *graph.Graph) int {
 // RouteShard and the AddSegment it describes.
 func (s *Sharded[P]) RouteShard(bg *graph.Graph) int {
 	dir := *s.dir.Load()
-	if gi := s.resolveRoot(dir, bg); gi >= 0 {
+	if gi := s.matchRoot(dir, bg); gi >= 0 {
 		return dir[gi].shard
 	}
 	return s.shardOf(len(dir))
@@ -180,7 +170,7 @@ func (s *Sharded[P]) AddSegment(bg *graph.Graph, items []Item[P]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dir := *s.dir.Load()
-	gi := s.resolveRoot(dir, bg)
+	gi := s.matchRoot(dir, bg)
 	if gi >= 0 {
 		if len(items) == 0 {
 			return nil
@@ -219,90 +209,108 @@ func (s *Sharded[P]) AddSegment(bg *graph.Graph, items []Item[P]) error {
 	return nil
 }
 
-// Insert adds a single OG, routing by background like AddSegment.
-func (s *Sharded[P]) Insert(bg *graph.Graph, seq dist.Sequence, payload P) error {
-	return s.AddSegment(bg, []Item[P]{{Seq: seq, Payload: payload}})
-}
-
-// spawnSplits hands deferred split candidates to background evaluation.
-// Caller holds s.mu (candidates reference the just-published snapshot).
+// spawnSplits hands deferred split candidates to background evaluation,
+// at most one in flight per cluster: a candidate for a cluster that is
+// still being fitted marks the running evaluation dirty instead, and
+// asyncSplit runs another round for it. Caller holds s.mu (candidates
+// reference the just-published snapshot).
 func (s *Sharded[P]) spawnSplits(si int, cands []splitCand) {
 	for _, c := range cands {
+		k := splitKey{si, c.clusterID}
+		if _, running := s.evaluating[k]; running {
+			s.evaluating[k] = true
+			continue
+		}
+		s.evaluating[k] = false
 		s.wg.Add(1)
 		go s.asyncSplit(si, c)
 	}
 }
 
-// asyncSplit runs one deferred Section 5.3 evaluation: fit the one- and
+// asyncSplit evaluates cluster c until a round ends with no candidate
+// skipped since it began. Every commit into an over-full leaf yields a
+// candidate, so a clean exit — decided under the same s.mu hold that
+// clears the in-flight entry — means the last fit saw the published
+// membership. One extra round per skipped commit at most: the loop ends
+// when ingest into the cluster does.
+func (s *Sharded[P]) asyncSplit(si int, c splitCand) {
+	defer s.wg.Done()
+	k := splitKey{si, c.clusterID}
+	for {
+		s.evalSplit(si, c)
+		s.mu.Lock()
+		if !s.evaluating[k] {
+			delete(s.evaluating, k)
+			s.mu.Unlock()
+			return
+		}
+		s.evaluating[k] = false
+		s.mu.Unlock()
+	}
+}
+
+// evalSplit runs one deferred Section 5.3 evaluation: fit the one- and
 // two-component models against the cluster's published membership with no
 // lock held, then revalidate under the writer lock — the cluster record
 // pointer must be unchanged, i.e. no commit touched the leaf since the
 // candidate snapshot — and publish the split on a fresh clone. A changed
-// cluster retries against the new membership a bounded number of times.
-func (s *Sharded[P]) asyncSplit(si int, c splitCand) {
-	defer s.wg.Done()
-	for attempt := 0; attempt < 4; attempt++ {
-		sv := s.shards[si].cur.Load()
-		if c.rootIdx >= len(sv.tree.roots) {
-			return
-		}
-		root := sv.tree.roots[c.rootIdx]
-		ci := findClusterByID(root, c.clusterID)
-		if ci < 0 {
-			return
-		}
-		cl := root.clusters[ci]
-		if len(cl.leaf) <= s.cfg.MaxLeafEntries {
-			return
-		}
-		s.mu.Lock()
-		skip := cl.splitChecked == len(cl.leaf)
-		s.mu.Unlock()
-		if skip {
-			return
-		}
-		seqs := make([]dist.Sequence, len(cl.leaf))
-		for i, rec := range cl.leaf {
-			seqs[i] = rec.seq
-		}
-		dec, err := cluster.SplitEval(seqs, sv.tree.clusterCfg())
-		splitEvals.Inc()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		cur := s.shards[si].cur.Load()
-		if c.rootIdx >= len(cur.tree.roots) {
-			s.mu.Unlock()
-			return
-		}
-		curRoot := cur.tree.roots[c.rootIdx]
-		ci = findClusterByID(curRoot, c.clusterID)
-		if ci < 0 || curRoot.clusters[ci] != cl {
-			// The cluster changed under us; the fit no longer describes its
-			// membership. Retry against the new snapshot.
-			s.mu.Unlock()
-			continue
-		}
-		if !dec.Adopt {
-			// Remember the declined size on the shared record — advisory
-			// state readers never touch, written only under s.mu.
-			cl.splitChecked = len(cl.leaf)
-			s.mu.Unlock()
-			return
-		}
-		nt := cur.tree.clone()
-		x := &txn[P]{t: nt, cow: true}
-		r := x.root(c.rootIdx)
-		target := x.cluster(r, ci)
-		if nt.applySplit(r, target, dec.Two) {
-			s.publish(si, nt)
-			splitsAsync.Inc()
-		} else {
-			cl.splitChecked = len(cl.leaf)
-		}
-		s.mu.Unlock()
+// cluster drops the fit; the commit that changed it marked the evaluation
+// dirty, so asyncSplit comes back with the new membership.
+func (s *Sharded[P]) evalSplit(si int, c splitCand) {
+	sv := s.shards[si].cur.Load()
+	if c.rootIdx >= len(sv.tree.roots) {
 		return
+	}
+	root := sv.tree.roots[c.rootIdx]
+	ci := findClusterByID(root, c.clusterID)
+	if ci < 0 {
+		return
+	}
+	cl := root.clusters[ci]
+	if len(cl.leaf) <= s.cfg.MaxLeafEntries {
+		return
+	}
+	s.mu.Lock()
+	skip := cl.splitChecked == len(cl.leaf)
+	s.mu.Unlock()
+	if skip {
+		return
+	}
+	seqs := make([]dist.Sequence, len(cl.leaf))
+	for i, rec := range cl.leaf {
+		seqs[i] = rec.seq
+	}
+	dec, err := cluster.SplitEval(seqs, sv.tree.clusterCfg())
+	splitEvals.Inc()
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.shards[si].cur.Load()
+	if c.rootIdx >= len(cur.tree.roots) {
+		return
+	}
+	curRoot := cur.tree.roots[c.rootIdx]
+	ci = findClusterByID(curRoot, c.clusterID)
+	if ci < 0 || curRoot.clusters[ci] != cl {
+		return
+	}
+	if !dec.Adopt {
+		// Remember the declined size on the shared record — advisory
+		// state readers never touch, written only under s.mu.
+		cl.splitChecked = len(cl.leaf)
+		return
+	}
+	nt := cur.tree.clone()
+	x := &txn[P]{t: nt, cow: true}
+	r := x.root(c.rootIdx)
+	target := x.cluster(r, ci)
+	if nt.applySplit(r, target, dec.Two) {
+		s.publish(si, nt)
+		splitsAsync.Inc()
+	} else {
+		cl.splitChecked = len(cl.leaf)
 	}
 }
 
@@ -321,25 +329,6 @@ func findClusterByID[P any](root *rootRecord[P], id int) int {
 // Deterministic tests and shutdown paths call it before inspecting or
 // serializing state.
 func (s *Sharded[P]) Quiesce() { s.wg.Wait() }
-
-// Delete removes the first indexed record (in global root order, matching
-// Tree.Delete) whose sequence equals seq and whose payload satisfies pred,
-// publishing a new snapshot of the affected shard. It reports whether a
-// record was removed.
-func (s *Sharded[P]) Delete(seq dist.Sequence, pred func(P) bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dir := *s.dir.Load()
-	for _, e := range dir {
-		nt := s.shards[e.shard].cur.Load().tree.clone()
-		x := &txn[P]{t: nt, cow: true}
-		if nt.deleteFromRoot(x, e.local, seq, pred) {
-			s.publish(e.shard, nt)
-			return true
-		}
-	}
-	return false
-}
 
 // shardedView is one query's consistent read snapshot: a merged read-only
 // tree plus the shard versions it was assembled from.
@@ -394,13 +383,6 @@ func (s *Sharded[P]) observeStaleness(v shardedView[P]) {
 // mutate it; queries on it are lock-free and safe alongside writers.
 func (s *Sharded[P]) View() *Tree[P] { return s.view().t }
 
-// KNN is Tree.KNN over a lock-free merged view.
-func (s *Sharded[P]) KNN(bg *graph.Graph, query dist.Sequence, k int) []Result[P] {
-	res, _, err := s.KNNStatsCtx(context.Background(), bg, query, k)
-	must(err)
-	return res
-}
-
 // KNNStatsCtx is Tree.KNNStatsCtx over a lock-free merged view.
 func (s *Sharded[P]) KNNStatsCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], SearchStats, error) {
 	v := s.view()
@@ -409,26 +391,12 @@ func (s *Sharded[P]) KNNStatsCtx(ctx context.Context, bg *graph.Graph, query dis
 	return res, st, err
 }
 
-// KNNExact is Tree.KNNExact over a lock-free merged view.
-func (s *Sharded[P]) KNNExact(bg *graph.Graph, query dist.Sequence, k int) []Result[P] {
-	res, _, err := s.KNNExactStatsCtx(context.Background(), bg, query, k)
-	must(err)
-	return res
-}
-
 // KNNExactStatsCtx is Tree.KNNExactStatsCtx over a lock-free merged view.
 func (s *Sharded[P]) KNNExactStatsCtx(ctx context.Context, bg *graph.Graph, query dist.Sequence, k int) ([]Result[P], SearchStats, error) {
 	v := s.view()
 	res, st, err := v.t.KNNExactStatsCtx(ctx, bg, query, k)
 	s.observeStaleness(v)
 	return res, st, err
-}
-
-// Range is Tree.Range over a lock-free merged view.
-func (s *Sharded[P]) Range(bg *graph.Graph, query dist.Sequence, radius float64) []Result[P] {
-	res, _, err := s.RangeStatsCtx(context.Background(), bg, query, radius)
-	must(err)
-	return res
 }
 
 // RangeStatsCtx is Tree.RangeStatsCtx over a lock-free merged view.
@@ -471,18 +439,10 @@ func (s *Sharded[P]) NumClusters() int { return s.View().NumClusters() }
 // MemoryBytes evaluates Equation 10 over the merged view.
 func (s *Sharded[P]) MemoryBytes() int { return s.View().MemoryBytes() }
 
-// Items returns every indexed item in global (root, cluster, key) order —
-// the plain tree's order.
-func (s *Sharded[P]) Items() []Item[P] { return s.View().Items() }
-
-// CheckInvariants verifies the merged view (leaf order and key
-// correctness across every shard).
-func (s *Sharded[P]) CheckInvariants() error { return s.View().CheckInvariants() }
-
 // Snapshot serializes the merged view in global root order, renumbering
 // roots by directory position and clusters sequentially so the image is
-// self-consistent regardless of shard count. NewShardedFromSnapshot (any
-// shard count) and FromSnapshot both restore it.
+// self-consistent regardless of shard count; NewShardedFromSnapshot
+// restores it at any shard count.
 func (s *Sharded[P]) Snapshot() Snapshot[P] {
 	snap := s.View().Snapshot()
 	next := 0

@@ -17,7 +17,7 @@ func shardBG(i int) *graph.Graph {
 	g := graph.New()
 	for n := 0; n <= i; n++ {
 		g.MustAddNode(graph.Node{ID: graph.NodeID(n), Attr: graph.NodeAttr{
-			Size: float64(int(1000) << (3 * i)), Color: graph.Gray(0.1 + 0.2*float64(i)),
+			Size: float64(int(1000) << (3 * i)), Color: graph.Color{R: 0.1 + 0.2*float64(i), G: 0.1 + 0.2*float64(i), B: 0.1 + 0.2*float64(i)},
 		}})
 	}
 	return g
@@ -105,18 +105,18 @@ func TestShardedByteIdentityMatrix(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 				}
-				if err := s.CheckInvariants(); err != nil {
+				if err := s.View().CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if s.Len() != ref.Len() || s.NumRoots() != ref.NumRoots() || s.NumClusters() != ref.NumClusters() {
+				if s.Len() != ref.Len() || s.NumRoots() != len(ref.roots) || s.NumClusters() != ref.NumClusters() {
 					t.Fatalf("%s: shape (%d,%d,%d), want (%d,%d,%d)", label,
 						s.Len(), s.NumRoots(), s.NumClusters(),
-						ref.Len(), ref.NumRoots(), ref.NumClusters())
+						ref.Len(), len(ref.roots), ref.NumClusters())
 				}
 				if s.MemoryBytes() != ref.MemoryBytes() {
 					t.Fatalf("%s: MemoryBytes %d, want %d", label, s.MemoryBytes(), ref.MemoryBytes())
 				}
-				sameItems(t, label, s.Items(), ref.Items())
+				sameItems(t, label, s.View().Items(), ref.Items())
 				// Every committed write published exactly one snapshot.
 				var vsum uint64
 				for _, v := range s.Versions() {
@@ -133,9 +133,9 @@ func TestShardedByteIdentityMatrix(t *testing.T) {
 							v[1] += 400 * float64(b)
 						}
 						ql := labelf("%s bg=%d q=%d", label, b, qi)
-						sameResults(t, ql+" KNN", s.KNN(bg, sq, 5), ref.KNN(bg, sq, 5))
-						sameResults(t, ql+" KNNExact", s.KNNExact(bg, sq, 9), ref.KNNExact(bg, sq, 9))
-						sameResults(t, ql+" Range", s.Range(bg, sq, 150), ref.Range(bg, sq, 150))
+						sameResults(t, ql+" KNN", s.View().KNN(bg, sq, 5), ref.KNN(bg, sq, 5))
+						sameResults(t, ql+" KNNExact", s.View().KNNExact(bg, sq, 9), ref.KNNExact(bg, sq, 9))
+						sameResults(t, ql+" Range", s.View().Range(bg, sq, 150), ref.Range(bg, sq, 150))
 					}
 				}
 				// Search accounting is identical too: same records visited,
@@ -200,7 +200,7 @@ func TestShardedQueriesServeDuringIngest(t *testing.T) {
 	}
 	done := make(chan ans, 1)
 	go func() {
-		done <- ans{knn: s.KNNExact(nil, q, 5), rng: s.Range(nil, q, 200)}
+		done <- ans{knn: s.View().KNNExact(nil, q, 5), rng: s.View().Range(nil, q, 200)}
 	}()
 	select {
 	case a := <-done:
@@ -226,7 +226,7 @@ func TestShardedQueriesServeDuringIngest(t *testing.T) {
 	if s.Len() != lenBefore+len(more) {
 		t.Fatalf("Len after commit = %d, want %d", s.Len(), lenBefore+len(more))
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if err := s.View().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -263,14 +263,14 @@ func TestShardedAsyncSplit(t *testing.T) {
 	if s.NumClusters() < 2 {
 		t.Fatalf("NumClusters = %d, want >= 2 after async split", s.NumClusters())
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if err := s.View().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 17 {
 		t.Fatalf("Len = %d, want 17", s.Len())
 	}
 	// Both groups remain findable, exactly.
-	got := s.KNNExact(nil, trajectory(0, 601, 100, 601, 6), 3)
+	got := s.View().KNNExact(nil, trajectory(0, 601, 100, 601, 6), 3)
 	for _, r := range got {
 		if r.Payload < 100 {
 			t.Fatalf("post-split neighbor %d from the wrong group", r.Payload)
@@ -278,40 +278,86 @@ func TestShardedAsyncSplit(t *testing.T) {
 	}
 }
 
-// TestShardedDeleteParity checks Delete matches the plain tree: same
-// victim (global root order, first match), same post-delete layout and
-// answers, and a published snapshot per removal.
-func TestShardedDeleteParity(t *testing.T) {
-	bgs, segs := shardScript(57)
-	cfg := Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8}
-	ref := New[int](cfg)
-	scfg := cfg
-	scfg.Shards = 3
-	s := NewSharded[int](scfg)
-	for _, sg := range segs {
-		if err := ref.AddSegment(bgs[sg.bg], sg.items); err != nil {
+// TestShardedSplitEvalSingleFlight: commits into a cluster whose split
+// evaluation is still fitting do not start another fit over nearly the same
+// membership, and the running evaluation keeps going — past any retry
+// bound — until it has fitted the membership the last commit published.
+func TestShardedSplitEvalSingleFlight(t *testing.T) {
+	var armed atomic.Bool
+	var budget, passed atomic.Int64
+	parked := make(chan struct{}, 64)
+	release := make(chan struct{})
+	passed.Store(-1)
+	cd := func(a, b dist.Sequence) float64 {
+		// A commit routes each of its items against the one centroid —
+		// budget calls — before it can spawn anything; every call beyond
+		// those comes from a split evaluation, whose first call parks
+		// here. The commits below run only while a fit is parked.
+		if armed.Load() && budget.Add(-1) < 0 && passed.Load() != splitEvals.Value() {
+			parked <- struct{}{}
+			<-release
+			passed.Store(splitEvals.Value())
+		}
+		return dist.EGED(a, b)
+	}
+	s := NewSharded[int](Config{Seed: 11, NumClusters: 1, MaxLeafEntries: 6,
+		AsyncSplit: true, Concurrency: 1, ClusterDistance: cd})
+	base := 0
+	commit := func(y0 float64, n int) {
+		t.Helper()
+		seg := make([]Item[int], n)
+		for i := range seg {
+			y := y0 + float64(base+i)
+			seg[i] = Item[int]{Seq: trajectory(0, y, 100, y, 6), Payload: base + i}
+		}
+		base += n
+		budget.Store(int64(n))
+		if err := s.AddSegment(nil, seg); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AddSegment(bgs[sg.bg], sg.items); err != nil {
-			t.Fatal(err)
+	}
+	waitParked := func(round int) {
+		t.Helper()
+		select {
+		case <-parked:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: no split evaluation running", round)
 		}
 	}
-	for _, victim := range []Item[int]{segs[1].items[2], segs[4].items[0], segs[2].items[5]} {
-		pred := func(p int) bool { return p == victim.Payload }
-		if got, want := s.Delete(victim.Seq, pred), ref.Delete(victim.Seq, pred); got != want {
-			t.Fatalf("Delete(payload=%d) = %v, want %v", victim.Payload, got, want)
+	commit(0, 5)
+	evals := splitEvals.Value()
+	armed.Store(true)
+	commit(600, 3) // overfills the leaf: the evaluation starts
+	waitParked(0)
+	for c := 0; c < 4; c++ {
+		commit(600, 3) // same leaf, evaluation still parked
+	}
+	if got := len(parked); got != 0 {
+		t.Fatalf("%d more split evaluations in flight for one cluster, want none", got)
+	}
+	// Every fit from here on is stale by the time it revalidates: more
+	// rounds than the old four-attempt bound allowed.
+	const rounds = 6
+	for r := 1; r <= rounds+1; r++ {
+		release <- struct{}{} // this fit revalidates against a changed leaf
+		waitParked(r)         // so the next round starts
+		if r <= rounds {
+			commit(600, 3)
 		}
 	}
-	missing := detSequences(1, 4242)[0]
-	if s.Delete(missing, func(int) bool { return true }) {
-		t.Fatal("Delete of absent sequence reported true")
+	release <- struct{}{} // the one fit of the membership that stays
+	s.Quiesce()
+	// One fit per stale membership it started on plus the one that held —
+	// not one per commit.
+	if got := splitEvals.Value() - evals; got != rounds+2 {
+		t.Fatalf("split_evals_total advanced by %d over %d commits into one cluster, want %d", got, 5+rounds, rounds+2)
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if s.NumClusters() < 2 {
+		t.Fatalf("NumClusters = %d: the split of the final membership was not adopted", s.NumClusters())
+	}
+	if err := s.View().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	sameItems(t, "post-delete", s.Items(), ref.Items())
-	q := detSequences(1, 77)[0]
-	sameResults(t, "post-delete KNNExact", s.KNNExact(nil, q, 8), ref.KNNExact(nil, q, 8))
 }
 
 // TestShardedSnapshotRoundtrip serializes a 3-shard index and restores it
@@ -327,7 +373,7 @@ func TestShardedSnapshotRoundtrip(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot()
-	wantItems := s.Items()
+	wantItems := s.View().Items()
 	q := detSequences(2, 13)
 	for _, nsh := range []int{1, 2, 5} {
 		rcfg := cfg
@@ -336,20 +382,14 @@ func TestShardedSnapshotRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", nsh, err)
 		}
-		sameItems(t, labelf("restore shards=%d", nsh), r.Items(), wantItems)
+		sameItems(t, labelf("restore shards=%d", nsh), r.View().Items(), wantItems)
 		for qi, query := range q {
 			sameResults(t, labelf("restore shards=%d q=%d", nsh, qi),
-				r.KNNExact(nil, query, 6), s.KNNExact(nil, query, 6))
+				r.View().KNNExact(nil, query, 6), s.View().KNNExact(nil, query, 6))
 			sameResults(t, labelf("restore shards=%d q=%d range", nsh, qi),
-				r.Range(nil, query, 180), s.Range(nil, query, 180))
+				r.View().Range(nil, query, 180), s.View().Range(nil, query, 180))
 		}
 	}
-	plain, err := FromSnapshot(snap, Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameItems(t, "restore plain", plain.Items(), wantItems)
-	sameResults(t, "restore plain KNNExact", plain.KNNExact(nil, q[0], 6), s.KNNExact(nil, q[0], 6))
 }
 
 // TestRouteShardAgreement checks the pure pre-commit route matches where

@@ -65,24 +65,9 @@ func (t *Tree[P]) Snapshot() Snapshot[P] {
 	return s
 }
 
-// FromSnapshot reconstructs a tree under the given configuration.
-func FromSnapshot[P any](s Snapshot[P], cfg Config) (*Tree[P], error) {
-	t := New[P](cfg)
-	for _, rs := range s.Roots {
-		if err := t.restoreRoot(rs); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("index: snapshot inconsistent with configuration: %w", err)
-	}
-	return t, nil
-}
-
 // restoreRoot appends one serialized root to the tree, recomputing the
-// derived per-record state (the cascade summary).
-// Shared by FromSnapshot and the sharded restore, which re-partitions the
-// same root sequence across shard trees.
+// derived per-record state (the cascade summary). The sharded restore
+// partitions the snapshot's root sequence across shard trees with it.
 func (t *Tree[P]) restoreRoot(rs RootSnapshot[P]) error {
 	root := &rootRecord[P]{id: rs.ID}
 	if rs.HasBG {

@@ -3,10 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/gob"
-	"math/rand"
 	"testing"
-
-	"strgindex/internal/dist"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -26,16 +23,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := FromSnapshot(decoded, Config{Seed: 1, NumClusters: 3})
+	sh, err := NewShardedFromSnapshot(decoded, Config{Seed: 1, NumClusters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := sh.View()
 	if restored.Len() != tr.Len() {
 		t.Fatalf("Len = %d, want %d", restored.Len(), tr.Len())
 	}
-	if restored.NumRoots() != tr.NumRoots() || restored.NumClusters() != tr.NumClusters() {
+	if len(restored.roots) != len(tr.roots) || restored.NumClusters() != tr.NumClusters() {
 		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
-			restored.NumRoots(), restored.NumClusters(), tr.NumRoots(), tr.NumClusters())
+			len(restored.roots), restored.NumClusters(), len(tr.roots), tr.NumClusters())
 	}
 	// Identical query results.
 	q := trajectory(0, 52, 300, 48, 10)
@@ -56,7 +54,7 @@ func TestFromSnapshotRejectsCorruptKeys(t *testing.T) {
 	}
 	snap := tr.Snapshot()
 	snap.Roots[0].Clusters[0].Keys[0] += 100 // corrupt a key
-	if _, err := FromSnapshot(snap, Config{}); err == nil {
+	if _, err := NewShardedFromSnapshot(snap, Config{}); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
 }
@@ -69,107 +67,7 @@ func TestFromSnapshotRejectsLengthMismatch(t *testing.T) {
 	}
 	snap := tr.Snapshot()
 	snap.Roots[0].Clusters[0].Payloads = snap.Roots[0].Clusters[0].Payloads[:1]
-	if _, err := FromSnapshot(snap, Config{}); err == nil {
+	if _, err := NewShardedFromSnapshot(snap, Config{}); err == nil {
 		t.Error("length-mismatched snapshot accepted")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := New[int](Config{Seed: 1, NumClusters: 2})
-	items, _ := patternItems(6, 3, 23)
-	if err := tr.AddSegment(nil, items); err != nil {
-		t.Fatal(err)
-	}
-	n := tr.Len()
-	target := items[4]
-	if !tr.Delete(target.Seq, func(p int) bool { return p == target.Payload }) {
-		t.Fatal("Delete did not find the record")
-	}
-	if tr.Len() != n-1 {
-		t.Errorf("Len = %d, want %d", tr.Len(), n-1)
-	}
-	// The deleted payload must no longer be retrievable.
-	for _, r := range tr.KNNExact(nil, target.Seq, n) {
-		if r.Payload == target.Payload {
-			t.Error("deleted payload still retrievable")
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Deleting again fails.
-	if tr.Delete(target.Seq, func(p int) bool { return p == target.Payload }) {
-		t.Error("second Delete of same record succeeded")
-	}
-	// Nil predicate matches any payload with that sequence.
-	other := items[7]
-	if !tr.Delete(other.Seq, nil) {
-		t.Error("Delete with nil pred failed")
-	}
-}
-
-func TestDeleteEmptiesCluster(t *testing.T) {
-	tr := New[int](Config{Seed: 1, NumClusters: 1})
-	a := trajectory(0, 0, 100, 0, 6)
-	if err := tr.AddSegment(nil, []Item[int]{{Seq: a, Payload: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumClusters() != 1 {
-		t.Fatalf("clusters = %d", tr.NumClusters())
-	}
-	if !tr.Delete(a, nil) {
-		t.Fatal("Delete failed")
-	}
-	if tr.NumClusters() != 0 {
-		t.Errorf("empty cluster not removed: %d", tr.NumClusters())
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d, want 0", tr.Len())
-	}
-}
-
-func TestInsertDeleteChurnKeepsInvariants(t *testing.T) {
-	tr := New[int](Config{Seed: 2, NumClusters: 3, MaxLeafEntries: 12})
-	rng := rand.New(rand.NewSource(31))
-	var live []Item[int]
-	next := 0
-	mk := func() Item[int] {
-		seq := make(dist.Sequence, 6+rng.Intn(5))
-		for i := range seq {
-			seq[i] = dist.Vec{rng.Float64() * 300, rng.Float64() * 200}
-		}
-		it := Item[int]{Seq: seq, Payload: next}
-		next++
-		return it
-	}
-	seed := make([]Item[int], 12)
-	for i := range seed {
-		seed[i] = mk()
-		live = append(live, seed[i])
-	}
-	if err := tr.AddSegment(nil, seed); err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 200; step++ {
-		if rng.Float64() < 0.6 || len(live) == 0 {
-			it := mk()
-			if err := tr.Insert(nil, it.Seq, it.Payload); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, it)
-		} else {
-			i := rng.Intn(len(live))
-			it := live[i]
-			if !tr.Delete(it.Seq, func(p int) bool { return p == it.Payload }) {
-				t.Fatalf("step %d: Delete of live item %d failed", step, it.Payload)
-			}
-			live = append(live[:i], live[i+1:]...)
-		}
-		if tr.Len() != len(live) {
-			t.Fatalf("step %d: Len = %d, want %d", step, tr.Len(), len(live))
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -268,7 +268,7 @@ func (t *Tree[P]) partitionCost(entries []*entry[P], i, j int) float64 {
 	return math.Max(rad1, rad2)
 }
 
-// Result is one k-NN or range search hit.
+// Result is one k-NN search hit.
 type Result[P any] struct {
 	Payload  P
 	Distance float64
@@ -329,41 +329,6 @@ func (t *Tree[P]) KNN(query dist.Sequence, k int) []Result[P] {
 	return out
 }
 
-// Range returns every object within radius of the query, in no particular
-// order.
-func (t *Tree[P]) Range(query dist.Sequence, radius float64) []Result[P] {
-	var out []Result[P]
-	t.rangeSearch(t.root, query, radius, &out)
-	return out
-}
-
-func (t *Tree[P]) rangeSearch(n *node[P], query dist.Sequence, radius float64, out *[]Result[P]) {
-	if n.leaf {
-		for _, e := range n.entries {
-			if d := t.metric(query, e.seq); d <= radius {
-				*out = append(*out, Result[P]{Payload: e.payload, Distance: d})
-			}
-		}
-		return
-	}
-	for _, r := range n.entries {
-		if d := t.metric(query, r.seq); d <= radius+r.radius {
-			t.rangeSearch(r.child, query, radius, out)
-		}
-	}
-}
-
-// Height returns the tree height (1 for a single leaf root).
-func (t *Tree[P]) Height() int {
-	h := 1
-	n := t.root
-	for !n.leaf {
-		h++
-		n = n.entries[0].child
-	}
-	return h
-}
-
 // CheckInvariants verifies the covering-radius invariant: every object in a
 // routing entry's subtree lies within the entry's radius of its pivot. It
 // returns an error naming the first violation. Intended for tests.
@@ -400,29 +365,4 @@ func collect[P any](n *node[P], out *[]dist.Sequence) {
 	for _, r := range n.entries {
 		collect(r.child, out)
 	}
-}
-
-// MemoryBytes estimates the in-memory footprint of the tree structure
-// (pivot sequences, radii, pointers), comparable with the STRG-Index size
-// accounting.
-func (t *Tree[P]) MemoryBytes() int {
-	return t.nodeBytes(t.root)
-}
-
-func (t *Tree[P]) nodeBytes(n *node[P]) int {
-	total := 0
-	for _, e := range n.entries {
-		total += seqBytes(e.seq) + 8 + 8 // seq + parentDist + radius
-		if e.child != nil {
-			total += 8 + t.nodeBytes(e.child)
-		}
-	}
-	return total
-}
-
-func seqBytes(s dist.Sequence) int {
-	if len(s) == 0 {
-		return 0
-	}
-	return len(s) * s.Dim() * 8
 }

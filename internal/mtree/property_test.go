@@ -64,44 +64,6 @@ func TestKNNMatchesBruteForceProperty(t *testing.T) {
 	}
 }
 
-// TestRangeMatchesBruteForceProperty does the same for range queries.
-func TestRangeMatchesBruteForceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr, err := New[int](Config{Metric: dist.EGEDMZero, MaxEntries: 6, Seed: seed})
-		if err != nil {
-			return false
-		}
-		n := 40 + rng.Intn(80)
-		seqs := make([]dist.Sequence, n)
-		for i := range seqs {
-			seqs[i] = dist.Sequence{{rng.Float64() * 100}}
-			tr.Insert(seqs[i], i)
-		}
-		q := dist.Sequence{{rng.Float64() * 100}}
-		radius := rng.Float64() * 30
-		got := tr.Range(q, radius)
-		want := map[int]bool{}
-		for i, s := range seqs {
-			if dist.EGEDMZero(q, s) <= radius {
-				want[i] = true
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for _, r := range got {
-			if !want[r.Payload] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestInvariantHoldsUnderRandomInserts keeps the covering-radius invariant
 // across randomized insert orders and node capacities.
 func TestInvariantHoldsUnderRandomInserts(t *testing.T) {

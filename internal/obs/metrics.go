@@ -211,13 +211,6 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 	r.lookup(name, help, "counter").instance(canonLabels(labels)).gf = fn
 }
 
-// GaugeFunc registers a gauge read from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lookup(name, help, "gauge").instance(canonLabels(labels)).gf = fn
-}
-
 // Histogram returns the histogram with the given name, labels and bucket
 // upper bounds, creating it on first use. Bounds must be sorted ascending;
 // nil means LatencyBuckets. The bounds of the first registration win.

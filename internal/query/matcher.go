@@ -88,9 +88,6 @@ func (m *Matcher) DistanceUB(og dist.Block, ub float64) (d float64, abandoned bo
 	return m.metric(m.sim.Trajectory, og.Sequence()), false
 }
 
-// HasSimilar reports whether the query ranks by similarity at all.
-func (m *Matcher) HasSimilar() bool { return m.sim != nil }
-
 // K returns the k-NN result bound (0 for range or predicate-only queries).
 func (m *Matcher) K() int {
 	if m.sim == nil {

@@ -24,7 +24,7 @@ func TestMatcherPredicate(t *testing.T) {
 	if m.Match(west) {
 		t.Error("westbound OG matched east heading")
 	}
-	if m.HasSimilar() || m.K() != 0 || m.Radius() != 0 {
+	if m.K() != 0 || m.Radius() != 0 {
 		t.Error("predicate-only matcher reports a similar clause")
 	}
 }
@@ -36,8 +36,8 @@ func TestMatcherDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasSimilar() || m.K() != 3 {
-		t.Fatalf("similar clause lost: HasSimilar=%v K=%d", m.HasSimilar(), m.K())
+	if m.K() != 3 {
+		t.Fatalf("similar clause lost: K=%d", m.K())
 	}
 	if d := m.Distance(dist.FromSequence(og.Sequence())); d != 0 {
 		t.Errorf("self-distance = %g, want 0", d)

@@ -135,11 +135,6 @@ func SpeedBetween(lo, hi float64) Predicate {
 	}
 }
 
-// Stationary is satisfied when the mean speed is below maxSpeed.
-func Stationary(maxSpeed float64) Predicate {
-	return func(og *strg.OG) bool { return MeanSpeed(og) < maxSpeed }
-}
-
 // DirectionalCoherence returns the mean resultant length R ∈ [0, 1] of the
 // OG's step directions: 1 for a dead-straight path, near 0 when the steps
 // cancel (a U-turn's net displacement is just its turn gap).
@@ -217,15 +212,4 @@ func AreaBetween(lo, hi float64) Predicate {
 		mean := total / float64(og.Len())
 		return mean >= lo && mean <= hi
 	}
-}
-
-// Filter returns the OGs satisfying p, preserving order.
-func Filter(ogs []*strg.OG, p Predicate) []*strg.OG {
-	var out []*strg.OG
-	for _, og := range ogs {
-		if p(og) {
-			out = append(out, og)
-		}
-	}
-	return out
 }

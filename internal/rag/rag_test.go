@@ -34,8 +34,8 @@ func TestEquivalentRadius(t *testing.T) {
 
 func TestBuildNodes(t *testing.T) {
 	f := frameOf(
-		video.Region{Centroid: geom.Pt(10, 10), Size: 100, Color: graph.Gray(0.5), Label: "a"},
-		video.Region{Centroid: geom.Pt(200, 200), Size: 50, Color: graph.Gray(0.2)},
+		video.Region{Centroid: geom.Pt(10, 10), Size: 100, Color: graph.Color{R: 0.5, G: 0.5, B: 0.5}, Label: "a"},
+		video.Region{Centroid: geom.Pt(200, 200), Size: 50, Color: graph.Color{R: 0.2, G: 0.2, B: 0.2}},
 	)
 	g := Build(f, DefaultConfig(), 0)
 	if g.Order() != 2 {

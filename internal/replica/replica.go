@@ -295,9 +295,6 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 // DB exposes the replica-mode database for serving queries.
 func (r *Replica) DB() *core.SharedDB { return r.db }
 
-// Lag returns the last reported lag in committed primary WAL bytes.
-func (r *Replica) Lag() int64 { return r.lag.Load() }
-
 // Healthy implements the readiness contract: nil while the replica is
 // serving verified, fresh-enough state. It fails when anti-entropy found
 // divergence, before the first full catch-up, and when lag exceeds

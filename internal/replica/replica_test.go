@@ -302,9 +302,6 @@ func TestReplicaByteIdentity(t *testing.T) {
 			if got := rep.DB().AppliedSegments(); got != len(stream.Segments) {
 				t.Errorf("AppliedSegments = %d, want %d", got, len(stream.Segments))
 			}
-			if !rep.DB().IsReplica() {
-				t.Error("replica database does not report IsReplica")
-			}
 		})
 	}
 }

@@ -207,8 +207,8 @@ func TestDeleteChurnMatchesBruteForce(t *testing.T) {
 			delete(live, id)
 		}
 		check(-1)
-		if tr.Height() != 1 {
-			t.Fatalf("fanout %d: drained tree has height %d", fanout, tr.Height())
+		if tr.height() != 1 {
+			t.Fatalf("fanout %d: drained tree has height %d", fanout, tr.height())
 		}
 		tr.Insert(randBox(), next)
 		if tr.Len() != 1 {
@@ -246,8 +246,8 @@ func TestCheckInvariantsCatchesDamage(t *testing.T) {
 			f := float64(i)
 			tr.Insert(NewBox([3]float64{f, f, f}, [3]float64{f + 1, f + 1, f + 1}), i)
 		}
-		if tr.Height() < 3 {
-			t.Fatalf("height %d: the damage below needs two routing levels", tr.Height())
+		if tr.height() < 3 {
+			t.Fatalf("height %d: the damage below needs two routing levels", tr.height())
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)

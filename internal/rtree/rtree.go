@@ -359,8 +359,8 @@ func (t *Tree[P]) Bounds() (Box, bool) {
 	return t.root.boundingBox(), true
 }
 
-// Height returns the tree height (1 for a single leaf root).
-func (t *Tree[P]) Height() int {
+// height returns the tree height (1 for a single leaf root).
+func (t *Tree[P]) height() int {
 	h := 1
 	n := t.root
 	for !n.leaf {
@@ -375,7 +375,7 @@ func (t *Tree[P]) Height() int {
 // the minimum and maximum fill, every leaf sits at the same depth, and
 // Len counts exactly the leaf entries.
 func (t *Tree[P]) CheckInvariants() error {
-	leaves, err := t.check(t.root, t.Height())
+	leaves, err := t.check(t.root, t.height())
 	if err != nil {
 		return err
 	}

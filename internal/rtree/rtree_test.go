@@ -67,8 +67,8 @@ func TestInsertAndSearchExact(t *testing.T) {
 	if tr.Len() != 1000 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if tr.Height() < 2 {
-		t.Errorf("Height = %d, want >= 2", tr.Height())
+	if tr.height() < 2 {
+		t.Errorf("Height = %d, want >= 2", tr.height())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestEmptyTree(t *testing.T) {
 	if got, _ := tr.Search(box(0, 0, 0, 1, 1, 1)); got != nil {
 		t.Errorf("Search on empty tree = %v", got)
 	}
-	if tr.Height() != 1 {
-		t.Errorf("empty Height = %d", tr.Height())
+	if tr.height() != 1 {
+		t.Errorf("empty Height = %d", tr.height())
 	}
 }

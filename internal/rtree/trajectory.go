@@ -74,24 +74,6 @@ func StepBoxes(path []geom.Point, frames []int, fn func(Box)) {
 	}
 }
 
-// Window returns the payloads of trajectories intersecting the spatial
-// rectangle during [t0, t1] — the query type the 3DR-tree excels at.
-func (ti *TrajectoryIndex[P]) Window(area geom.Rect, t0, t1 float64) []P {
-	hits, _ := ti.tree.Search(NewBox(
-		[3]float64{area.Min.X, area.Min.Y, t0},
-		[3]float64{area.Max.X, area.Max.Y, t1},
-	))
-	seen := make(map[P]bool, len(hits))
-	var out []P
-	for _, p := range hits {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // SimilarK approximates a motion-similarity query the only way an
 // (x, y, t) R-tree can: generate candidates by probing boxes around the
 // query trajectory, then verify every candidate with the metric. It

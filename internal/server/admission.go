@@ -119,6 +119,3 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // SetReady flips the readiness probe: true once recovery completes,
 // false when shutdown starts draining.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Ready reports the current readiness state.
-func (s *Server) Ready() bool { return s.ready.Load() }

@@ -99,7 +99,7 @@ func TestAdmissionSheds(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	if got := s.Metrics().Counter("strg_http_shed_total", "", nil).Value(); got == 0 {
+	if got := s.reg.Counter("strg_http_shed_total", "", nil).Value(); got == 0 {
 		t.Error("strg_http_shed_total not incremented")
 	}
 }
@@ -191,9 +191,6 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	check("/healthz", http.StatusOK)
 	check("/readyz", http.StatusServiceUnavailable)
-	if s.Ready() {
-		t.Error("Ready() true before SetReady")
-	}
 	s.SetReady(true)
 	check("/readyz", http.StatusOK)
 	check("/healthz", http.StatusOK)

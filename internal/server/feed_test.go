@@ -443,7 +443,7 @@ func TestFeedSSEStalledConsumerNeverDelaysIngest(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	hist := s.Metrics().Histogram("strg_http_request_seconds", "", obs.Labels{"path": "/v1/feeds/frames"}, nil)
+	hist := s.reg.Histogram("strg_http_request_seconds", "", obs.Labels{"path": "/v1/feeds/frames"}, nil)
 	before := hist.Count()
 	const batch = 8
 	posts := int64(0)

@@ -130,7 +130,7 @@ func TestPanicRecoveryEnvelope(t *testing.T) {
 	if e.Error.Code != CodeInternal || e.Error.RequestID == "" {
 		t.Errorf("envelope = %+v", e)
 	}
-	if got := s.Metrics().Counter("strg_http_panics_total", "", nil).Value(); got != 1 {
+	if got := s.reg.Counter("strg_http_panics_total", "", nil).Value(); got != 1 {
 		t.Errorf("panics_total = %d, want 1", got)
 	}
 	logs := cap.all()
@@ -138,7 +138,7 @@ func TestPanicRecoveryEnvelope(t *testing.T) {
 		t.Errorf("panic not logged:\n%s", logs)
 	}
 	// The 500 is still counted and timed like any request.
-	c := s.Metrics().Counter("strg_http_requests_total", "", obs.Labels{"path": "/v1/stats", "status": "500"})
+	c := s.reg.Counter("strg_http_requests_total", "", obs.Labels{"path": "/v1/stats", "status": "500"})
 	if c.Value() != 1 {
 		t.Errorf("requests_total{500} = %d, want 1", c.Value())
 	}
@@ -153,7 +153,7 @@ func TestMiddlewareMetricsCounts(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	reg := s.Metrics()
+	reg := s.reg
 	if got := reg.Counter("strg_http_requests_total", "", obs.Labels{"path": "/healthz", "status": "200"}).Value(); got != 3 {
 		t.Errorf("requests_total = %d, want 3", got)
 	}
@@ -264,7 +264,7 @@ func TestCanceledRequestCounted(t *testing.T) {
 	if rec.Code != statusClientClosed {
 		t.Fatalf("status = %d, want %d", rec.Code, statusClientClosed)
 	}
-	if got := s.Metrics().Counter("strg_http_requests_total", "", obs.Labels{"path": "/v1/query", "status": "499"}).Value(); got != 1 {
+	if got := s.reg.Counter("strg_http_requests_total", "", obs.Labels{"path": "/v1/query", "status": "499"}).Value(); got != 1 {
 		t.Errorf("requests_total{499} = %d, want 1", got)
 	}
 	if !strings.Contains(cap.all(), "query canceled") {

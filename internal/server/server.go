@@ -151,23 +151,13 @@ type Server struct {
 	ready atomic.Bool
 }
 
-// New creates a server over an empty database with default options.
-func New(cfg core.Config) *Server {
-	return NewWith(cfg, Options{})
-}
-
 // NewWith creates a server over an empty database.
 func NewWith(cfg core.Config, opts Options) *Server {
 	return wrap(core.OpenShared(cfg), opts)
 }
 
-// NewFromReader creates a server over a database persisted by
-// core.VideoDB.Save / SharedDB.Save.
-func NewFromReader(r io.Reader, cfg core.Config) (*Server, error) {
-	return NewFromReaderWith(r, cfg, Options{})
-}
-
-// NewFromReaderWith is NewFromReader with observability options.
+// NewFromReaderWith creates a server over a database persisted by
+// core.VideoDB.Save.
 func NewFromReaderWith(r io.Reader, cfg core.Config, opts Options) (*Server, error) {
 	db, err := core.LoadShared(r, cfg)
 	if err != nil {
@@ -259,9 +249,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // DB exposes the underlying shared database (tests, embedding).
 func (s *Server) DB() *core.SharedDB { return s.db }
-
-// Metrics exposes the server's HTTP metric registry (tests, embedding).
-func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // decode parses a size-limited JSON body, writing the error envelope
 // (400 bad_request or 413 too_large) and returning false on failure.

@@ -371,10 +371,12 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestNewFromReader(t *testing.T) {
 	// Build and persist a database, then serve it.
-	s, ts := newTestServer(t)
-	ingest(t, ts, "walker", 120, 1)
+	db := core.Open(core.DefaultConfig())
+	if _, err := db.IngestSegment("cam0", testSegment(t, "walker", 120, 1)); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := s.DB().Save(&buf); err != nil {
+	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := NewFromReaderWith(&buf, core.DefaultConfig(), quietOptions())
@@ -394,8 +396,8 @@ func TestNewFromReader(t *testing.T) {
 	if len(q.Matches) != 1 || q.Matches[0].Label != "walker" {
 		t.Errorf("matches = %s", body)
 	}
-	if _, err := NewFromReader(bytes.NewReader([]byte("junk")), core.DefaultConfig()); err == nil {
-		t.Error("NewFromReader accepted junk")
+	if _, err := NewFromReaderWith(bytes.NewReader([]byte("junk")), core.DefaultConfig(), quietOptions()); err == nil {
+		t.Error("NewFromReaderWith accepted junk")
 	}
 }
 

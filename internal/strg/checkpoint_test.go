@@ -191,7 +191,7 @@ func TestOpenMovingQuiescence(t *testing.T) {
 	if !sawMoving {
 		t.Error("OpenMoving never saw the walking object")
 	}
-	if got := b.FrameCount(); got != len(seg.Frames) {
-		t.Errorf("FrameCount = %d, want %d", got, len(seg.Frames))
+	if got := b.frame; got != len(seg.Frames) {
+		t.Errorf("frames consumed = %d, want %d", got, len(seg.Frames))
 	}
 }

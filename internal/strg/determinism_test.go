@@ -32,8 +32,8 @@ func TestBuildDeterministicUnderConcurrency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("segment %d workers=%d: %v", si, workers, err)
 			}
-			if got.NumNodes() != want.NumNodes() {
-				t.Fatalf("segment %d workers=%d: %d nodes, want %d", si, workers, got.NumNodes(), want.NumNodes())
+			if len(got.frameOf) != len(want.frameOf) {
+				t.Fatalf("segment %d workers=%d: %d nodes, want %d", si, workers, len(got.frameOf), len(want.frameOf))
 			}
 			if got.NumTemporalEdges() != want.NumTemporalEdges() {
 				t.Fatalf("segment %d workers=%d: %d temporal edges, want %d",
@@ -41,20 +41,20 @@ func TestBuildDeterministicUnderConcurrency(t *testing.T) {
 			}
 			for _, g := range want.Frames {
 				for _, id := range g.NodeIDs() {
-					wn, wok := want.Next(id)
-					gn, gok := got.Next(id)
+					wn, wok := want.next[id]
+					gn, gok := got.next[id]
 					if wok != gok || wn != gn {
 						t.Fatalf("segment %d workers=%d: next(%d) = (%d, %v), want (%d, %v)",
 							si, workers, id, gn, gok, wn, wok)
 					}
-					wa, _ := want.TemporalAttrOf(id)
-					ga, _ := got.TemporalAttrOf(id)
+					wa := want.tattr[id]
+					ga := got.tattr[id]
 					if wa != ga {
 						t.Fatalf("segment %d workers=%d: temporal attr of %d = %+v, want %+v (not byte-identical)",
 							si, workers, id, ga, wa)
 					}
-					wf, _ := want.FrameOf(id)
-					gf, _ := got.FrameOf(id)
+					wf := want.frameOf[id]
+					gf := got.frameOf[id]
 					if wf != gf {
 						t.Fatalf("segment %d workers=%d: frame of %d = %d, want %d", si, workers, id, gf, wf)
 					}

@@ -150,9 +150,6 @@ func sortedTails(open map[graph.NodeID]*sampleChain) []graph.NodeID {
 	return ids
 }
 
-// FrameCount returns the number of frames consumed so far.
-func (b *OnlineBuilder) FrameCount() int { return b.frame }
-
 // OpenMoving counts the open chains that currently look like objects
 // (length >= 2 with mean velocity at or above MinObjectVelocity). A live
 // feed uses zero as its quiescence signal: cutting a commit boundary here

@@ -7,7 +7,6 @@ package strg
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -109,29 +108,8 @@ type STRG struct {
 	velIn   map[graph.NodeID]geom.Vector  // displacement of the edge arriving at the key node
 }
 
-// FrameOf returns the frame index a node belongs to.
-func (s *STRG) FrameOf(id graph.NodeID) (int, bool) {
-	f, ok := s.frameOf[id]
-	return f, ok
-}
-
-// Next returns the temporal successor of a node, if the tracker linked one.
-func (s *STRG) Next(id graph.NodeID) (graph.NodeID, bool) {
-	n, ok := s.next[id]
-	return n, ok
-}
-
-// TemporalAttrOf returns the attributes of the temporal edge leaving id.
-func (s *STRG) TemporalAttrOf(id graph.NodeID) (TemporalAttr, bool) {
-	a, ok := s.tattr[id]
-	return a, ok
-}
-
 // NumTemporalEdges returns |E_T|.
 func (s *STRG) NumTemporalEdges() int { return len(s.next) }
-
-// NumNodes returns |V| across all frames.
-func (s *STRG) NumNodes() int { return len(s.frameOf) }
 
 // MemoryBytes estimates the raw in-memory footprint of the STRG: every
 // frame's RAG plus the temporal edges. This is the uncompressed size that
@@ -522,25 +500,6 @@ func (c *Chain) MeanVelocity() float64 {
 		sum += a.Velocity
 	}
 	return sum / float64(len(c.Attrs))
-}
-
-// MeanDirection returns the circular mean of the chain's edge directions.
-// Only edges moving faster than still-stand noise contribute; it returns 0
-// for chains with no such edge.
-func (c *Chain) MeanDirection() float64 {
-	var sx, sy, n float64
-	for _, a := range c.Attrs {
-		if a.Velocity < 1e-9 {
-			continue
-		}
-		sx += a.Velocity * math.Cos(a.Direction)
-		sy += a.Velocity * math.Sin(a.Direction)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return geom.Vec(sx, sy).Angle()
 }
 
 // Chains extracts every maximal temporal path from the STRG. A node with

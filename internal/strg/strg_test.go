@@ -68,8 +68,8 @@ func TestBuildFramesAndUniqueIDs(t *testing.T) {
 		t.Fatalf("frames = %d, want 8", len(s.Frames))
 	}
 	// 12 background regions per frame, no objects.
-	if s.NumNodes() != 8*12 {
-		t.Errorf("NumNodes = %d, want 96", s.NumNodes())
+	if len(s.frameOf) != 8*12 {
+		t.Errorf("NumNodes = %d, want 96", len(s.frameOf))
 	}
 	seen := make(map[graph.NodeID]bool)
 	for _, g := range s.Frames {
@@ -90,7 +90,7 @@ func TestTrackingStaticBackground(t *testing.T) {
 		t.Errorf("temporal edges = %d, want %d", got, want)
 	}
 	for id := range s.next {
-		attr, _ := s.TemporalAttrOf(id)
+		attr := s.tattr[id]
 		if attr.Velocity > 1e-9 {
 			t.Errorf("static node %d has velocity %v", id, attr.Velocity)
 		}
@@ -120,8 +120,10 @@ func TestTrackingFollowsMovingObject(t *testing.T) {
 	if v < 15 || v > 35 {
 		t.Errorf("walker velocity = %v, want ~23.6", v)
 	}
-	if d := geom.AngleDiff(best.MeanDirection(), 0); d > 0.3 {
-		t.Errorf("walker direction off east by %v rad", d)
+	for i, a := range best.Attrs {
+		if d := geom.AngleDiff(a.Direction, 0); a.Velocity > 1e-9 && d > 0.3 {
+			t.Errorf("walker step %d direction off east by %v rad", i, d)
+		}
 	}
 }
 
@@ -151,8 +153,8 @@ func TestChainsPartitionNodes(t *testing.T) {
 			total++
 		}
 	}
-	if total != s.NumNodes() {
-		t.Errorf("chains cover %d nodes, want %d", total, s.NumNodes())
+	if total != len(s.frameOf) {
+		t.Errorf("chains cover %d nodes, want %d", total, len(s.frameOf))
 	}
 }
 
@@ -262,7 +264,7 @@ func TestOGFrameBounds(t *testing.T) {
 	}
 }
 
-func TestChainMeanDirection(t *testing.T) {
+func TestChainMeanVelocity(t *testing.T) {
 	c := &Chain{
 		Nodes:  []graph.NodeID{0, 1, 2},
 		Frames: []int{0, 1, 2},
@@ -271,15 +273,12 @@ func TestChainMeanDirection(t *testing.T) {
 			{Velocity: 2, Direction: 0},
 		},
 	}
-	if got := c.MeanDirection(); math.Abs(got) > 1e-9 {
-		t.Errorf("MeanDirection = %v, want 0", got)
-	}
 	if got := c.MeanVelocity(); math.Abs(got-2) > 1e-9 {
 		t.Errorf("MeanVelocity = %v, want 2", got)
 	}
 	still := &Chain{Nodes: []graph.NodeID{0}, Frames: []int{0}}
-	if still.MeanVelocity() != 0 || still.MeanDirection() != 0 {
-		t.Error("single-node chain should have zero velocity and direction")
+	if still.MeanVelocity() != 0 {
+		t.Error("single-node chain should have zero velocity")
 	}
 }
 

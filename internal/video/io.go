@@ -34,21 +34,10 @@ func (e *FrameOrderError) Error() string {
 // Unwrap makes errors.Is(err, ErrFrameOrder) true.
 func (e *FrameOrderError) Unwrap() error { return ErrFrameOrder }
 
-// WriteJSON encodes the segment as JSON. Together with ReadJSON it is the
+// ReadJSON decodes a JSON-encoded Segment and validates it. It is the
 // interchange path for real segmentation output: any external segmenter
 // (EDISON, a neural model, ...) that can emit per-frame region lists can
 // feed the pipeline.
-func (s *Segment) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("video: encoding segment %s: %w", s.Name, err)
-	}
-	return nil
-}
-
-// ReadJSON decodes a segment written by WriteJSON (or produced by an
-// external tool following the same schema) and validates it.
 func ReadJSON(r io.Reader) (*Segment, error) {
 	var s Segment
 	if err := json.NewDecoder(r).Decode(&s); err != nil {

@@ -50,14 +50,6 @@ type Segment struct {
 	Frames []Frame
 }
 
-// Duration returns the segment length in seconds.
-func (s *Segment) Duration() float64 {
-	if s.FPS <= 0 {
-		return 0
-	}
-	return float64(len(s.Frames)) / s.FPS
-}
-
 // ClipRef identifies a clip of video on "disk" — the payload the index's
 // leaf records point at.
 type ClipRef struct {

@@ -2,6 +2,7 @@ package video
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -178,20 +179,6 @@ func TestGenerateObjectActiveRange(t *testing.T) {
 	}
 }
 
-func TestSegmentDuration(t *testing.T) {
-	seg, err := Generate(simpleConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := seg.Duration(), 10.0/12.0; got != want {
-		t.Errorf("Duration = %v, want %v", got, want)
-	}
-	empty := &Segment{}
-	if empty.Duration() != 0 {
-		t.Errorf("Duration with FPS=0 should be 0")
-	}
-}
-
 func TestClipRefString(t *testing.T) {
 	c := ClipRef{Stream: "Lab1", Segment: "seg001", FrameStart: 3, FrameEnd: 20}
 	if got := c.String(); got != "Lab1/seg001[3:20]" {
@@ -284,7 +271,7 @@ func TestSampleIndexDistribution(t *testing.T) {
 }
 
 func TestApplyOcclusion(t *testing.T) {
-	big := Region{Label: "truck", Size: 5000, Centroid: geom.Pt(100, 100), Color: graph.Gray(0.5)}
+	big := Region{Label: "truck", Size: 5000, Centroid: geom.Pt(100, 100), Color: graph.Color{R: 0.5, G: 0.5, B: 0.5}}
 	hiddenBehind := Region{Label: "runner", Size: 200, Centroid: geom.Pt(110, 100)}
 	clear := Region{Label: "runner", Size: 200, Centroid: geom.Pt(250, 100)}
 	samePart := Region{Label: "truck", Size: 100, Centroid: geom.Pt(100, 102)}
@@ -312,7 +299,7 @@ func TestGenerateWithOcclusionDisabledKeepsAll(t *testing.T) {
 	cfg := simpleConfig()
 	cfg.Objects = append(cfg.Objects, ObjectSpec{
 		Label: "blocker",
-		Parts: []PartSpec{{Size: 9000, Color: graph.Gray(0.9)}},
+		Parts: []PartSpec{{Size: 9000, Color: graph.Color{R: 0.9, G: 0.9, B: 0.9}}},
 		Path:  []geom.Point{geom.Pt(160, 120), geom.Pt(161, 120)},
 		Start: 0, End: 10,
 	})
@@ -342,7 +329,7 @@ func TestSegmentJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := seg.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(seg); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadJSON(&buf)
