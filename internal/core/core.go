@@ -126,10 +126,10 @@ type VideoDB struct {
 	streamSegs map[string]int
 	// onCommit, when set, runs at the top of every segment commit, before
 	// any database state mutates — the write-ahead hook of the durability
-	// layer (see durable.go). shard is the index shard the segment will
-	// land on (resolved before the commit, so the log can record the
-	// route). An error aborts the commit.
-	onCommit func(stream string, seg *video.Segment, shard int) error
+	// layer (see durable.go). rec.Shard is already the index shard the
+	// segment will land on (resolved before the commit, so the log can
+	// record the route). An error aborts the commit.
+	onCommit func(rec *commitRecord) error
 	// onDelta, when set, runs at the end of every segment commit with the
 	// commit's OG delta (see delta.go).
 	onDelta func(CommitDelta)
@@ -159,97 +159,142 @@ func Open(cfg Config) *VideoDB {
 	return db
 }
 
-// builtSegment is the side-effect-free part of one segment's ingest: the
-// STRG and its decomposition, ready for sequential indexing.
-type builtSegment struct {
-	seg *video.Segment
-	s   *strg.STRG
-	d   *strg.Decomposition
+// commitRecord is one segment commit: the output of the build pipeline
+// (the decomposed STRG of Section 2.3.3 — Object Graphs plus one Background
+// Graph — and the size accounting of Section 5.4), which is everything a
+// commit consumes. It is what buildSegment returns, what commitSegment
+// indexes and — gob-encoded behind a record-kind byte (see durable.go) —
+// what the write-ahead log stores and the primary streams to replicas, so
+// crash replay and replica apply hand a decoded record straight back to
+// commitSegment and never re-run RAG construction, tracking or
+// decomposition. Raw frames are consumed once, by the build.
+type commitRecord struct {
+	Stream  string
+	Segment string
+	Frames  int
+	// RawBytes and STRGBytes are the segment's share of Stats.RawSTRGBytes
+	// (every frame's RAG) and Stats.STRGBytes (Equation 9).
+	RawBytes  int
+	STRGBytes int
+	// HasBG and BG are the wire form of bg, filled by encodeRecord and
+	// consumed by decodeRecord; HasBG distinguishes a nil background (a
+	// bulk trajectory load) from an empty graph.
+	HasBG bool
+	BG    graph.Snapshot
+	OGs   []*strg.OG
+	// Shard records the index shard the commit routed to — diagnostic
+	// (replay re-derives the route deterministically, so a recovery under
+	// a different shard count still works).
+	Shard int
+	// SrcSeq/SrcOff are set only on a replica: the primary WAL position
+	// immediately after this operation's record — the position replication
+	// resumes from once this record is locally durable. Persisting the
+	// resume point inside the record itself makes resume crash-safe with
+	// no sidecar file: a torn local tail truncates the record AND its
+	// position together, so the operation is re-fetched, never skipped or
+	// doubled. Zero on a primary, where gob omits them.
+	SrcSeq uint64
+	SrcOff int64
+
+	// bg is the background graph in memory: the built graph on a live
+	// commit, graph.FromSnapshot(BG) on a decoded one. Background matching
+	// cannot tell them apart (see graph's snapshot round-trip test).
+	bg *graph.Graph
 }
 
 // buildSegment runs the pure pipeline stages (RAG construction, tracking,
 // decomposition). It touches no database state, so independent segments
-// can build concurrently.
-func (db *VideoDB) buildSegment(seg *video.Segment) (*builtSegment, error) {
+// can build concurrently. The temporal-edge count is returned beside the
+// record: IngestStats reports it, no commit needs it.
+func (db *VideoDB) buildSegment(stream string, seg *video.Segment) (*commitRecord, int, error) {
 	s, err := strg.Build(seg, db.cfg.STRG)
 	if err != nil {
-		return nil, fmt.Errorf("core: building STRG for %s: %w", seg.Name, err)
+		return nil, 0, fmt.Errorf("core: building STRG for %s: %w", seg.Name, err)
 	}
-	return &builtSegment{seg: seg, s: s, d: s.Decompose(db.cfg.STRG)}, nil
+	d := s.Decompose(db.cfg.STRG)
+	return &commitRecord{
+		Stream:    stream,
+		Segment:   seg.Name,
+		Frames:    len(seg.Frames),
+		RawBytes:  s.MemoryBytes(),
+		STRGBytes: d.STRGSizeBytes(),
+		OGs:       d.OGs,
+		bg:        d.BG,
+	}, s.NumTemporalEdges(), nil
 }
 
 // IngestSegment runs the full pipeline on one segment and indexes its OGs.
 func (db *VideoDB) IngestSegment(stream string, seg *video.Segment) (*IngestStats, error) {
 	start := time.Now()
-	b, err := db.buildSegment(seg)
+	rec, temporalEdges, err := db.buildSegment(stream, seg)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := db.commitSegment(stream, b)
-	if err == nil {
-		ingestSeconds.Observe(time.Since(start).Seconds())
+	if err := db.commitSegment(rec); err != nil {
+		return nil, err
 	}
-	return stats, err
+	ingestSeconds.Observe(time.Since(start).Seconds())
+	return &IngestStats{
+		Frames:        rec.Frames,
+		TemporalEdges: temporalEdges,
+		OGs:           len(rec.OGs),
+		BGNodes:       rec.bg.Order(),
+	}, nil
 }
 
-// commitSegment indexes a built segment. OG IDs, tree mutation and the
-// size accounting all depend on ingest order, so commits stay sequential.
-func (db *VideoDB) commitSegment(stream string, b *builtSegment) (*IngestStats, error) {
-	seg, s, d := b.seg, b.s, b.d
+// commitSegment indexes one commit record — the only function that does.
+// OG IDs, tree mutation and the size accounting all depend on commit
+// order, so commits stay sequential.
+func (db *VideoDB) commitSegment(rec *commitRecord) error {
 	// Resolve the shard before anything mutates: the route is pure, and
 	// commits are serialized, so this is exactly where AddSegment lands.
-	shard := db.tree.RouteShard(d.BG)
+	rec.Shard = db.tree.RouteShard(rec.bg)
 	if db.onCommit != nil {
-		if err := db.onCommit(stream, seg, shard); err != nil {
-			return nil, fmt.Errorf("core: write-ahead log for %s: %w", seg.Name, err)
+		if err := db.onCommit(rec); err != nil {
+			return fmt.Errorf("core: write-ahead log for %s: %w", rec.Segment, err)
 		}
 	}
-	items := make([]index.Item[ClipRecord], len(d.OGs))
-	for i, og := range d.OGs {
+	items := make([]index.Item[ClipRecord], len(rec.OGs))
+	for i, og := range rec.OGs {
 		clip := og.Clip
-		clip.Stream = stream
+		clip.Stream = rec.Stream
 		items[i] = index.Item[ClipRecord]{
 			Seq: og.Sequence(),
 			Payload: ClipRecord{
-				Stream: stream,
+				Stream: rec.Stream,
 				Clip:   clip,
 				Label:  og.Label,
 				OGID:   db.ogCount + i,
 			},
 		}
 	}
-	if err := db.tree.AddSegment(d.BG, items); err != nil {
-		return nil, fmt.Errorf("core: indexing %s: %w", seg.Name, err)
+	if err := db.tree.AddSegment(rec.bg, items); err != nil {
+		return fmt.Errorf("core: indexing %s: %w", rec.Segment, err)
 	}
-	blocks := db.retain(d.OGs, items)
+	blocks := db.retain(rec.OGs, items)
 	db.segments++
-	db.streamSegs[stream]++
-	db.ogCount += len(d.OGs)
-	db.strgBytes += d.STRGSizeBytes()
-	db.rawBytes += s.MemoryBytes()
+	db.streamSegs[rec.Stream]++
+	db.ogCount += len(rec.OGs)
+	db.strgBytes += rec.STRGBytes
+	db.rawBytes += rec.RawBytes
 	ingestSegments.Inc()
-	ingestOGs.Add(int64(len(d.OGs)))
+	ingestOGs.Add(int64(len(rec.OGs)))
 	if db.onDelta != nil {
 		recs := make([]ClipRecord, len(items))
 		for i := range items {
 			recs[i] = items[i].Payload
 		}
 		db.onDelta(CommitDelta{
-			Stream:   stream,
-			Segment:  seg.Name,
-			Shard:    shard,
+			Stream:   rec.Stream,
+			Segment:  rec.Segment,
+			Shard:    rec.Shard,
 			Versions: db.tree.Versions(),
 			Records:  recs,
-			OGs:      d.OGs,
+			OGs:      rec.OGs,
 			Blocks:   blocks,
 		})
 	}
-	return &IngestStats{
-		Frames:        len(seg.Frames),
-		TemporalEdges: s.NumTemporalEdges(),
-		OGs:           len(d.OGs),
-		BGNodes:       d.BG.Order(),
-	}, nil
+	return nil
 }
 
 // retain appends one commit's OGs (and their clip records) to the retained
@@ -331,14 +376,15 @@ func (db *VideoDB) IngestVideo(stream string, seg *video.Segment, shotCfg shot.C
 // segments in stream order, so the resulting database is identical to a
 // segment-by-segment sequential ingest.
 func (db *VideoDB) IngestStream(s *video.Stream) error {
-	built, err := parallel.Map(db.cfg.Concurrency, len(s.Segments), func(i int) (*builtSegment, error) {
-		return db.buildSegment(s.Segments[i])
+	built, err := parallel.Map(db.cfg.Concurrency, len(s.Segments), func(i int) (*commitRecord, error) {
+		rec, _, err := db.buildSegment(s.Profile.Name, s.Segments[i])
+		return rec, err
 	})
 	if err != nil {
 		return fmt.Errorf("core: ingesting stream %s: %w", s.Profile.Name, err)
 	}
-	for _, b := range built {
-		if _, err := db.commitSegment(s.Profile.Name, b); err != nil {
+	for _, rec := range built {
+		if err := db.commitSegment(rec); err != nil {
 			return err
 		}
 	}

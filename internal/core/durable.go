@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 	"time"
 
 	"strgindex/internal/faultfs"
-	"strgindex/internal/video"
+	"strgindex/internal/graph"
 	"strgindex/internal/wal"
 )
 
@@ -26,7 +27,7 @@ import (
 // numbered logs:
 //
 //	snapshot.strg       versioned, checksummed, atomically renamed
-//	wal-00000001.log    ingest operations since (or before) the snapshot
+//	wal-00000001.log    commit records since (or before) the snapshot
 //	wal-00000002.log    ...
 //
 // The snapshot records the first log sequence it does NOT cover; recovery
@@ -87,42 +88,58 @@ type RecoveryStats struct {
 	Duration time.Duration
 }
 
-// walOp is one logged ingest operation. Replay re-runs the deterministic
-// pipeline on the segment, reproducing the exact database state.
-type walOp struct {
-	Stream  string
-	Segment *video.Segment
-	// Shard records the index shard the commit routed to — diagnostic
-	// (replay re-derives the route deterministically, so a recovery under
-	// a different shard count still works). Logs written before sharding
-	// decode with Shard zero.
-	Shard int
-	// SrcSeq/SrcOff are set only on a replica: the primary WAL position
-	// immediately after this operation's record — the position replication
-	// resumes from once this record is locally durable. Persisting the
-	// resume point inside the record itself makes resume crash-safe with
-	// no sidecar file: a torn local tail truncates the record AND its
-	// position together, so the operation is re-fetched, never skipped or
-	// doubled. Zero on a primary, so gob omits them and primary WAL bytes
-	// are unchanged.
-	SrcSeq uint64
-	SrcOff int64
-}
+// recordKindCommit is the first byte of every WAL payload: the kind of the
+// record that follows, here a gob-encoded commitRecord. The value is one
+// no gob stream can start with (gob opens with a message length whose
+// first byte is below 0x80 or at least 0xF8), so a payload written by a
+// binary that logged the raw video segment as a bare gob stream fails the
+// check instead of decoding — gob silently drops stream fields the
+// receiver lacks, so without the tag such a payload would decode as a
+// commit of zero OGs.
+const recordKindCommit = 0x81
 
-func encodeOp(op walOp) ([]byte, error) {
+// ErrWALFormat is matched (via errors.Is) by the error recovery and replica
+// apply report for a write-ahead log record this binary does not read: one
+// left by a crashed older binary, which logged the raw video segment rather
+// than the built graphs. The file is intact — the error does not match
+// ErrCorrupt — and the cure is an upgrade step, not a restore: start the
+// binary that wrote the log once on the directory and stop it cleanly (its
+// final checkpoint folds the log into a snapshot). See the README's
+// recovery runbook.
+var ErrWALFormat = errors.New("core: write-ahead log record format not supported by this binary")
+
+// encodeRecord serializes one commit record as a WAL payload.
+func encodeRecord(rec commitRecord) ([]byte, error) {
+	if rec.bg != nil {
+		rec.HasBG, rec.BG = true, rec.bg.Snapshot()
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&op); err != nil {
-		return nil, fmt.Errorf("core: encoding wal op: %w", err)
+	buf.WriteByte(recordKindCommit)
+	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
+		return nil, fmt.Errorf("core: encoding wal record: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-func decodeOp(payload []byte) (walOp, error) {
-	var op walOp
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&op); err != nil {
-		return op, fmt.Errorf("core: decoding wal op: %w", err)
+// decodeRecord parses a WAL payload back into a commit record ready for
+// commitSegment, its background graph rebuilt from the logged snapshot.
+func decodeRecord(payload []byte) (*commitRecord, error) {
+	if len(payload) == 0 || payload[0] != recordKindCommit {
+		return nil, fmt.Errorf("core: wal record lacks the kind byte %#x (left by a crashed older binary? "+
+			"start that binary once on this directory and stop it cleanly): %w", recordKindCommit, ErrWALFormat)
 	}
-	return op, nil
+	rec := new(commitRecord)
+	if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(rec); err != nil {
+		return nil, fmt.Errorf("core: decoding wal record: %w", err)
+	}
+	if rec.HasBG {
+		bg, err := graph.FromSnapshot(rec.BG)
+		if err != nil {
+			return nil, fmt.Errorf("core: decoding wal record: %w", err)
+		}
+		rec.bg = bg
+	}
+	return rec, nil
 }
 
 // durable is the persistence state hanging off a SharedDB. All fields
@@ -186,7 +203,9 @@ func (d *durable) path(name string) string { return filepath.Join(d.dir, name) }
 // chain on top of it, truncates a torn final record, and leaves the log
 // open for appending. A checksum failure in the snapshot or in a
 // non-final log record aborts with an error matching ErrCorrupt — damaged
-// state is never silently loaded.
+// state is never silently loaded — and a record left by an older binary
+// with one matching ErrWALFormat. Replay commits each logged record as
+// built; it does not re-run the ingest pipeline.
 func OpenDurable(cfg Config, d Durability) (*SharedDB, RecoveryStats, error) {
 	return openDurable(cfg, d, false)
 }
@@ -276,18 +295,18 @@ func openDurable(cfg Config, d Durability, replica bool) (*SharedDB, RecoverySta
 	}
 
 	replay := func(_ int64, payload []byte) error {
-		op, err := decodeOp(payload)
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			return err
 		}
-		if _, err := db.IngestSegment(op.Stream, op.Segment); err != nil {
+		if err := db.commitSegment(rec); err != nil {
 			return err
 		}
-		if op.SrcSeq != 0 {
+		if rec.SrcSeq != 0 {
 			// Replica record: its source position is the resume point once
 			// this record is re-applied. A torn final record never reaches
 			// here, so the recovered position is exactly the durable one.
-			dur.srcPos = WALPos{Seq: op.SrcSeq, Off: op.SrcOff}
+			dur.srcPos = WALPos{Seq: rec.SrcSeq, Off: rec.SrcOff}
 		}
 		stats.ReplayedRecords++
 		return nil
@@ -343,14 +362,15 @@ func snapshotImage(fsys faultfs.FS, path string) (dbImage, error) {
 	return readSnapshot(f)
 }
 
-// append is the write-ahead hook: it durably logs the operation before
-// the commit mutates any state.
-func (d *durable) append(stream string, seg *video.Segment, shard int) error {
+// append is the write-ahead hook: it durably logs the commit record before
+// the commit mutates any state, stamped on a replica with the primary
+// position it came from.
+func (d *durable) append(rec *commitRecord) error {
 	if d.closed {
 		return fmt.Errorf("core: database closed")
 	}
-	payload, err := encodeOp(walOp{Stream: stream, Segment: seg, Shard: shard,
-		SrcSeq: d.applySrc.Seq, SrcOff: d.applySrc.Off})
+	rec.SrcSeq, rec.SrcOff = d.applySrc.Seq, d.applySrc.Off
+	payload, err := encodeRecord(*rec)
 	if err != nil {
 		return err
 	}

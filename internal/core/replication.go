@@ -271,10 +271,13 @@ func (s *SharedDB) AppliedSegments() int {
 }
 
 // ApplyReplicated applies one fetched WAL record on a replica: the
-// payload is decoded, write-ahead logged locally with its source
-// position src (the primary position after the record's frame), and
-// applied — the exact commit discipline of a primary ingest, so a crash
-// at any byte recovers byte-identical with the matching resume point.
+// payload is decoded into the commit record the primary built (its OGs
+// and background graph — the replica never runs the video pipeline),
+// write-ahead logged locally with its source position src (the primary
+// position after the record's frame), and committed — the exact commit
+// discipline of a primary ingest, so a crash at any byte recovers
+// byte-identical with the matching resume point. A payload in a format
+// this binary does not read fails with ErrWALFormat and commits nothing.
 // Records must arrive in stream order: src must advance.
 func (s *SharedDB) ApplyReplicated(payload []byte, src WALPos) error {
 	if !s.replica {
@@ -283,7 +286,7 @@ func (s *SharedDB) ApplyReplicated(payload []byte, src WALPos) error {
 	if s.dur == nil {
 		return ErrNotDurable
 	}
-	op, err := decodeOp(payload)
+	rec, err := decodeRecord(payload)
 	if err != nil {
 		return err
 	}
@@ -300,7 +303,7 @@ func (s *SharedDB) ApplyReplicated(payload []byte, src WALPos) error {
 			src, s.dur.srcPos)
 	}
 	s.dur.applySrc = src
-	_, err = s.db.IngestSegment(op.Stream, op.Segment)
+	err = s.db.commitSegment(rec)
 	s.dur.applySrc = WALPos{}
 	if err == nil {
 		// Advance the resume point BEFORE settling the WAL: settling can

@@ -42,8 +42,8 @@ func LoadShared(r io.Reader, cfg Config) (*SharedDB, error) {
 }
 
 // IngestSegment runs the pipeline on one segment under the write lock.
-// On a durable database the segment is write-ahead logged before any
-// state mutates.
+// On a durable database what the pipeline built is write-ahead logged
+// before any state mutates.
 func (s *SharedDB) IngestSegment(stream string, seg *video.Segment) (*IngestStats, error) {
 	if s.replica {
 		return nil, ErrReplica

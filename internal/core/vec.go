@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -326,38 +325,14 @@ func (db *VideoDB) searchApprox(ctx context.Context, seq dist.Sequence, k, nprob
 // by synth.AsOG. One call commits as one segment on the root a nil
 // background resolves to; large corpora should arrive in batches of a few
 // tens of thousands so the copy-on-write commit granularity stays
-// reasonable. Not supported on durable databases: raw OGs have no
-// write-ahead representation.
+// reasonable. The commit is a record with no background graph through the
+// same commitSegment a built segment takes, so on a durable database it is
+// write-ahead logged and replayed like any other.
 func (db *VideoDB) IngestTrajectories(stream string, ogs []*strg.OG) error {
-	if db.onCommit != nil {
-		return fmt.Errorf("core: IngestTrajectories is not supported on a durable database (no WAL record for raw OGs)")
-	}
 	if len(ogs) == 0 {
 		return nil
 	}
-	items := make([]index.Item[ClipRecord], len(ogs))
-	for i, og := range ogs {
-		clip := og.Clip
-		clip.Stream = stream
-		items[i] = index.Item[ClipRecord]{
-			Seq: og.Sequence(),
-			Payload: ClipRecord{
-				Stream: stream,
-				Clip:   clip,
-				Label:  og.Label,
-				OGID:   db.ogCount + i,
-			},
-		}
-	}
-	if err := db.tree.AddSegment(nil, items); err != nil {
-		return fmt.Errorf("core: bulk-indexing %d trajectories: %w", len(ogs), err)
-	}
-	db.retain(ogs, items)
-	db.segments++
-	db.ogCount += len(ogs)
-	ingestSegments.Inc()
-	ingestOGs.Add(int64(len(ogs)))
-	return nil
+	return db.commitSegment(&commitRecord{Stream: stream, Segment: "trajectories", OGs: ogs})
 }
 
 // Approximate-tier instrumentation.

@@ -16,7 +16,6 @@ import (
 	"strgindex/internal/query"
 	"strgindex/internal/strg"
 	"strgindex/internal/synth"
-	"strgindex/internal/video"
 )
 
 // approxDB ingests the lab stream into a database with the approximate
@@ -344,7 +343,7 @@ func TestApproxSnapshotCrossCompat(t *testing.T) {
 
 // TestIngestTrajectories: the bulk path must build the same queryable
 // state the segment pipeline would — indexed, predicate-visible,
-// embedded, spatially indexed — and refuse durable databases.
+// embedded, spatially indexed — and, on a durable database, be logged.
 func TestIngestTrajectories(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Approx = ApproxConfig{Enabled: true, NLists: 4, TrainSize: 16}
@@ -397,10 +396,41 @@ func TestIngestTrajectories(t *testing.T) {
 		t.Errorf("approx self-query top hit = %+v, want OG 17 at distance 0", approx[0])
 	}
 
-	// Durable databases must refuse: raw OGs have no WAL representation,
-	// so acknowledging them would lose data on the next recovery.
-	db.onCommit = func(string, *video.Segment, int) error { return nil }
-	if err := db.IngestTrajectories("cam0", ogs[:1]); err == nil {
-		t.Error("bulk ingest on a durable database was accepted")
+	// The bulk path commits through the same record the WAL logs, so on a
+	// durable database it survives a kill: drop the handle without Close
+	// or Checkpoint, reopen, and the log alone brings the same answers back.
+	dir := t.TempDir()
+	s, _, err := OpenDurable(cfg, noRotate(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]*strg.OG{ogs[:40], ogs[40:]} {
+		s.mu.Lock()
+		err := s.db.IngestTrajectories("cam0", batch)
+		s.afterIngestLocked(err)
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, rec, err := OpenDurable(cfg, noRotate(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec.SnapshotLoaded || rec.ReplayedRecords != 2 {
+		t.Errorf("recovery = %+v, want 2 records replayed and no snapshot", rec)
+	}
+	if got, want := s2.Stats(), db.Stats(); got != want {
+		t.Errorf("stats after reopen:\n  got  %+v\n  want %+v", got, want)
+	}
+	if got := knnExact(t, s2, q, 3); !reflect.DeepEqual(got, exact) {
+		t.Errorf("exact k-NN after reopen = %+v, want %+v", got, exact)
+	}
+	if got := approxKNN(t, s2, q, 3, db.vec.ivf.NLists()).Matches; !reflect.DeepEqual(got, approx) {
+		t.Errorf("approx k-NN after reopen = %+v, want %+v", got, approx)
+	}
+	if got, want := s2.SegmentsIn("cam0"), 2; got != want {
+		t.Errorf("SegmentsIn(cam0) after reopen = %d, want %d", got, want)
 	}
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"strgindex/internal/geom"
@@ -159,5 +161,56 @@ func TestMemoryBytesGrows(t *testing.T) {
 	big.MustAddNode(Node{ID: 50})
 	if big.MemoryBytes() <= small.MemoryBytes() {
 		t.Error("MemoryBytes did not grow with node count")
+	}
+}
+
+// TestSnapshotRoundTripIsIndistinguishable: a live commit indexes the built
+// background graph, a replayed or replicated one indexes
+// FromSnapshot(Snapshot()) of it. The copy must present the same snapshot
+// (what index snapshots and replication digests encode), the same size
+// accounting, and the same SimGraph score against any other graph (what
+// background matching routes on).
+func TestSnapshotRoundTripIsIndistinguishable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := func(base NodeID, n int) *Graph {
+		g := New()
+		for i := 0; i < n; i++ {
+			g.MustAddNode(Node{ID: base + NodeID(i), Attr: NodeAttr{
+				Size:     float64(50 + rng.Intn(300)),
+				Color:    gray(rng.Float64()),
+				Centroid: geom.Pt(rng.Float64()*320, rng.Float64()*240),
+				Label:    "bg",
+			}})
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.4 {
+					_ = g.AddEdge(base+NodeID(j), base+NodeID(i), // V < U: Snapshot must normalize
+						SpatialAttr{Dist: rng.Float64() * 30, Orient: rng.Float64()})
+				}
+			}
+		}
+		return g
+	}
+	for trial := 0; trial < 20; trial++ {
+		built, other := random(0, 2+rng.Intn(6)), random(100, 2+rng.Intn(6))
+		snap := built.Snapshot()
+		copied, err := FromSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := copied.Snapshot(); !reflect.DeepEqual(got, snap) {
+			t.Fatalf("trial %d: Snapshot changed across the round trip:\n got  %+v\n want %+v", trial, got, snap)
+		}
+		if got, want := copied.MemoryBytes(), built.MemoryBytes(); got != want {
+			t.Errorf("trial %d: MemoryBytes = %d, want %d", trial, got, want)
+		}
+		m := NewMatcher(DefaultTolerance())
+		if got, want := m.SimGraph(copied, other), m.SimGraph(built, other); got != want {
+			t.Errorf("trial %d: SimGraph(copy, other) = %v, SimGraph(built, other) = %v", trial, got, want)
+		}
+		if got, want := m.SimGraph(other, copied), m.SimGraph(other, built); got != want {
+			t.Errorf("trial %d: SimGraph(other, copy) = %v, SimGraph(other, built) = %v", trial, got, want)
+		}
 	}
 }

@@ -853,7 +853,8 @@ func TestReplicaLagFlipsReadyz(t *testing.T) {
 	p.ingest(t, stream.Segments[:2])
 
 	// Gate WAL fetches: -1 unlimited, 0 blocked, n>0 allows n fetches.
-	var walAllow atomic.Int64
+	// refused counts the fetches turned away at the closed gate.
+	var walAllow, refused atomic.Int64
 	walAllow.Store(-1)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/replication/wal" {
@@ -863,6 +864,7 @@ func TestReplicaLagFlipsReadyz(t *testing.T) {
 					break
 				}
 				if v == 0 {
+					refused.Add(1)
 					http.Error(w, "gated", http.StatusServiceUnavailable)
 					return
 				}
@@ -924,8 +926,14 @@ func TestReplicaLagFlipsReadyz(t *testing.T) {
 	})
 
 	// Block the stream, grow the primary, allow exactly one more fetch:
-	// the replica learns its lag and must drop out of rotation.
+	// the replica learns its lag and must drop out of rotation. A fetch
+	// already past the gate when it closes would block on the primary's
+	// lock behind the ingest and deliver the first new record, leaving the
+	// one admitted fetch to deliver the last and report lag 0 — so wait
+	// for a refusal first: the replica fetches from a single goroutine, so
+	// by then every earlier fetch has returned and been applied.
 	walAllow.Store(0)
+	waitFor(t, "a fetch refused at the closed gate", func() bool { return refused.Load() > 0 })
 	p.ingest(t, stream.Segments[2:])
 	walAllow.Store(1)
 	waitFor(t, "lag flips health", func() bool { return rep.Healthy() != nil })
