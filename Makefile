@@ -29,13 +29,19 @@ test-race:
 # The fault-injection matrices, all under the race detector.
 # Crash recovery: every WAL prefix (including mid-record tears), torn
 # snapshots, rotation crash states, and bit flips in both containers,
-# under the internal/faultfs injection filesystem.
+# under the internal/faultfs injection filesystem; and the log-chain
+# byte-cut matrix (TestChainCrashMatrix: every cut through create,
+# appends, rotation with and without a head record, checkpoint and prune,
+# for a checkpoint outside the chain and one inside it).
 # Replication: every replica-side apply prefix under a dying disk,
 # tampered and torn wire batches, a primary killed and restarted
 # mid-stream, a resume position rotated off the retained WAL, and planted
 # matched-position divergence caught by anti-entropy.
-# Live feeds: the journal crash matrix (sync failures at every point over
-# feed checkpoints), durable restart mid-feed with duplicate re-sends, the
+# Live feeds: the journal crash matrices (TestFeedCrashMatrix: sync
+# failures at every point over feed checkpoints;
+# TestFeedCrashMatrixWriteBudget: torn writes at every byte cut, torn
+# rotation checkpoints included), a damaged journal refused and kept,
+# durable restart mid-feed with duplicate re-sends, the
 # feed/subscription soak (writers, subscribers and churn against one
 # engine, with read-your-writes and sequence-monotonicity asserted
 # throughout; STRG_SOAK_MS stretches it), and the dispatch differential
@@ -48,7 +54,7 @@ chaos:
 		-run 'ReplicaCrash|ReplicaCorrupt|ReplicaTorn|ReplicaResume|ReplicaWALGone|ReplicaAntiEntropy' \
 		./internal/replica
 	STRG_SOAK_MS=$(STRG_SOAK_MS) go test -race -count=1 \
-		-run 'FeedCrashMatrix|FeedDurableRestartResume|FeedSoak|DispatchMatchesBruteForce' \
+		-run 'FeedCrashMatrix|FeedDamagedJournal|FeedDurableRestartResume|FeedSoak|DispatchMatchesBruteForce' \
 		./internal/feed
 
 cover:
@@ -56,16 +62,17 @@ cover:
 
 # Coverage ratchet for the packages where a silent regression is most
 # dangerous (the index owns query correctness under concurrent ingest, the
-# WAL owns durability, dist owns the bit-identity contracts of the
-# columnar and batched kernels, query owns the DSL/planner contract
-# behind /v1/query, rtree owns the pruning superset guarantee, embed owns
-# the approximate tier's candidate generation and its recall-monotonicity
-# contract). Floors were set ~3 points under the coverage of the day;
+# WAL owns durability, core owns recovery, dist owns the bit-identity
+# contracts of the columnar and batched kernels, query owns the
+# DSL/planner contract behind /v1/query, rtree owns the pruning superset
+# guarantee, embed owns the approximate tier's candidate generation and
+# its recall-monotonicity contract). Floors were set ~3 points under the coverage of the day;
 # measured at PR 15: index 94.0%, wal 77.8%, dist 98.1%, query 91.1%,
-# rtree 96.0%, embed 90.2%, replica 82.1%, feed 83.9%. Raise them as
-# coverage rises — never lower them to make a build pass.
+# rtree 96.0%, embed 90.2%, replica 82.1%, feed 83.9%; wal 89.4% and
+# core 80.6% once the log chain landed. Raise them as coverage rises —
+# never lower them to make a build pass.
 cover-check:
-	@status=0; for spec in internal/index:91.0 internal/wal:77.0 internal/dist:94.0 internal/query:86.0 internal/rtree:93.0 internal/embed:87.0 internal/replica:78.0 internal/feed:80.0; do \
+	@status=0; for spec in internal/index:91.0 internal/wal:86.4 internal/core:77.6 internal/dist:94.0 internal/query:86.0 internal/rtree:93.0 internal/embed:87.0 internal/replica:78.0 internal/feed:80.0; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$(go test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "FAIL: no coverage output for $$pkg"; status=1; continue; fi; \

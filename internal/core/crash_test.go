@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"strgindex/internal/faultfs"
@@ -59,25 +58,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		}
 	}
 
-	cutSet := map[int64]bool{}
-	for k := 0; k <= n; k++ {
-		cutSet[boundaries[k]] = true
-	}
-	for k := 1; k <= n; k++ {
-		prev, cur := boundaries[k-1], boundaries[k]
-		for _, c := range []int64{prev + 1, prev + 5, prev + 8 + (cur-prev-8)/2, cur - 1} {
-			if c > prev && c < cur {
-				cutSet[c] = true
-			}
-		}
-	}
-	cuts := make([]int64, 0, len(cutSet))
-	for c := range cutSet {
-		cuts = append(cuts, c)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-
-	for _, cut := range cuts {
+	for _, cut := range faultfs.CrashPoints(boundaries) {
 		acked := 0
 		for acked < n && boundaries[acked+1] <= cut {
 			acked++
@@ -202,7 +183,7 @@ func TestCrashDuringSnapshotWrite(t *testing.T) {
 	if sig := querySig(t, r); sig != refSigs[2] {
 		t.Error("recovered k-NN results differ from the 2-op reference")
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName+".tmp")); !os.IsNotExist(err) {
+	if _, err := os.Stat(SnapshotPath(dir) + ".tmp"); !os.IsNotExist(err) {
 		t.Errorf("torn snapshot temporary not swept: %v", err)
 	}
 	for _, seg := range stream.Segments[2:] {
@@ -237,7 +218,7 @@ func TestCrashAroundRotationStates(t *testing.T) {
 		}
 	}
 	// Keep the pre-rotation log so we can resurrect it.
-	wal1, err := os.ReadFile(filepath.Join(dir, walFileName(1)))
+	wal1, err := os.ReadFile(walPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +238,7 @@ func TestCrashAroundRotationStates(t *testing.T) {
 	// was removed: snapshot + stale wal-1 + wal-2.
 	t.Run("AfterRename", func(t *testing.T) {
 		d := copyDir(t, dir)
-		if err := os.WriteFile(filepath.Join(d, walFileName(1)), wal1, 0o644); err != nil {
+		if err := os.WriteFile(walPath(d, 1), wal1, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		r, rec, err := OpenDurable(DefaultConfig(), noRotate(d))
@@ -268,7 +249,7 @@ func TestCrashAroundRotationStates(t *testing.T) {
 		if !rec.SnapshotLoaded || rec.ReplayedRecords != n-2 {
 			t.Errorf("recovery = %+v, want snapshot + %d replayed", rec, n-2)
 		}
-		if _, err := os.Stat(filepath.Join(d, walFileName(1))); !os.IsNotExist(err) {
+		if _, err := os.Stat(walPath(d, 1)); !os.IsNotExist(err) {
 			t.Errorf("stale log not removed: %v", err)
 		}
 		if sig := querySig(t, r); sig != refSigs[n] {
@@ -280,10 +261,10 @@ func TestCrashAroundRotationStates(t *testing.T) {
 	// wal-1 + wal-2 chain.
 	t.Run("BeforeRename", func(t *testing.T) {
 		d := copyDir(t, dir)
-		if err := os.WriteFile(filepath.Join(d, walFileName(1)), wal1, 0o644); err != nil {
+		if err := os.WriteFile(walPath(d, 1), wal1, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Remove(filepath.Join(d, snapshotName)); err != nil {
+		if err := os.Remove(SnapshotPath(d)); err != nil {
 			t.Fatal(err)
 		}
 		r, rec, err := OpenDurable(DefaultConfig(), noRotate(d))
@@ -302,8 +283,8 @@ func TestCrashAroundRotationStates(t *testing.T) {
 	// Temporary-file residue from an interrupted atomic write is swept.
 	t.Run("TmpResidue", func(t *testing.T) {
 		d := copyDir(t, dir)
-		for _, tmp := range []string{snapshotName + ".tmp", walFileName(9) + ".tmp"} {
-			if err := os.WriteFile(filepath.Join(d, tmp), []byte("partial garbage"), 0o644); err != nil {
+		for _, tmp := range []string{SnapshotPath(d) + ".tmp", walPath(d, 9) + ".tmp"} {
+			if err := os.WriteFile(tmp, []byte("partial garbage"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -312,8 +293,8 @@ func TestCrashAroundRotationStates(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		for _, tmp := range []string{snapshotName + ".tmp", walFileName(9) + ".tmp"} {
-			if _, err := os.Stat(filepath.Join(d, tmp)); !os.IsNotExist(err) {
+		for _, tmp := range []string{SnapshotPath(d) + ".tmp", walPath(d, 9) + ".tmp"} {
+			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 				t.Errorf("%s not swept: %v", tmp, err)
 			}
 		}
@@ -343,7 +324,7 @@ func TestCrashWALBitFlipRefused(t *testing.T) {
 	}
 
 	// On-media corruption: rewrite the file with one bit flipped.
-	path := filepath.Join(dir, walFileName(1))
+	path := walPath(dir, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +345,7 @@ func TestCrashWALBitFlipRefused(t *testing.T) {
 	fsys := faultfs.NewInject(faultfs.OS{}, faultfs.Config{
 		WriteBudget:   -1,
 		FailSyncAfter: -1,
-		Flips:         []faultfs.BitFlip{{Name: walFileName(1), Offset: wal.HeaderSize + 20, Mask: 0x80}},
+		Flips:         []faultfs.BitFlip{{Name: filepath.Base(path), Offset: wal.HeaderSize + 20, Mask: 0x80}},
 	})
 	_, _, err = OpenDurable(DefaultConfig(), Durability{Dir: dir, FS: fsys, SnapshotOps: -1, SnapshotBytes: -1})
 	if !errors.Is(err, wal.ErrCorrupt) {
@@ -403,7 +384,7 @@ func TestCrashSnapshotBitFlipRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, snapshotName)
+	path := SnapshotPath(dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

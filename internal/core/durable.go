@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,16 +22,11 @@ import (
 // in-memory database, and the log is periodically folded into a
 // checksummed snapshot.
 //
-// The directory holds one current snapshot plus a chain of sequence-
-// numbered logs:
-//
-//	snapshot.strg       versioned, checksummed, atomically renamed
-//	wal-00000001.log    commit records since (or before) the snapshot
-//	wal-00000002.log    ...
-//
-// The snapshot records the first log sequence it does NOT cover; recovery
-// loads the snapshot and replays the remaining logs in order, truncating
-// a torn final record.
+// The directory holds one current snapshot (SnapshotPath: versioned,
+// checksummed, atomically renamed) plus a wal.Chain of sequence-numbered
+// logs, wal-00000001.log onwards. The snapshot records the first log
+// sequence it does NOT cover; recovery loads the snapshot and hands that
+// sequence to the chain's one recovery rule (wal.Chain.Recover).
 type Durability struct {
 	// Dir is the data directory (created if missing). Required.
 	Dir string
@@ -55,22 +49,12 @@ const (
 	DefaultSnapshotBytes = 64 << 20
 )
 
-const (
-	snapshotName = "snapshot.strg"
-	walNameFmt   = "wal-%08d.log"
-)
+// walPrefix names the data directory's log chain (wal-%08d.log).
+const walPrefix = "wal"
 
-func walFileName(seq uint64) string { return fmt.Sprintf(walNameFmt, seq) }
-
-// parseWALName extracts the sequence from a wal file name, reporting
-// whether the name is one.
-func parseWALName(name string) (uint64, bool) {
-	var seq uint64
-	if n, err := fmt.Sscanf(name, walNameFmt, &seq); n == 1 && err == nil && name == walFileName(seq) {
-		return seq, true
-	}
-	return 0, false
-}
+// SnapshotPath returns the path of the snapshot file in data directory
+// dir — the file a replica installs its bootstrap image as.
+func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.strg") }
 
 // RecoveryStats reports what OpenDurable did to reach a servable state.
 type RecoveryStats struct {
@@ -150,9 +134,7 @@ type durable struct {
 	dir  string
 	cfg  Durability
 
-	log *wal.Log
-	// seq is the sequence number of the current log.
-	seq uint64
+	chain *wal.Chain
 	// ops counts records in the log chain since the last snapshot.
 	ops int
 	// pendingStart is the log offset before the in-flight append, or -1;
@@ -195,8 +177,6 @@ func (d *durable) takeSnapErr() error {
 	d.lastSnapErr = nil
 	return err
 }
-
-func (d *durable) path(name string) string { return filepath.Join(d.dir, name) }
 
 // OpenDurable opens (or creates) a crash-safe database in d.Dir:
 // recovery loads the last good snapshot, replays the write-ahead log
@@ -251,17 +231,19 @@ func openDurable(cfg Config, d Durability, replica bool) (*SharedDB, RecoverySta
 	}
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tmp") {
-			_ = fsys.Remove(dur.path(e.Name()))
+			_ = fsys.Remove(filepath.Join(d.Dir, e.Name()))
 		}
 	}
 
-	// Phase 1: last good snapshot.
+	// The last good snapshot, then the log chain from the first log it
+	// does not cover.
 	db := Open(cfg)
 	startSeq := uint64(1)
-	if _, serr := fsys.Stat(dur.path(snapshotName)); serr == nil {
-		img, lerr := snapshotImage(fsys, dur.path(snapshotName))
+	snap := SnapshotPath(d.Dir)
+	if _, serr := fsys.Stat(snap); serr == nil {
+		img, lerr := snapshotImage(fsys, snap)
 		if lerr != nil {
-			return nil, stats, fmt.Errorf("core: recovering %s: %w", dur.path(snapshotName), lerr)
+			return nil, stats, fmt.Errorf("core: recovering %s: %w", snap, lerr)
 		}
 		if rerr := db.restore(img); rerr != nil {
 			return nil, stats, rerr
@@ -272,29 +254,8 @@ func openDurable(cfg Config, d Durability, replica bool) (*SharedDB, RecoverySta
 		dur.srcPos = WALPos{Seq: img.SrcSeq, Off: img.SrcOff}
 		stats.SnapshotLoaded = true
 	}
-
-	// Phase 2: the log chain. Logs below startSeq are subsumed by the
-	// snapshot (a crash can interleave the snapshot rename and their
-	// removal); logs at or above it must be contiguous.
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseWALName(e.Name()); ok {
-			if seq < startSeq {
-				_ = fsys.Remove(dur.path(e.Name()))
-				continue
-			}
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for i, seq := range seqs {
-		if want := startSeq + uint64(i); seq != want {
-			return nil, stats, fmt.Errorf("core: write-ahead log chain has a gap: found %s, want %s: %w",
-				walFileName(seq), walFileName(want), ErrCorrupt)
-		}
-	}
-
-	replay := func(_ int64, payload []byte) error {
+	dur.chain = wal.NewChain(fsys, d.Dir, walPrefix)
+	rep, err := dur.chain.Recover(startSeq, func(_ uint64, _ int64, payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return err
@@ -308,40 +269,15 @@ func openDurable(cfg Config, d Durability, replica bool) (*SharedDB, RecoverySta
 			// here, so the recovered position is exactly the durable one.
 			dur.srcPos = WALPos{Seq: rec.SrcSeq, Off: rec.SrcOff}
 		}
-		stats.ReplayedRecords++
 		return nil
-	}
-	lastCommitted := int64(0)
-	for i, seq := range seqs {
-		res, err := wal.Scan(fsys, dur.path(walFileName(seq)), replay)
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: replaying %s: %w", walFileName(seq), err)
-		}
-		if res.Torn {
-			if i != len(seqs)-1 {
-				// Only the final log may end mid-record: earlier logs
-				// were sealed by a completed rotation.
-				return nil, stats, fmt.Errorf("core: %s torn at offset %d but is not the final log: %w",
-					walFileName(seq), res.TornOffset, ErrCorrupt)
-			}
-			stats.TornTail = true
-		}
-		stats.ReplayedLogs++
-		lastCommitted = res.CommittedSize
-	}
-
-	// Phase 3: reopen the final log for appending (truncating the torn
-	// tail), or start the chain.
-	if len(seqs) > 0 {
-		dur.seq = seqs[len(seqs)-1]
-		dur.log, err = wal.OpenAppend(fsys, dur.path(walFileName(dur.seq)), lastCommitted)
-	} else {
-		dur.seq = startSeq
-		dur.log, err = wal.Create(fsys, dur.path(walFileName(dur.seq)))
+	})
+	if errors.Is(err, wal.ErrCorrupt) {
+		err = fmt.Errorf("%w (%w)", err, ErrCorrupt)
 	}
 	if err != nil {
-		return nil, stats, fmt.Errorf("core: opening write-ahead log: %w", err)
+		return nil, stats, fmt.Errorf("core: recovering the write-ahead log: %w", err)
 	}
+	stats.ReplayedLogs, stats.ReplayedRecords, stats.TornTail = rep.Logs, rep.Records, rep.Torn
 	dur.ops = stats.ReplayedRecords
 
 	s := &SharedDB{db: db, dur: dur, replica: replica}
@@ -374,8 +310,8 @@ func (d *durable) append(rec *commitRecord) error {
 	if err != nil {
 		return err
 	}
-	d.pendingStart = d.log.Size()
-	if err := d.log.Append(payload); err != nil {
+	d.pendingStart = d.chain.Log().Size()
+	if err := d.chain.Log().Append(payload); err != nil {
 		return err
 	}
 	d.ops++
@@ -389,8 +325,8 @@ func (d *durable) rollbackPending() {
 	if d.pendingStart < 0 {
 		return
 	}
-	appended := d.log.Size() > d.pendingStart
-	if err := d.log.TruncateTo(d.pendingStart); err == nil && appended {
+	appended := d.chain.Log().Size() > d.pendingStart
+	if err := d.chain.Log().TruncateTo(d.pendingStart); err == nil && appended {
 		d.ops--
 	}
 	d.pendingStart = -1
@@ -410,7 +346,7 @@ func (s *SharedDB) afterIngestLocked(err error) {
 	}
 	d.pendingStart = -1
 	if (d.cfg.SnapshotOps > 0 && d.ops >= d.cfg.SnapshotOps) ||
-		(d.cfg.SnapshotBytes > 0 && d.log.Size() >= d.cfg.SnapshotBytes) {
+		(d.cfg.SnapshotBytes > 0 && d.chain.Log().Size() >= d.cfg.SnapshotBytes) {
 		s.rotateLocked(false)
 	}
 }
@@ -427,18 +363,15 @@ func (s *SharedDB) rotateLocked(sync bool) {
 		return
 	}
 	img := s.db.image()
-	img.WALSeq = d.seq + 1
+	img.WALSeq = d.chain.Seq() + 1
 	img.SrcSeq, img.SrcOff = d.srcPos.Seq, d.srcPos.Off
-	newLog, err := wal.Create(d.fsys, d.path(walFileName(d.seq+1)))
+	oldLog, err := d.chain.Rotate(nil)
 	if err != nil {
 		d.setSnapErr(fmt.Errorf("core: rotating write-ahead log: %w", err))
 		snapshotSaveFailures.Inc()
 		d.snapshotting.Store(false)
 		return
 	}
-	oldLog := d.log
-	d.log = newLog
-	d.seq++
 	d.ops = 0
 	d.pendingStart = -1
 	walRotations.Inc()
@@ -449,7 +382,7 @@ func (s *SharedDB) rotateLocked(sync bool) {
 		defer close(done)
 		defer d.snapshotting.Store(false)
 		_ = oldLog.Close()
-		err := faultfs.WriteAtomic(d.fsys, d.path(snapshotName), func(w io.Writer) error {
+		err := faultfs.WriteAtomic(d.fsys, SnapshotPath(d.dir), func(w io.Writer) error {
 			return writeSnapshot(w, img)
 		})
 		if err != nil {
@@ -458,18 +391,10 @@ func (s *SharedDB) rotateLocked(sync bool) {
 			return
 		}
 		snapshotSaves.Inc()
-		// The snapshot now covers every log below img.WALSeq — but logs a
-		// registered replication reader has not acked yet are kept (the
-		// retention floor). A later rotation, with the floor advanced,
-		// removes them.
-		floor := d.retain.Load()
-		if entries, err := d.fsys.ReadDir(d.dir); err == nil {
-			for _, e := range entries {
-				if seq, ok := parseWALName(e.Name()); ok && seq < img.WALSeq && seq < floor {
-					_ = d.fsys.Remove(d.path(e.Name()))
-				}
-			}
-		}
+		// The snapshot covers every log below img.WALSeq, but logs a
+		// replication reader has not acked stay (the retention floor) until
+		// a later rotation, with the floor advanced, removes them.
+		_ = d.chain.Prune(min(img.WALSeq, d.retain.Load()))
 	}
 	if sync {
 		write()
@@ -534,7 +459,7 @@ func (s *SharedDB) WALSize() int64 {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.dur.log.Size()
+	return s.dur.chain.Log().Size()
 }
 
 // Close flushes and closes the write-ahead log after waiting for any
@@ -551,5 +476,5 @@ func (s *SharedDB) Close() error {
 		return nil
 	}
 	s.dur.closed = true
-	return s.dur.log.Close()
+	return s.dur.chain.Log().Close()
 }

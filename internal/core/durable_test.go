@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -111,10 +110,10 @@ func TestDurableCheckpointAndRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The checkpoint folded the first log into the snapshot and removed it.
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.strg")); err != nil {
+	if _, err := os.Stat(SnapshotPath(dir)); err != nil {
 		t.Fatalf("no snapshot after checkpoint: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, walFileName(1))); !os.IsNotExist(err) {
+	if _, err := os.Stat(walPath(dir, 1)); !os.IsNotExist(err) {
 		t.Errorf("rotated-out log still present: %v", err)
 	}
 	// One more op lands in the new log.
@@ -272,25 +271,6 @@ func TestDurableConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
-func TestParseWALName(t *testing.T) {
-	if got := walFileName(7); got != "wal-00000007.log" {
-		t.Errorf("walFileName(7) = %q", got)
-	}
-	for name, want := range map[string]uint64{
-		"wal-00000001.log": 1,
-		"wal-12345678.log": 12345678,
-	} {
-		if seq, ok := parseWALName(name); !ok || seq != want {
-			t.Errorf("parseWALName(%q) = %d, %v", name, seq, ok)
-		}
-	}
-	for _, name := range []string{"snapshot.strg", "wal-1.log", "wal-00000001.log.tmp", "wal-xxxxxxxx.log"} {
-		if _, ok := parseWALName(name); ok {
-			t.Errorf("parseWALName(%q) accepted", name)
-		}
-	}
-}
-
 func TestOpenDurableRequiresDir(t *testing.T) {
 	if _, _, err := OpenDurable(DefaultConfig(), Durability{}); err == nil {
 		t.Error("OpenDurable without a directory did not error")
@@ -314,10 +294,10 @@ func TestDurableWALChainGapRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Remove the log the snapshot points at and plant a later one: a gap.
-	if err := os.Remove(filepath.Join(dir, walFileName(2))); err != nil {
+	if err := os.Remove(walPath(dir, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walFileName(3)), []byte("STRGWAL\x01"), 0o644); err != nil {
+	if err := os.WriteFile(walPath(dir, 3), []byte("STRGWAL\x01"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := OpenDurable(DefaultConfig(), noRotate(dir)); !errors.Is(err, ErrCorrupt) {

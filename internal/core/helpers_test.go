@@ -7,6 +7,7 @@ import (
 	"strgindex/internal/dist"
 	"strgindex/internal/index"
 	"strgindex/internal/query"
+	"strgindex/internal/wal"
 )
 
 // querier is the one query entry point, as VideoDB and SharedDB share it.
@@ -83,3 +84,6 @@ func scanSelect(db *VideoDB, p query.Predicate) []Match {
 	}
 	return out
 }
+
+// walPath is the path of log seq in data directory dir's log chain.
+func walPath(dir string, seq uint64) string { return wal.NewChain(nil, dir, walPrefix).Path(seq) }

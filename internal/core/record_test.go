@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"strgindex/internal/faultfs"
@@ -131,7 +130,7 @@ func TestLegacyWALRecordRefused(t *testing.T) {
 
 	// Crash replay: a log left by the old binary.
 	dir := t.TempDir()
-	log, err := wal.Create(faultfs.OS{}, filepath.Join(dir, walFileName(1)))
+	log, err := wal.Create(faultfs.OS{}, walPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

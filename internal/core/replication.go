@@ -50,24 +50,7 @@ var ErrWALGone = errors.New("core: wal position no longer available")
 // log chain: the sequence number of a log file and a byte offset within
 // it (record boundaries only — wal.HeaderSize or an offset after a
 // record's frame).
-type WALPos struct {
-	Seq uint64 `json:"seq"`
-	Off int64  `json:"off"`
-}
-
-// IsZero reports the zero position (no position recorded).
-func (p WALPos) IsZero() bool { return p.Seq == 0 && p.Off == 0 }
-
-// Before orders positions: first by log sequence, then by offset.
-func (p WALPos) Before(q WALPos) bool {
-	if p.Seq != q.Seq {
-		return p.Seq < q.Seq
-	}
-	return p.Off < q.Off
-}
-
-// String formats the position for logs.
-func (p WALPos) String() string { return fmt.Sprintf("%d:%d", p.Seq, p.Off) }
+type WALPos = wal.Pos
 
 // WALFrame is one record read from the primary's WAL: the payload plus
 // the position immediately after its frame — the point a replica resumes
@@ -88,7 +71,7 @@ func (s *SharedDB) WALPos() (WALPos, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return WALPos{Seq: s.dur.seq, Off: s.dur.log.Size()}, nil
+	return s.dur.chain.End(), nil
 }
 
 // SetWALRetainFloor sets the lowest WAL sequence log rotation must
@@ -122,93 +105,38 @@ func (s *SharedDB) WALFrames(from WALPos, maxBytes int64) (frames []WALFrame, ne
 		maxBytes = 4 << 20
 	}
 	s.mu.RLock()
-	curSeq, curSize := s.dur.seq, s.dur.log.Size()
+	end = s.dur.chain.End()
 	s.mu.RUnlock()
-	end = WALPos{Seq: curSeq, Off: curSize}
 	if from.Seq == 0 || from.Off < wal.HeaderSize {
 		return nil, from, end, fmt.Errorf("core: position %v predates the log chain: %w", from, ErrWALGone)
 	}
-	if from.Seq > curSeq || (from.Seq == curSeq && from.Off > curSize) {
+	if end.Before(from) {
 		return nil, from, end, fmt.Errorf("core: position %v is ahead of the committed end %v: %w", from, end, ErrWALGone)
 	}
-
-	d := s.dur
-	next = from
-	var total int64
-	for {
-		limit := int64(-1)
-		if next.Seq == curSeq {
-			limit = curSize
-		}
-		res, serr := wal.ScanRange(d.fsys, d.path(walFileName(next.Seq)), next.Off, limit,
-			func(off int64, payload []byte) error {
-				if total >= maxBytes && len(frames) > 0 {
-					return wal.ErrStopScan
-				}
-				p := bytes.Clone(payload)
-				total += int64(len(p))
-				frames = append(frames, WALFrame{
-					Payload: p,
-					Next:    WALPos{Seq: next.Seq, Off: off + wal.FrameOverhead + int64(len(p))},
-				})
-				return nil
-			})
-		if serr != nil {
-			if os.IsNotExist(serr) {
-				return nil, from, end, fmt.Errorf("core: %s rotated away: %w", walFileName(next.Seq), ErrWALGone)
-			}
-			if errors.Is(serr, wal.ErrCorrupt) {
-				// A sealed log cannot legitimately fail its checksums, the
-				// live log is only read up to its committed size, and a bad
-				// reader offset (e.g. one that now lands mid-record because
-				// a restarted primary wrote different bytes past it) parses
-				// as garbage. Either way the reader cannot resume from this
-				// position — answer ErrWALGone so it re-bootstraps instead
-				// of retrying a permanent failure forever.
-				return nil, from, end, fmt.Errorf("core: reading %s: %v: %w", walFileName(next.Seq), serr, ErrWALGone)
-			}
-			return nil, from, end, serr
-		}
-		if res.Torn && next.Seq < curSeq {
-			return nil, from, end, fmt.Errorf("core: sealed log %s is torn at %d: %w",
-				walFileName(next.Seq), res.TornOffset, ErrCorrupt)
-		}
-		next.Off = res.CommittedSize
-		if res.Stopped || total >= maxBytes {
-			return frames, next, end, nil
-		}
-		if next.Seq == curSeq {
-			return frames, next, end, nil
-		}
-		// Sealed log exhausted: advance to the next log in the chain.
-		next = WALPos{Seq: next.Seq + 1, Off: wal.HeaderSize}
+	next, err = s.dur.chain.Read(from, end, maxBytes, func(payload []byte, after WALPos) {
+		frames = append(frames, WALFrame{Payload: bytes.Clone(payload), Next: after})
+	})
+	if errors.Is(err, os.ErrNotExist) || errors.Is(err, wal.ErrCorrupt) {
+		// Rotated away, damaged, or a reader offset that lands mid-record
+		// (a restarted primary wrote different bytes past it): the reader
+		// cannot resume here, so it re-bootstraps instead of retrying a
+		// permanent failure forever.
+		return nil, from, end, fmt.Errorf("core: %v: %w", err, ErrWALGone)
 	}
+	if err != nil {
+		return nil, from, end, err
+	}
+	return frames, next, end, nil
 }
 
 // WALBytesBetween estimates the committed bytes between from and the
 // chain end (framing included) — the lag a reader at from is behind by.
 // Positions outside the chain clamp to zero.
 func (s *SharedDB) WALBytesBetween(from, end WALPos) int64 {
-	if s.dur == nil || !from.Before(end) {
+	if s.dur == nil {
 		return 0
 	}
-	var total int64
-	for seq := from.Seq; seq <= end.Seq; seq++ {
-		var size int64
-		if seq == end.Seq {
-			size = end.Off
-		} else if fi, err := s.dur.fsys.Stat(s.dur.path(walFileName(seq))); err == nil {
-			size = fi.Size()
-		}
-		start := int64(wal.HeaderSize)
-		if seq == from.Seq {
-			start = from.Off
-		}
-		if size > start {
-			total += size - start
-		}
-	}
-	return total
+	return s.dur.chain.Between(from, end)
 }
 
 // ReplicationSnapshot writes a bootstrap snapshot for a new replica: the
@@ -227,7 +155,7 @@ func (s *SharedDB) ReplicationSnapshot(w io.Writer) (WALPos, error) {
 		return WALPos{}, fmt.Errorf("core: database closed")
 	}
 	img := s.db.image()
-	pos := WALPos{Seq: s.dur.seq, Off: s.dur.log.Size()}
+	pos := s.dur.chain.End()
 	s.mu.Unlock()
 	img.WALSeq = 1
 	img.SrcSeq, img.SrcOff = pos.Seq, pos.Off
@@ -353,7 +281,7 @@ func (s *SharedDB) ReplicationDigest() (StateDigest, error) {
 	if s.replica {
 		dig.Pos = s.dur.srcPos
 	} else {
-		dig.Pos = WALPos{Seq: s.dur.seq, Off: s.dur.log.Size()}
+		dig.Pos = s.dur.chain.End()
 	}
 	dig.Segments = s.db.segments
 

@@ -210,7 +210,7 @@ func (db *VideoDB) searchApprox(ctx context.Context, seq dist.Sequence, k, nprob
 		d    float64
 		rank int // probe rank of the contributing list (recall proxy)
 	}
-	best := make([]hit, 0, k)
+	best := make([]hit, 0, min(k, vt.ivf.Len())) // k is the client's; the corpus bounds it
 	push := func(h hit) {
 		i := sort.Search(len(best), func(i int) bool {
 			if best[i].d != h.d {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -97,6 +98,25 @@ func TestApproxFullProbeIsExact(t *testing.T) {
 			if approx[i].Distance != exact[i].Distance {
 				t.Errorf("query %d rank %d: approx distance %v, exact %v", qi, i, approx[i].Distance, exact[i].Distance)
 			}
+		}
+	}
+}
+
+// TestApproxHugeKClamped: k is a client number, so the approximate top-k
+// is sized by the corpus, not by k. k = MaxInt returns no more matches
+// than the corpus holds, in (distance, OGID) order, where sizing by k
+// would ask the runtime for a slice it cannot make.
+func TestApproxHugeKClamped(t *testing.T) {
+	db := approxDB(t, nil)
+	traj := dist.Sequence{{16, 120}, {106, 120}, {200, 120}}
+	ms := approxKNN(t, db, traj, math.MaxInt, db.vec.ivf.NLists()).Matches
+	if n := db.Stats().OGs; len(ms) == 0 || len(ms) > n {
+		t.Fatalf("%d matches from a corpus of %d OGs", len(ms), n)
+	}
+	for i := 1; i < len(ms); i++ {
+		a, b := ms[i-1], ms[i]
+		if a.Distance > b.Distance || (a.Distance == b.Distance && a.Record.OGID >= b.Record.OGID) {
+			t.Fatalf("rank %d: (%v, %d) after (%v, %d)", i, b.Distance, b.Record.OGID, a.Distance, a.Record.OGID)
 		}
 	}
 }

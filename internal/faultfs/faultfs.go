@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -383,4 +384,28 @@ func WriteAtomic(fsys FS, path string, write func(io.Writer) error) (err error) 
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// CrashPoints returns the write budgets a byte-cut crash matrix runs at,
+// given the byte counts at which a clean run's operations became durable
+// (ascending; the first is where the matrix starts). Each boundary is a
+// cut, and so are the tears between two boundaries: one byte in, five
+// bytes in (inside a record's 8-byte length + CRC frame), halfway through
+// the payload after that frame, and one byte short of the next boundary.
+func CrashPoints(boundaries []int64) []int64 {
+	var cuts []int64
+	for k, cur := range boundaries {
+		cuts = append(cuts, cur)
+		if k == 0 {
+			continue
+		}
+		prev := boundaries[k-1]
+		for _, c := range []int64{prev + 1, prev + 5, prev + 8 + (cur-prev-8)/2, cur - 1} {
+			if c > prev && c < cur {
+				cuts = append(cuts, c)
+			}
+		}
+	}
+	slices.Sort(cuts)
+	return slices.Compact(cuts)
 }

@@ -24,10 +24,8 @@ type Feed struct {
 	id   string
 	meta Meta
 
-	b   *strg.OnlineBuilder
-	log *wal.Log
-	// seq numbers the current journal file in the chain.
-	seq uint64
+	b       *strg.OnlineBuilder
+	journal *wal.Chain
 	// epoch counts committed segments; next is the next expected
 	// feed-global frame index.
 	epoch int
@@ -120,7 +118,7 @@ func (f *Feed) Append(frames []video.Frame) (AppendResult, error) {
 	if err != nil {
 		return AppendResult{}, err
 	}
-	if err := f.log.Append(payload); err != nil {
+	if err := f.journal.Log().Append(payload); err != nil {
 		return AppendResult{}, err
 	}
 	for i := range accepted {
@@ -173,24 +171,18 @@ func (f *Feed) Flush() error {
 }
 
 // flushLocked commits the open epoch through the database write path and
-// rotates the journal. The crash windows:
-//
-//  1. intent appended, commit not reached — recovery sees the intent,
-//     asks the database (SegmentsIn ≤ epoch) and redoes the commit.
-//  2. commit landed, next journal not created — recovery sees the intent,
-//     SegmentsIn > epoch says it landed, skips the redo.
-//  3. next journal created, old not removed — recovery picks the higher
-//     journal and removes the lower.
-//
-// Every redo ingests the identical segment (same frames, same name), so
-// the database sees exactly one commit per epoch.
+// rotates the journal. A crash after the intent and before the next
+// checkpoint leaves the intent as the tail of the chain; recovery asks the
+// database (SegmentsIn) whether the commit landed and redoes it only if
+// not. Every redo ingests the identical segment (same frames, same name),
+// so the database sees exactly one commit per epoch.
 func (f *Feed) flushLocked() error {
 	intent, err := encodeRec(journalRec{Kind: recIntent, Epoch: f.epoch})
 	if err != nil {
 		return err
 	}
-	preIntent := f.log.Size()
-	if err := f.log.Append(intent); err != nil {
+	preIntent := f.journal.Log().Size()
+	if err := f.journal.Log().Append(intent); err != nil {
 		return err
 	}
 
@@ -199,7 +191,7 @@ func (f *Feed) flushLocked() error {
 		// The epoch is intact in memory and in the journal; withdraw the
 		// intent so recovery does not redo a commit that never happened
 		// with frames that may grow before the retry.
-		if terr := f.log.TruncateTo(preIntent); terr != nil {
+		if terr := f.journal.Log().TruncateTo(preIntent); terr != nil {
 			return fmt.Errorf("feed: %s epoch %d commit failed (%v) and intent rollback failed: %w", f.id, f.epoch, err, terr)
 		}
 		return fmt.Errorf("feed: %s committing epoch %d: %w", f.id, f.epoch, err)
@@ -230,36 +222,32 @@ func (f *Feed) epochSegmentLocked() *video.Segment {
 	}
 }
 
-// rotateLocked seals the journal chain after a commit: create journal
-// seq+1 headed by a fresh checkpoint, then remove journal seq. A crash
-// between the two leaves both files; recovery keeps the higher.
-func (f *Feed) rotateLocked() error {
-	dir := filepath.Join(f.svc.opts.Dir, f.id)
-	nextPath := filepath.Join(dir, journalFileName(f.seq+1))
-	nl, err := wal.Create(f.svc.opts.FS, nextPath)
-	if err != nil {
-		return fmt.Errorf("feed: %s rotating journal: %w", f.id, err)
-	}
-	meta, err := encodeRec(journalRec{Kind: recMeta, Meta: &metaRec{
+// checkpointLocked encodes the meta record heading a journal: the feed's
+// identity and its state at the current epoch boundary.
+func (f *Feed) checkpointLocked() ([]byte, error) {
+	return encodeRec(journalRec{Kind: recMeta, Meta: &metaRec{
 		ID: f.id, Meta: f.meta, Epoch: f.epoch, NextFrame: f.next,
 		Builder: f.b.Checkpoint(),
 	}})
+}
+
+// rotateLocked seals the journal chain after a commit: the next journal,
+// headed by a fresh checkpoint, takes the appends, and the journals that
+// checkpoint covers are removed.
+func (f *Feed) rotateLocked() error {
+	head, err := f.checkpointLocked()
 	if err != nil {
-		nl.Close()
 		return err
 	}
-	if err := nl.Append(meta); err != nil {
-		nl.Close()
-		return fmt.Errorf("feed: %s writing checkpoint: %w", f.id, err)
+	sealed, err := f.journal.Rotate(head)
+	if err != nil {
+		return fmt.Errorf("feed: %s rotating journal: %w", f.id, err)
 	}
-	old := f.log
-	f.log = nl
-	f.seq++
-	old.Close()
-	if err := f.svc.opts.FS.Remove(filepath.Join(dir, journalFileName(f.seq-1))); err != nil {
+	sealed.Close()
+	if err := f.journal.Prune(f.journal.Seq()); err != nil {
 		return fmt.Errorf("feed: %s removing sealed journal: %w", f.id, err)
 	}
-	return f.svc.opts.FS.SyncDir(dir)
+	return f.svc.opts.FS.SyncDir(filepath.Join(f.svc.opts.Dir, f.id))
 }
 
 // close releases the journal handle. Pending frames stay journaled and
@@ -271,5 +259,5 @@ func (f *Feed) close() error {
 		return nil
 	}
 	f.closed = true
-	return f.log.Close()
+	return f.journal.Log().Close()
 }

@@ -10,41 +10,24 @@ import (
 	"strgindex/internal/video"
 )
 
-// The feed journal is a chain of sequence-numbered write-ahead files, one
-// directory per feed:
-//
-//	<dir>/<feed-id>/journal-00000001.log
-//
-// Each file begins with a meta record — the feed's identity plus a full
-// checkpoint of its state at the epoch boundary the file starts at — and
-// then accumulates one frames record per accepted batch (one fsync per
-// HTTP request). An epoch flush appends an intent record, commits the
-// epoch's segment through the database write path, seals the chain by
-// creating the next journal (whose meta checkpoint embeds the post-flush
-// state) and removes the old file. Recovery reads the highest journal with
-// a readable meta record and replays it; an intent with no following
-// journal is resolved against core.SegmentsIn — the database says whether
-// the commit landed, so the flush is redone or acknowledged but never
-// doubled.
+// The feed journal is a wal.Chain, one directory per feed:
+// <dir>/<feed-id>/journal-%08d.log. A journal a rotation starts is headed
+// by a meta record — the feed's identity and a checkpoint of its state at
+// that epoch boundary — and then holds one frames record per accepted
+// batch (one fsync per request). An epoch flush appends an intent record,
+// commits the epoch's segment through the database, and rotates to a
+// journal headed by the post-flush checkpoint. The one fact recovery
+// needs beyond the chain's rule is where the newest checkpoint is: the
+// highest journal whose first record is a meta record. DESIGN §10 ("Log
+// chains") states the rule, the crash windows and what a damaged journal
+// does.
 const (
-	journalNameFmt = "journal-%08d.log"
+	journalPrefix = "journal"
 
 	recMeta   = int8(1)
 	recFrames = int8(2)
 	recIntent = int8(3)
 )
-
-func journalFileName(seq uint64) string { return fmt.Sprintf(journalNameFmt, seq) }
-
-// parseJournalName extracts the sequence from a journal file name,
-// reporting whether the name is one.
-func parseJournalName(name string) (uint64, bool) {
-	var seq uint64
-	if n, err := fmt.Sscanf(name, journalNameFmt, &seq); n == 1 && err == nil && name == journalFileName(seq) {
-		return seq, true
-	}
-	return 0, false
-}
 
 // feedIDPattern is the set of feed IDs accepted: they name directories and
 // appear in URLs, so they stay conservative.

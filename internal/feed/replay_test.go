@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"strgindex/internal/faultfs"
 	"strgindex/internal/query"
 	"strgindex/internal/video"
+	"strgindex/internal/wal"
 )
 
 // feedFrames generates a deterministic synthetic camera feed: a lab-style
@@ -301,110 +303,209 @@ func TestFeedDurableRestartResume(t *testing.T) {
 // committed twice or dropped, and the run can always be completed.
 func TestFeedCrashMatrix(t *testing.T) {
 	frames, meta := feedFrames(t, 6, 13)
-	const batch = 6
 	cleanRuns := 0
 	for n := 0; n < 300; n++ {
-		cfg := core.DefaultConfig()
-		db := core.OpenShared(cfg)
-		dir := t.TempDir()
-		fsys := faultfs.NewInject(faultfs.OS{}, faultfs.Config{WriteBudget: -1, FailSyncAfter: n})
-		opts := Options{Dir: dir, FS: fsys, DB: db, STRG: &cfg.STRG,
-			MinEpochFrames: 10, MaxEpochFrames: 24}
-
-		acked, crashed := 0, false
-		svc, err := Open(opts)
-		if err != nil {
-			t.Fatalf("sync budget %d: service open on a fresh dir wrote nothing durable, yet failed: %v", n, err)
-		}
-		f, err := svc.Open("cam", meta)
-		if err != nil {
-			crashed = true
-		}
-		if !crashed {
-			for i := 0; i*batch < len(frames); i++ {
-				res, aerr := f.Append(frames[i*batch : min((i+1)*batch, len(frames))])
-				if res.NextFrame > acked {
-					acked = res.NextFrame
-				}
-				if aerr != nil {
-					crashed = true
-					break
-				}
-			}
-		}
-		if !crashed {
-			if err := f.Flush(); err != nil {
-				crashed = true
-			}
-		}
-		svc.Close() // best-effort; the dead disk may refuse the final syncs
-
-		if !crashed {
-			st := f.State()
-			if st.NextFrame != len(frames) || st.Pending != 0 {
-				t.Fatalf("sync budget %d: clean run ended at %+v", n, st)
-			}
-			if got := db.SegmentsIn("cam"); got != st.Epoch || db.Stats().Segments != st.Epoch {
-				t.Fatalf("sync budget %d: %d segments for %d epochs", n, got, st.Epoch)
-			}
-			cleanRuns++
-			if cleanRuns >= 3 {
-				return // budget exceeds every fsync in a full run: matrix done
-			}
+		label := fmt.Sprintf("sync budget %d", n)
+		fsys := faultfs.NewInject(nil, faultfs.Config{WriteBudget: -1, FailSyncAfter: n})
+		if !feedCrashCase(t, label, fsys, frames, meta) {
 			continue
 		}
-
-		// Recover on a healthy disk against the SAME database — the
-		// in-memory state stands in for the durable store that survives
-		// alongside the journal in production.
-		svc2, err := Open(Options{Dir: dir, FS: faultfs.OS{}, DB: db, STRG: &cfg.STRG,
-			MinEpochFrames: 10, MaxEpochFrames: 24})
-		if err != nil {
-			t.Fatalf("sync budget %d: recovery failed: %v", n, err)
-		}
-		f2, ok := svc2.Feed("cam")
-		if !ok {
-			// The crash predated a durable feed creation; nothing was
-			// acknowledged, so recreating is the correct client move.
-			if acked != 0 {
-				t.Fatalf("sync budget %d: %d frames acked but feed gone", n, acked)
-			}
-			if f2, err = svc2.Open("cam", meta); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := f2.State()
-		if st.NextFrame < acked {
-			t.Fatalf("sync budget %d: acked %d frames, recovered only %d", n, acked, st.NextFrame)
-		}
-		if st.NextFrame > len(frames) {
-			t.Fatalf("sync budget %d: recovered %d frames, only %d were ever sent", n, st.NextFrame, len(frames))
-		}
-		if got := db.SegmentsIn("cam"); got != st.Epoch {
-			t.Fatalf("sync budget %d: SegmentsIn = %d but epoch = %d (lost or doubled commit)", n, got, st.Epoch)
-		}
-		// The client resumes from the probed cursor and finishes the feed.
-		for i := st.NextFrame; i < len(frames); i += batch {
-			if _, err := f2.Append(frames[i:min(i+batch, len(frames))]); err != nil {
-				t.Fatalf("sync budget %d: resumed append: %v", n, err)
-			}
-		}
-		if err := f2.Flush(); err != nil {
-			t.Fatalf("sync budget %d: final flush: %v", n, err)
-		}
-		fin := f2.State()
-		if fin.NextFrame != len(frames) || fin.Pending != 0 {
-			t.Fatalf("sync budget %d: completed run state %+v", n, fin)
-		}
-		if got := db.SegmentsIn("cam"); got != fin.Epoch || db.Stats().Segments != fin.Epoch {
-			t.Fatalf("sync budget %d: %d segments for %d epochs after completion", n, got, fin.Epoch)
-		}
-		if db.Stats().OGs == 0 {
-			t.Fatalf("sync budget %d: completed feed produced no OGs", n)
-		}
-		if err := svc2.Close(); err != nil {
-			t.Fatalf("sync budget %d: closing recovered service: %v", n, err)
+		cleanRuns++
+		if cleanRuns >= 3 {
+			return // budget exceeds every fsync in a full run: matrix done
 		}
 	}
 	t.Fatal("crash matrix never reached a clean run; raise the sync cap")
+}
+
+// TestFeedCrashMatrixWriteBudget is the byte-cut twin of
+// TestFeedCrashMatrix: the disk dies after a budget of durable bytes, so a
+// write is torn — a frames batch, an intent, a journal header or the
+// checkpoint heading a rotated journal — where a failed sync always lands
+// whole. The budgets are every write boundary of a clean run plus tears
+// inside each write (faultfs.CrashPoints).
+func TestFeedCrashMatrixWriteBudget(t *testing.T) {
+	frames, meta := feedFrames(t, 6, 13)
+	ends := []int64{0}
+	if !feedCrashCase(t, "counting run", countFS{faultfs.OS{}, &ends}, frames, meta) {
+		t.Fatal("counting run crashed")
+	}
+	for _, cut := range faultfs.CrashPoints(ends) {
+		fsys := faultfs.NewInject(nil, faultfs.Config{WriteBudget: cut, FailSyncAfter: -1})
+		clean := feedCrashCase(t, fmt.Sprintf("write budget %d", cut), fsys, frames, meta)
+		if clean != (cut == ends[len(ends)-1]) {
+			t.Fatalf("write budget %d of %d: clean = %v", cut, ends[len(ends)-1], clean)
+		}
+	}
+}
+
+// feedCrashCase runs one feed to completion with its journals on fsys and
+// reports whether the run was clean. A crashed run is recovered on a
+// healthy disk and must keep the ledger invariants, then finish the feed.
+func feedCrashCase(t *testing.T, label string, fsys faultfs.FS, frames []video.Frame, meta Meta) bool {
+	t.Helper()
+	const batch = 6
+	cfg := core.DefaultConfig()
+	db := core.OpenShared(cfg)
+	dir := t.TempDir()
+	opts := Options{Dir: dir, FS: fsys, DB: db, STRG: &cfg.STRG,
+		MinEpochFrames: 10, MaxEpochFrames: 24}
+
+	acked, crashed := 0, false
+	svc, err := Open(opts)
+	if err != nil {
+		t.Fatalf("%s: service open on a fresh dir wrote nothing durable, yet failed: %v", label, err)
+	}
+	f, err := svc.Open("cam", meta)
+	if err != nil {
+		crashed = true
+	}
+	if !crashed {
+		for i := 0; i*batch < len(frames); i++ {
+			res, aerr := f.Append(frames[i*batch : min((i+1)*batch, len(frames))])
+			if res.NextFrame > acked {
+				acked = res.NextFrame
+			}
+			if aerr != nil {
+				crashed = true
+				break
+			}
+		}
+	}
+	if !crashed {
+		if err := f.Flush(); err != nil {
+			crashed = true
+		}
+	}
+	svc.Close() // best-effort; the dead disk may refuse the final syncs
+
+	if !crashed {
+		st := f.State()
+		if st.NextFrame != len(frames) || st.Pending != 0 {
+			t.Fatalf("%s: clean run ended at %+v", label, st)
+		}
+		if got := db.SegmentsIn("cam"); got != st.Epoch || db.Stats().Segments != st.Epoch {
+			t.Fatalf("%s: %d segments for %d epochs", label, got, st.Epoch)
+		}
+		return true
+	}
+
+	// Recover on a healthy disk against the SAME database — the in-memory
+	// state stands in for the durable store that survives alongside the
+	// journal in production.
+	svc2, err := Open(Options{Dir: dir, FS: faultfs.OS{}, DB: db, STRG: &cfg.STRG,
+		MinEpochFrames: 10, MaxEpochFrames: 24})
+	if err != nil {
+		t.Fatalf("%s: recovery failed: %v", label, err)
+	}
+	f2, ok := svc2.Feed("cam")
+	if !ok {
+		// The crash predated a durable feed creation; nothing was
+		// acknowledged, so recreating is the correct client move.
+		if acked != 0 {
+			t.Fatalf("%s: %d frames acked but feed gone", label, acked)
+		}
+		if f2, err = svc2.Open("cam", meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := f2.State()
+	if st.NextFrame < acked {
+		t.Fatalf("%s: acked %d frames, recovered only %d", label, acked, st.NextFrame)
+	}
+	if st.NextFrame > len(frames) {
+		t.Fatalf("%s: recovered %d frames, only %d were ever sent", label, st.NextFrame, len(frames))
+	}
+	if got := db.SegmentsIn("cam"); got != st.Epoch {
+		t.Fatalf("%s: SegmentsIn = %d but epoch = %d (lost or doubled commit)", label, got, st.Epoch)
+	}
+	// The client resumes from the probed cursor and finishes the feed.
+	for i := st.NextFrame; i < len(frames); i += batch {
+		if _, err := f2.Append(frames[i:min(i+batch, len(frames))]); err != nil {
+			t.Fatalf("%s: resumed append: %v", label, err)
+		}
+	}
+	if err := f2.Flush(); err != nil {
+		t.Fatalf("%s: final flush: %v", label, err)
+	}
+	fin := f2.State()
+	if fin.NextFrame != len(frames) || fin.Pending != 0 {
+		t.Fatalf("%s: completed run state %+v", label, fin)
+	}
+	if got := db.SegmentsIn("cam"); got != fin.Epoch || db.Stats().Segments != fin.Epoch {
+		t.Fatalf("%s: %d segments for %d epochs after completion", label, got, fin.Epoch)
+	}
+	if db.Stats().OGs == 0 {
+		t.Fatalf("%s: completed feed produced no OGs", label)
+	}
+	if err := svc2.Close(); err != nil {
+		t.Fatalf("%s: closing recovered service: %v", label, err)
+	}
+	return false
+}
+
+// countFS records the cumulative bytes after every file write: the
+// boundaries of a byte-cut crash matrix.
+type countFS struct {
+	faultfs.FS
+	ends *[]int64
+}
+
+type countFile struct {
+	faultfs.File
+	ends *[]int64
+}
+
+func (c countFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countFile{f, c.ends}, nil
+}
+
+func (f countFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	*f.ends = append(*f.ends, (*f.ends)[len(*f.ends)-1]+int64(n))
+	return n, err
+}
+
+// TestFeedDamagedJournalRefused: a journal record whose checksum passes
+// but which does not decode, or intact records with no checkpoint under
+// them, refuse the feed — Open fails and the journal stays on disk for an
+// operator, where deleting it would drop acknowledged frames silently.
+func TestFeedDamagedJournalRefused(t *testing.T) {
+	frames, _ := feedFrames(t, 2, 3)
+	framesRec, err := encodeRec(journalRec{Kind: recFrames, Frames: frames[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		"undecodable":   []byte("CRC-valid garbage, not a journal record"),
+		"no checkpoint": framesRec,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := wal.NewChain(faultfs.OS{}, filepath.Join(dir, "cam"), journalPrefix).Path(1)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			l, err := wal.Create(faultfs.OS{}, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			cfg := core.DefaultConfig()
+			if svc, err := Open(Options{Dir: dir, DB: core.OpenShared(cfg), STRG: &cfg.STRG}); err == nil {
+				svc.Close()
+				t.Fatal("Open accepted a damaged journal")
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("damaged journal not left in place: %v", err)
+			}
+		})
+	}
 }

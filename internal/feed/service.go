@@ -3,6 +3,7 @@ package feed
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -214,194 +215,125 @@ func (s *Service) closeFeeds() error {
 	return first
 }
 
-// createFeed initializes a fresh journal chain: directory, journal #1,
-// checkpoint of a pristine builder.
+// createFeed initializes a fresh journal chain: the directory, then
+// journal 1 headed by the checkpoint of a pristine builder.
 func (s *Service) createFeed(id string, meta Meta) (*Feed, error) {
 	dir := filepath.Join(s.opts.Dir, id)
 	if err := s.opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feed: creating %s: %w", dir, err)
 	}
-	f := &Feed{svc: s, id: id, meta: meta, b: strg.NewOnlineBuilder(*s.opts.STRG), seq: 1}
-	log, err := wal.Create(s.opts.FS, filepath.Join(dir, journalFileName(1)))
+	f := &Feed{svc: s, id: id, meta: meta, b: strg.NewOnlineBuilder(*s.opts.STRG),
+		journal: wal.NewChain(s.opts.FS, dir, journalPrefix)}
+	head, err := f.checkpointLocked()
 	if err != nil {
-		return nil, fmt.Errorf("feed: creating journal for %s: %w", id, err)
-	}
-	head, err := encodeRec(journalRec{Kind: recMeta, Meta: &metaRec{
-		ID: id, Meta: meta, Builder: f.b.Checkpoint(),
-	}})
-	if err != nil {
-		log.Close()
 		return nil, err
 	}
-	if err := log.Append(head); err != nil {
-		log.Close()
-		return nil, fmt.Errorf("feed: writing checkpoint for %s: %w", id, err)
+	if _, err := f.journal.Rotate(head); err != nil {
+		return nil, fmt.Errorf("feed: creating journal for %s: %w", id, err)
 	}
-	f.log = log
 	return f, nil
 }
 
-// recoverFeed rebuilds one feed from its journal chain. Rotation leaves at
-// most two journal files; the higher one wins if its checkpoint is
-// readable (a higher journal torn before its checkpoint landed is the
-// residue of a crash mid-rotation, superseded by the lower). Replay then
-// walks the surviving journal: checkpoint, frame batches, and any commit
-// intents — each intent resolved against the database, which knows
-// whether the commit landed, so it is redone or acknowledged exactly
-// once.
+// recoverFeed rebuilds one feed from its journal chain: it finds the
+// newest checkpoint and applies records; the chain's rule does the rest.
 func (s *Service) recoverFeed(id string) (*Feed, error) {
 	dir := filepath.Join(s.opts.Dir, id)
-	entries, err := s.opts.FS.ReadDir(dir)
+	journal := wal.NewChain(s.opts.FS, dir, journalPrefix)
+	seqs, err := journal.List()
 	if err != nil {
 		return nil, fmt.Errorf("feed: scanning %s: %w", dir, err)
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseJournalName(e.Name()); ok {
-			seqs = append(seqs, seq)
+	var start uint64
+	var m *metaRec
+	intact := false
+	for i := len(seqs) - 1; i >= 0 && m == nil; i-- {
+		head, err := journal.Head(seqs[i])
+		if err != nil {
+			return nil, fmt.Errorf("feed: %s: %w", id, err)
+		}
+		if head == nil {
+			continue
+		}
+		intact = true
+		rec, err := decodeRec(head)
+		if err != nil {
+			return nil, fmt.Errorf("feed: %s: %s: %w", id, journal.Path(seqs[i]), err)
+		}
+		if rec.Kind == recMeta {
+			start, m = seqs[i], rec.Meta
 		}
 	}
-	if len(seqs) == 0 {
-		return nil, nil // an empty directory: no feed was ever durable here
+	if m == nil {
+		if intact {
+			return nil, fmt.Errorf("feed: %s has journaled records but no checkpoint under them", id)
+		}
+		// Creation crashed before its checkpoint landed: nothing was ever
+		// acknowledged, so the feed never existed.
+		return nil, journal.Prune(math.MaxUint64)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-
-	for i, seq := range seqs {
-		f, err := s.replayJournal(id, dir, seq)
-		if err == nil {
-			// Winner. Any lower journals are sealed residue of an
-			// interrupted rotation — their state is embedded in this
-			// journal's checkpoint.
-			for _, stale := range seqs[i+1:] {
-				if rerr := s.opts.FS.Remove(filepath.Join(dir, journalFileName(stale))); rerr != nil {
-					return nil, fmt.Errorf("feed: %s removing stale journal %d: %w", id, stale, rerr)
-				}
-			}
-			return f, nil
-		}
-		var missing *headlessJournalError
-		if !errors.As(err, &missing) {
-			return nil, err
-		}
-		// The journal was created but crashed before its checkpoint
-		// landed. A lower journal, if any, is authoritative; with none,
-		// the feed's creation itself crashed before anything was
-		// acknowledged — it never existed.
-		if rerr := s.opts.FS.Remove(filepath.Join(dir, journalFileName(seq))); rerr != nil {
-			return nil, fmt.Errorf("feed: %s removing headless journal %d: %w", id, seq, rerr)
-		}
+	if m.ID != id {
+		return nil, fmt.Errorf("feed: %s checkpoint does not describe feed %s", journal.Path(start), id)
 	}
-	return nil, nil
-}
+	if err := m.Meta.validate(); err != nil {
+		return nil, err
+	}
+	b, err := strg.RestoreOnlineBuilder(*s.opts.STRG, m.Builder)
+	if err != nil {
+		return nil, fmt.Errorf("feed: %s restoring builder: %w", journal.Path(start), err)
+	}
+	f := &Feed{svc: s, id: id, meta: m.Meta, epoch: m.Epoch, next: m.NextFrame, b: b, journal: journal}
 
-// headlessJournalError marks a journal with no intact checkpoint record —
-// recoverable by falling back to the previous journal in the chain.
-type headlessJournalError struct{ path string }
-
-func (e *headlessJournalError) Error() string {
-	return fmt.Sprintf("feed: %s has no readable checkpoint", e.path)
-}
-
-// replayJournal rebuilds a feed from one journal file.
-func (s *Service) replayJournal(id, dir string, seq uint64) (*Feed, error) {
-	path := filepath.Join(dir, journalFileName(seq))
-	f := &Feed{svc: s, id: id, seq: seq}
-	intents := 0
-	res, err := wal.Scan(s.opts.FS, path, func(off int64, payload []byte) error {
+	_, err = journal.Recover(start, func(seq uint64, off int64, payload []byte) error {
+		if seq == start && off == wal.HeaderSize {
+			return nil // the checkpoint, restored above
+		}
 		rec, err := decodeRec(payload)
 		if err != nil {
-			if off == wal.HeaderSize {
-				return &headlessJournalError{path: path}
-			}
 			return err
 		}
 		switch rec.Kind {
-		case recMeta:
-			if off != wal.HeaderSize {
-				return fmt.Errorf("feed: %s has a checkpoint mid-journal", path)
-			}
-			m := rec.Meta
-			if m == nil || m.ID != id {
-				return fmt.Errorf("feed: %s checkpoint does not describe feed %s", path, id)
-			}
-			if err := m.Meta.validate(); err != nil {
-				return err
-			}
-			b, err := strg.RestoreOnlineBuilder(*s.opts.STRG, m.Builder)
-			if err != nil {
-				return fmt.Errorf("feed: %s restoring builder: %w", path, err)
-			}
-			f.meta, f.epoch, f.next, f.b = m.Meta, m.Epoch, m.NextFrame, b
 		case recFrames:
-			if f.b == nil {
-				return &headlessJournalError{path: path}
-			}
-			for i := range rec.Frames {
-				fr := rec.Frames[i]
+			for _, fr := range rec.Frames {
 				if fr.Index != f.next {
-					return fmt.Errorf("feed: %s journal frame %d where %d expected", path, fr.Index, f.next)
+					return fmt.Errorf("feed: %s journal frame %d where %d expected", id, fr.Index, f.next)
 				}
 				f.b.AddFrame(fr)
 				f.pending = append(f.pending, fr)
 				f.next++
 			}
 		case recIntent:
-			if f.b == nil {
-				return &headlessJournalError{path: path}
-			}
 			if rec.Epoch != f.epoch {
-				return fmt.Errorf("feed: %s intent for epoch %d where %d expected", path, rec.Epoch, f.epoch)
+				return fmt.Errorf("feed: %s intent for epoch %d where %d expected", id, rec.Epoch, f.epoch)
 			}
-			if err := s.resolveIntent(f); err != nil {
-				return err
+			// The database's per-stream segment count says whether the
+			// commit landed before the crash. If not, the redo ingests the
+			// segment the original would have — frames and name are a pure
+			// function of the journal — so there is one commit either way.
+			if s.opts.DB.SegmentsIn(id) <= f.epoch {
+				if _, err := s.opts.DB.IngestSegment(id, f.epochSegmentLocked()); err != nil {
+					return fmt.Errorf("feed: %s redoing epoch %d commit: %w", id, f.epoch, err)
+				}
 			}
-			intents++
+			f.epoch++
+			f.pending = f.pending[:0]
 		default:
-			return fmt.Errorf("feed: %s has record of unknown kind %d", path, rec.Kind)
+			return fmt.Errorf("feed: %s has a record of kind %d at %s offset %d", id, rec.Kind, journal.Path(seq), off)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if f.b == nil {
-		// Empty or torn-before-checkpoint journal.
-		return nil, &headlessJournalError{path: path}
-	}
-	// A torn tail is the residue of a crash mid-append: those frames were
-	// never acknowledged, so the client re-sends them. OpenAppend
-	// truncates the tear.
-	f.log, err = wal.OpenAppend(s.opts.FS, path, res.CommittedSize)
-	if err != nil {
-		return nil, err
-	}
-	if intents > 0 {
+	if f.epoch != m.Epoch {
 		// Commits resolved during replay are now checkpointed into a
 		// fresh journal, restoring the sealed-chain invariant.
 		f.mu.Lock()
 		err = f.rotateLocked()
 		f.mu.Unlock()
 		if err != nil {
-			f.log.Close()
+			f.journal.Log().Close()
 			return nil, err
 		}
 	}
 	return f, nil
-}
-
-// resolveIntent settles one journaled commit intent: the database's
-// per-stream segment count says whether the commit landed before the
-// crash. If it did not, the redo ingests the identical segment the
-// original would have — frames and name are a pure function of the
-// journal — so the database sees exactly one commit either way.
-func (s *Service) resolveIntent(f *Feed) error {
-	if s.opts.DB.SegmentsIn(f.id) <= f.epoch {
-		seg := f.epochSegmentLocked()
-		if _, err := s.opts.DB.IngestSegment(f.id, seg); err != nil {
-			return fmt.Errorf("feed: %s redoing epoch %d commit: %w", f.id, f.epoch, err)
-		}
-	}
-	f.epoch++
-	f.pending = f.pending[:0]
-	return nil
 }

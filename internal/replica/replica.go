@@ -226,7 +226,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	}
 	fsys := r.cfg.fs()
 	tmp := join(r.cfg.Dir, "bootstrap.strg.tmp")
-	final := join(r.cfg.Dir, "snapshot.strg")
+	final := core.SnapshotPath(r.cfg.Dir)
 
 	// The replica id rides along so the primary Touches our registration
 	// as it serves the stream.

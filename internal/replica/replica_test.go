@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -459,7 +458,7 @@ func TestReplicaCrashApplyMatrix(t *testing.T) {
 	}
 	seedDir := func() string {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "snapshot.strg"), snap.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(core.SnapshotPath(dir), snap.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return dir
@@ -491,25 +490,7 @@ func TestReplicaCrashApplyMatrix(t *testing.T) {
 		_ = rdb.Close()
 	}
 
-	cutSet := map[int64]bool{}
-	for k := 0; k <= n; k++ {
-		cutSet[boundaries[k]] = true
-	}
-	for k := 1; k <= n; k++ {
-		prev, cur := boundaries[k-1], boundaries[k]
-		for _, c := range []int64{prev + 1, prev + 5, prev + 8 + (cur-prev-8)/2, cur - 1} {
-			if c > prev && c < cur {
-				cutSet[c] = true
-			}
-		}
-	}
-	cuts := make([]int64, 0, len(cutSet))
-	for c := range cutSet {
-		cuts = append(cuts, c)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-
-	for _, cut := range cuts {
+	for _, cut := range faultfs.CrashPoints(boundaries) {
 		acked := 0
 		for acked < n && boundaries[acked+1] <= cut {
 			acked++
@@ -746,7 +727,7 @@ func TestReplicaAntiEntropyDivergence(t *testing.T) {
 	}
 	_ = bdb.Close()
 	rdir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(rdir, "snapshot.strg"), snap.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(core.SnapshotPath(rdir), snap.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rdb, _, err := core.OpenReplica(cfg, core.Durability{Dir: rdir, SnapshotOps: -1, SnapshotBytes: -1})

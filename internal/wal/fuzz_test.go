@@ -66,9 +66,6 @@ func FuzzWALScan(f *testing.F) {
 			t.Fatalf("CommittedSize %d outside [0, %d]", res.CommittedSize, len(data))
 		}
 		if res.Torn {
-			if res.TornOffset != res.CommittedSize {
-				t.Fatalf("Torn but TornOffset %d != CommittedSize %d", res.TornOffset, res.CommittedSize)
-			}
 			if res.CommittedSize == int64(len(data)) {
 				t.Fatal("Torn with nothing after the committed prefix")
 			}

@@ -96,11 +96,8 @@ type Result struct {
 	// record — the size the file should be truncated to before appending.
 	CommittedSize int64
 	// Torn reports whether a trailing partial record (or partial header)
-	// was found and measured off.
+	// was found and measured off; the torn bytes start at CommittedSize.
 	Torn bool
-	// TornOffset is the offset the torn bytes start at (== CommittedSize
-	// when Torn).
-	TornOffset int64
 	// Stopped reports that the scan ended early because apply returned
 	// ErrStopScan; records may remain after CommittedSize.
 	Stopped bool
@@ -138,8 +135,6 @@ func ScanRange(fsys faultfs.FS, path string, from, limit int64, apply func(off i
 	if len(data) < HeaderSize {
 		// A crash during log creation persisted a prefix of the header.
 		res.Torn = len(data) > 0
-		res.TornOffset = 0
-		res.CommittedSize = 0
 		if res.Torn {
 			walTornTails.Inc()
 		}
@@ -163,7 +158,7 @@ func ScanRange(fsys faultfs.FS, path string, from, limit int64, apply func(off i
 			return res, nil
 		}
 		if remaining < FrameOverhead {
-			res.Torn, res.TornOffset = true, off
+			res.Torn = true
 			walTornTails.Inc()
 			return res, nil
 		}
@@ -175,7 +170,7 @@ func ScanRange(fsys faultfs.FS, path string, from, limit int64, apply func(off i
 				Reason: fmt.Sprintf("record length %d exceeds limit", length)}
 		}
 		if remaining < FrameOverhead+length {
-			res.Torn, res.TornOffset = true, off
+			res.Torn = true
 			walTornTails.Inc()
 			return res, nil
 		}
@@ -199,7 +194,6 @@ func ScanRange(fsys faultfs.FS, path string, from, limit int64, apply func(off i
 
 // Log is an open write-ahead log positioned for appending.
 type Log struct {
-	fsys faultfs.FS
 	f    faultfs.File
 	path string
 	size int64
@@ -212,7 +206,7 @@ func Create(fsys faultfs.FS, path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{fsys: fsys, f: f, path: path}
+	l := &Log{f: f, path: path}
 	if _, err := f.Write(Magic[:]); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: writing header of %s: %w", path, err)
@@ -221,7 +215,7 @@ func Create(fsys faultfs.FS, path string) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	if err := syncParent(fsys, path); err != nil {
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -241,7 +235,7 @@ func OpenAppend(fsys faultfs.FS, path string, committedSize int64) (*Log, error)
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{fsys: fsys, f: f, path: path, size: committedSize}
+	l := &Log{f: f, path: path, size: committedSize}
 	if err := l.truncate(committedSize); err != nil {
 		f.Close()
 		return nil, err
@@ -313,10 +307,6 @@ func (l *Log) sync() error {
 	return nil
 }
 
-// Sync forces an fsync (appends already sync; this flushes after an
-// external Truncate or before close).
-func (l *Log) Sync() error { return l.sync() }
-
 // Close syncs and closes the log.
 func (l *Log) Close() error {
 	if err := l.sync(); err != nil {
@@ -324,10 +314,4 @@ func (l *Log) Close() error {
 		return err
 	}
 	return l.f.Close()
-}
-
-// syncParent fsyncs the directory containing path so a freshly created
-// file survives a crash.
-func syncParent(fsys faultfs.FS, path string) error {
-	return fsys.SyncDir(filepath.Dir(path))
 }

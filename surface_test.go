@@ -23,6 +23,7 @@ var surfaceAllowlist = map[string]string{
 	"mtree.Tree.CheckInvariants":      "auditor: the M-tree property tests check the covering-radius invariant with it",
 	"core.SharedDB.CheckSpatialIndex": "auditor: golden corpus, soak and composed-query tests compare the trajectory R-tree (and, through it, rtree.CheckInvariants) against the retained OGs",
 	"faultfs.NewInject":               "fault injection: every crash matrix builds its failing filesystem with it",
+	"faultfs.CrashPoints":             "fault injection: every byte-cut crash matrix derives its cut set with it",
 	"faultfs.Inject.Crashed":          "fault injection: crash matrices ask whether the planted fault fired",
 	"cluster.XMeans":                  "ROADMAP item 1 Step 0 measures it against the BIC sweep before a re-clusterer is chosen",
 	"core.SharedDB.Save":              "state observer: the feed replay, identical-run and restart tests compare full persisted image bytes, on in-memory and durable databases alike",
