@@ -204,9 +204,8 @@ func run() int {
 		opts.Replication = prim
 		if *feeds {
 			feedSvc, err = feed.Open(feed.Options{
-				Dir:  filepath.Join(*dataDir, "feeds"),
-				DB:   shared,
-				STRG: &cfg.STRG,
+				Dir: filepath.Join(*dataDir, "feeds"),
+				DB:  shared,
 			})
 			if err != nil {
 				logger.Error("feed recovery failed", "dir", filepath.Join(*dataDir, "feeds"), "err", err)

@@ -1,9 +1,11 @@
-// Live: streaming surveillance. Frames arrive one at a time; the online
-// STRG builder emits finished Object Graphs while the camera keeps
-// rolling, and motion predicates fire alerts — "someone crossed the
-// restricted zone heading east" — without waiting for the recording to
-// end. Finally a multi-location recording is shot-parsed and ingested in
-// one call.
+// Live: streaming surveillance. A camera pushes frames into a live feed
+// while a standing query watches for "someone crossed the restricted zone
+// heading east": the feed tracks each frame as it arrives, commits an
+// epoch whenever every tracked object has come to rest, and the alert
+// fires as soon as the intruder's epoch commits — while the camera keeps
+// rolling. This is the path strg-server serves at /v1/feeds and
+// /v1/subscriptions. Finally a multi-location recording is shot-parsed
+// and ingested in one call.
 //
 //	go run ./examples/live
 package main
@@ -13,13 +15,14 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 
 	"strgindex/internal/core"
+	"strgindex/internal/feed"
 	"strgindex/internal/geom"
 	"strgindex/internal/graph"
 	"strgindex/internal/query"
 	"strgindex/internal/shot"
-	"strgindex/internal/strg"
 	"strgindex/internal/video"
 )
 
@@ -32,7 +35,7 @@ func person(shirt graph.Color) []video.PartSpec {
 }
 
 func main() {
-	// --- Part 1: streaming ingest with live alerts -------------------
+	// --- Part 1: streaming ingest with a standing alert ---------------
 	seg, err := video.Generate(video.SceneConfig{
 		Name: "door-cam", Width: 320, Height: 240, FPS: 12, Frames: 48,
 		BackgroundRows: 3, BackgroundCols: 4, Jitter: 0.8, Seed: 21,
@@ -42,10 +45,10 @@ func main() {
 				Path:  []geom.Point{geom.Pt(16, 120), geom.Pt(304, 120)},
 				Start: 0, End: 20,
 			},
-			{ // wanders along the wall, never enters the zone
+			{ // walks along the wall later, never enters the zone
 				Label: "guard", Parts: person(graph.Color{R: 0.1, G: 0.3, B: 0.9}),
 				Path:  []geom.Point{geom.Pt(40, 220), geom.Pt(280, 220)},
-				Start: 8, End: 46,
+				Start: 26, End: 46,
 			},
 		},
 	})
@@ -53,22 +56,60 @@ func main() {
 		log.Fatal(err)
 	}
 
-	restricted := geom.Rect{Min: geom.Pt(140, 80), Max: geom.Pt(200, 160)}
-	alert := query.And(
-		query.PassesThrough(restricted),
-		query.Eastbound(0.5),
-		query.SpeedBetween(3, math.Inf(1)),
-	)
+	dir, err := os.MkdirTemp("", "live-feeds")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	live := core.OpenShared(core.DefaultConfig())
+	svc, err := feed.Open(feed.Options{Dir: dir, DB: live})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer svc.Close()
 
-	builder := strg.NewOnlineBuilder(strg.DefaultConfig())
-	fmt.Println("streaming door-cam frames:")
-	for _, frame := range seg.Frames {
-		for _, og := range builder.AddFrame(frame) {
-			report(og, alert)
+	restricted := geom.Rect{Min: geom.Pt(140, 80), Max: geom.Pt(200, 160)}
+	alert, err := svc.Engine().Register(&query.Query{Where: query.AndNode{Children: []query.Node{
+		query.SpatialNode{Kind: query.SpatialPasses, Rect: restricted},
+		query.HeadingNode{Dir: "east", Angle: 0, Tol: 0.5},
+		query.SpeedNode{Lo: 3, Hi: math.Inf(1)},
+	}}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cam, err := svc.Open("door-cam", feed.Meta{Width: seg.Width, Height: seg.Height, FPS: seg.FPS})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Println("streaming door-cam frames, four at a time:")
+	var seen uint64
+	report := func(upTo int) {
+		svc.Engine().Quiesce()
+		events, _, _ := alert.EventsSince(seen)
+		for _, ev := range events {
+			fmt.Printf("  ALERT by frame %2d: %s (%s) crossed the restricted zone heading east\n", upTo, ev.Clip, ev.Label)
+			seen = ev.Seq
 		}
 	}
-	for _, og := range builder.Flush() {
-		report(og, alert)
+	for i := 0; i < len(seg.Frames); i += 4 {
+		ogs := live.Stats().OGs
+		res, err := cam.Append(seg.Frames[i:min(i+4, len(seg.Frames))])
+		if err != nil {
+			log.Fatal(err)
+		}
+		if res.Flushed {
+			fmt.Printf("  frame %2d: epoch %d committed, %d OGs\n", res.NextFrame-1, res.Epoch-1, live.Stats().OGs-ogs)
+			report(res.NextFrame - 1)
+		}
+	}
+	if st := cam.State(); st.Pending > 0 {
+		ogs := live.Stats().OGs
+		if err := cam.Flush(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  end of stream: epoch %d committed, %d OGs\n", st.Epoch, live.Stats().OGs-ogs)
+		report(len(seg.Frames) - 1)
 	}
 
 	// --- Part 2: shot-parse a multi-location recording ---------------
@@ -117,13 +158,4 @@ func main() {
 	for _, m := range res.Matches {
 		fmt.Printf("westbound object in %s (%s)\n", m.Record.Clip, m.Record.Label)
 	}
-}
-
-func report(og *strg.OG, alert query.Predicate) {
-	status := "ok"
-	if alert(og) {
-		status = "ALERT: crossed restricted zone"
-	}
-	fmt.Printf("  finalized %-10s frames %2d..%2d  speed %4.1f px/f  %s\n",
-		og.Label, og.StartFrame(), og.EndFrame(), query.MeanSpeed(og), status)
 }

@@ -211,16 +211,22 @@ func (db *VideoDB) buildSegment(stream string, seg *video.Segment) (*commitRecor
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: building STRG for %s: %w", seg.Name, err)
 	}
+	return db.recordOf(stream, s), s.NumTemporalEdges(), nil
+}
+
+// recordOf decomposes a built STRG into its commit record. It reads only
+// the configuration, so it runs outside any lock.
+func (db *VideoDB) recordOf(stream string, s *strg.STRG) *commitRecord {
 	d := s.Decompose(db.cfg.STRG)
 	return &commitRecord{
 		Stream:    stream,
-		Segment:   seg.Name,
-		Frames:    len(seg.Frames),
+		Segment:   s.Segment.Name,
+		Frames:    len(s.Frames),
 		RawBytes:  s.MemoryBytes(),
 		STRGBytes: d.STRGSizeBytes(),
 		OGs:       d.OGs,
 		bg:        d.BG,
-	}, s.NumTemporalEdges(), nil
+	}
 }
 
 // IngestSegment runs the full pipeline on one segment and indexes its OGs.

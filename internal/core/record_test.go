@@ -8,6 +8,7 @@ import (
 
 	"strgindex/internal/faultfs"
 	"strgindex/internal/obs"
+	"strgindex/internal/strg"
 	"strgindex/internal/video"
 	"strgindex/internal/wal"
 )
@@ -156,5 +157,48 @@ func TestLegacyWALRecordRefused(t *testing.T) {
 	refused("ApplyReplicated of a legacy frame", r.ApplyReplicated(payload, WALPos{Seq: 1, Off: wal.HeaderSize + 1}))
 	if got := r.Stats(); got.Segments != 0 || got.OGs != 0 || r.WALSize() != size || !r.ReplicaPos().IsZero() {
 		t.Errorf("refused frame left a trace: stats %+v, wal %d -> %d, pos %v", got, size, r.WALSize(), r.ReplicaPos())
+	}
+}
+
+// TestIngestBuiltMatchesIngestSegment: committing an STRG built under the
+// database's configuration is the commit IngestSegment of the same frames
+// makes, byte for byte, and a replica refuses it like any ingest.
+func TestIngestBuiltMatchesIngestSegment(t *testing.T) {
+	stream := miniStream(t, 4, 67)
+	built, ingested := OpenShared(DefaultConfig()), OpenShared(DefaultConfig())
+	for _, seg := range stream.Segments {
+		s, err := strg.Build(seg, built.STRGConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := built.IngestBuilt("Mini", s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ingested.IngestSegment("Mini", seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var a, b bytes.Buffer
+	if err := built.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := ingested.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("IngestBuilt and IngestSegment committed different databases")
+	}
+
+	r, _, err := OpenReplica(DefaultConfig(), noRotate(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s, err := strg.Build(stream.Segments[0], r.STRGConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.IngestBuilt("Mini", s); !errors.Is(err, ErrReplica) || r.Stats().Segments != 0 {
+		t.Errorf("replica IngestBuilt: err = %v, %d segments", err, r.Stats().Segments)
 	}
 }

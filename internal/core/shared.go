@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"strgindex/internal/query"
+	"strgindex/internal/strg"
 	"strgindex/internal/video"
 )
 
@@ -54,6 +55,27 @@ func (s *SharedDB) IngestSegment(stream string, seg *video.Segment) (*IngestStat
 	s.afterIngestLocked(err)
 	return st, err
 }
+
+// IngestBuilt commits an STRG the caller has already built — a live feed's
+// epoch, tracked frame by frame as it arrived (see STRGConfig) — as one
+// segment named g.Segment.Name. Decomposition runs before the write lock,
+// which is held only for the commit. g must not change until it returns.
+func (s *SharedDB) IngestBuilt(stream string, g *strg.STRG) error {
+	if s.replica {
+		return ErrReplica
+	}
+	rec := s.db.recordOf(stream, g)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := s.db.commitSegment(rec)
+	s.afterIngestLocked(err)
+	return err
+}
+
+// STRGConfig returns the STRG configuration the database ingests with:
+// an STRG built under it and handed to IngestBuilt commits exactly what
+// IngestSegment of the same frames would.
+func (s *SharedDB) STRGConfig() strg.Config { return s.db.cfg.STRG }
 
 // QueryComposedCtx is VideoDB.QueryComposedCtx for concurrent callers, and
 // the one place the query lock rule lives: a query goes lock-free only

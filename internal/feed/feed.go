@@ -11,28 +11,30 @@ import (
 	"strgindex/internal/wal"
 )
 
-// Feed is one live camera stream: a journal chain for durability, a
-// preview OnlineBuilder whose quiescence signal picks epoch boundaries,
-// and a buffer of frames pending commit. Commits go through the owning
-// database's ordinary IngestSegment path, one segment per epoch, so the
-// WAL, replication and snapshot layers see a live feed as a sequence of
-// plain ingests — byte-identical to replaying the same epoch slices
-// offline.
+// Feed is one live camera stream: a journal chain for durability and the
+// open epoch's STRG, which tracks each accepted frame once, as it arrives.
+// Its quiescence signal picks epoch boundaries, and a flush commits it as
+// built (SharedDB.IngestBuilt), one segment per epoch — the commit a
+// one-shot IngestSegment of the epoch's frames makes, so the WAL,
+// replication and snapshot layers see a live feed as a sequence of plain
+// ingests, byte-identical to replaying the same epoch slices offline.
 type Feed struct {
 	mu   sync.Mutex
 	svc  *Service
 	id   string
 	meta Meta
 
-	b       *strg.OnlineBuilder
 	journal *wal.Chain
 	// epoch counts committed segments; next is the next expected
 	// feed-global frame index.
 	epoch int
 	next  int
-	// pending holds accepted frames not yet committed (the open epoch).
-	pending []video.Frame
-	closed  bool
+	// open is the open epoch's STRG under the database's configuration:
+	// node IDs and frame positions start at zero with the epoch, exactly
+	// as Build of the epoch's frames numbers them. nil until the epoch's
+	// first frame.
+	open   *strg.STRG
+	closed bool
 }
 
 // AppendResult reports one batch append.
@@ -58,8 +60,8 @@ type State struct {
 	Epoch     int    `json:"epoch"`
 	NextFrame int    `json:"next_frame"`
 	Pending   int    `json:"pending_frames"`
-	// OpenMoving is the preview builder's quiescence signal: open object
-	// chains still in motion. Zero means an epoch boundary is imminent.
+	// OpenMoving is the open epoch's quiescence signal: object chains
+	// still in motion. Zero means an epoch boundary is imminent.
 	OpenMoving int `json:"open_moving"`
 }
 
@@ -67,10 +69,32 @@ type State struct {
 func (f *Feed) State() State {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return State{
-		ID: f.id, Meta: f.meta, Epoch: f.epoch, NextFrame: f.next,
-		Pending: len(f.pending), OpenMoving: f.b.OpenMoving(),
+	st := State{ID: f.id, Meta: f.meta, Epoch: f.epoch, NextFrame: f.next}
+	if f.open != nil {
+		st.Pending, st.OpenMoving = len(f.open.Frames), f.open.OpenMoving()
 	}
+	return st
+}
+
+// trackLocked adds one accepted frame to the open epoch's STRG. The
+// epoch's first frame starts it as segment <feed>/<epoch>.
+func (f *Feed) trackLocked(fr video.Frame) {
+	if f.open != nil {
+		f.open.Add(fr)
+		return
+	}
+	seg := &video.Segment{
+		Name:   fmt.Sprintf("%s/%06d", f.id, f.epoch),
+		Width:  f.meta.Width,
+		Height: f.meta.Height,
+		FPS:    f.meta.FPS,
+		Frames: []video.Frame{fr},
+	}
+	s, err := strg.Build(seg, f.svc.opts.DB.STRGConfig())
+	if err != nil {
+		panic(err) // unreachable: Build refuses only an empty segment
+	}
+	f.open = s
 }
 
 // Append validates and journals a batch of frames. Frames whose index
@@ -79,8 +103,8 @@ func (f *Feed) State() State {
 // rejects the whole batch with a *video.FrameOrderError before anything
 // is journaled — a batch is all-or-nothing. Accepted frames are durable
 // (one fsync) when Append returns. Crossing the epoch-size threshold
-// while the preview builder is quiescent — or hitting the hard cap —
-// commits the epoch inline.
+// while the open epoch is quiescent — or hitting the hard cap — commits
+// the epoch inline.
 func (f *Feed) Append(frames []video.Frame) (AppendResult, error) {
 	start := time.Now()
 	f.mu.Lock()
@@ -122,9 +146,8 @@ func (f *Feed) Append(frames []video.Frame) (AppendResult, error) {
 		return AppendResult{}, err
 	}
 	for i := range accepted {
-		f.b.AddFrame(accepted[i]) // preview emissions are discarded
+		f.trackLocked(accepted[i])
 	}
-	f.pending = append(f.pending, accepted...)
 	f.next = expect
 	res.Accepted = len(accepted)
 	res.NextFrame = f.next
@@ -146,14 +169,16 @@ func (f *Feed) Append(frames []video.Frame) (AppendResult, error) {
 }
 
 // shouldFlushLocked decides whether the open epoch commits now: at the
-// soft threshold once the preview builder reports every tracked object
+// soft threshold once the open epoch's STRG reports every tracked object
 // quiescent (a natural cut — no chain is split mid-motion), and
-// unconditionally at the hard cap.
+// unconditionally at the hard cap. Append calls it after tracking at
+// least one frame, so the epoch's STRG exists.
 func (f *Feed) shouldFlushLocked() bool {
-	if len(f.pending) >= f.svc.opts.MaxEpochFrames {
+	n := len(f.open.Frames)
+	if n >= f.svc.opts.MaxEpochFrames {
 		return true
 	}
-	return len(f.pending) >= f.svc.opts.MinEpochFrames && f.b.OpenMoving() == 0
+	return n >= f.svc.opts.MinEpochFrames && f.open.OpenMoving() == 0
 }
 
 // Flush commits the open epoch regardless of thresholds. A feed with no
@@ -164,18 +189,19 @@ func (f *Feed) Flush() error {
 	if f.closed {
 		return fmt.Errorf("feed: %s is closed", f.id)
 	}
-	if len(f.pending) == 0 {
+	if f.open == nil {
 		return nil
 	}
 	return f.flushLocked()
 }
 
-// flushLocked commits the open epoch through the database write path and
-// rotates the journal. A crash after the intent and before the next
-// checkpoint leaves the intent as the tail of the chain; recovery asks the
-// database (SegmentsIn) whether the commit landed and redoes it only if
-// not. Every redo ingests the identical segment (same frames, same name),
-// so the database sees exactly one commit per epoch.
+// flushLocked commits the open epoch's STRG through the database write
+// path and rotates the journal. A crash after the intent and before the
+// next checkpoint leaves the intent as the tail of the chain; recovery
+// asks the database (SegmentsIn) whether the commit landed and redoes it
+// only if not. A redo commits the STRG journal replay rebuilt from the
+// same frames under the same name, so the database sees exactly one
+// commit per epoch.
 func (f *Feed) flushLocked() error {
 	intent, err := encodeRec(journalRec{Kind: recIntent, Epoch: f.epoch})
 	if err != nil {
@@ -186,8 +212,7 @@ func (f *Feed) flushLocked() error {
 		return err
 	}
 
-	seg := f.epochSegmentLocked()
-	if _, err := f.svc.opts.DB.IngestSegment(f.id, seg); err != nil {
+	if err := f.svc.opts.DB.IngestBuilt(f.id, f.open); err != nil {
 		// The epoch is intact in memory and in the journal; withdraw the
 		// intent so recovery does not redo a commit that never happened
 		// with frames that may grow before the retry.
@@ -198,36 +223,17 @@ func (f *Feed) flushLocked() error {
 	}
 
 	f.epoch++
-	f.pending = f.pending[:0]
+	f.open = nil
 	flushesTotal.Inc()
 	return f.rotateLocked()
 }
 
-// epochSegmentLocked builds the segment the open epoch commits as: the
-// pending frames renumbered from zero under the epoch's name. Renumbering
-// makes each epoch a self-contained segment — Validate-clean and
-// byte-identical to an offline ingest of the same slice.
-func (f *Feed) epochSegmentLocked() *video.Segment {
-	frames := make([]video.Frame, len(f.pending))
-	copy(frames, f.pending)
-	for i := range frames {
-		frames[i].Index = i
-	}
-	return &video.Segment{
-		Name:   fmt.Sprintf("%s/%06d", f.id, f.epoch),
-		Width:  f.meta.Width,
-		Height: f.meta.Height,
-		FPS:    f.meta.FPS,
-		Frames: frames,
-	}
-}
-
 // checkpointLocked encodes the meta record heading a journal: the feed's
-// identity and its state at the current epoch boundary.
+// identity, epoch and cursor at the current epoch boundary — all of its
+// state there, since each epoch's STRG starts empty.
 func (f *Feed) checkpointLocked() ([]byte, error) {
 	return encodeRec(journalRec{Kind: recMeta, Meta: &metaRec{
 		ID: f.id, Meta: f.meta, Epoch: f.epoch, NextFrame: f.next,
-		Builder: f.b.Checkpoint(),
 	}})
 }
 

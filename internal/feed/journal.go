@@ -6,21 +6,24 @@ import (
 	"fmt"
 	"regexp"
 
-	"strgindex/internal/strg"
 	"strgindex/internal/video"
 )
 
 // The feed journal is a wal.Chain, one directory per feed:
 // <dir>/<feed-id>/journal-%08d.log. A journal a rotation starts is headed
-// by a meta record — the feed's identity and a checkpoint of its state at
-// that epoch boundary — and then holds one frames record per accepted
-// batch (one fsync per request). An epoch flush appends an intent record,
-// commits the epoch's segment through the database, and rotates to a
+// by a meta record — the checkpoint of an epoch boundary: the feed's
+// identity, epoch and cursor, which is all of its state there because
+// each epoch's STRG starts empty — and then holds one frames record per
+// accepted batch (one fsync per request). Replaying the frames records
+// rebuilds the open epoch's STRG. An epoch flush appends an intent
+// record, commits the epoch's STRG through the database, and rotates to a
 // journal headed by the post-flush checkpoint. The one fact recovery
 // needs beyond the chain's rule is where the newest checkpoint is: the
 // highest journal whose first record is a meta record. DESIGN §10 ("Log
 // chains") states the rule, the crash windows and what a damaged journal
-// does.
+// does. Checkpoints written before epochs restarted their tracker also
+// carry a Builder field; gob skips it, and nothing else about them
+// differs.
 const (
 	journalPrefix = "journal"
 
@@ -56,6 +59,7 @@ func (m Meta) validate() error {
 
 // metaRec is the checkpoint heading every journal file: everything needed
 // to resume the feed exactly at the epoch boundary the file starts at.
+// Frames records replayed on top of it rebuild the open epoch.
 type metaRec struct {
 	ID   string
 	Meta Meta
@@ -63,9 +67,6 @@ type metaRec struct {
 	// feed-global frame index.
 	Epoch     int
 	NextFrame int
-	// Builder is the preview builder's checkpoint (see strg.BuilderState);
-	// frames records replayed on top of it reproduce the live state.
-	Builder *strg.BuilderState
 }
 
 // journalRec is the single gob-framed record shape; Kind selects which

@@ -25,12 +25,12 @@ type Options struct {
 	FS faultfs.FS
 	// DB is the database feeds commit into and standing queries watch.
 	DB *core.SharedDB
-	// STRG configures the preview builders; it must match the
-	// configuration DB was opened with, or epoch boundaries drift from
-	// what ingest emits. Zero value means strg.DefaultConfig.
+	// Deprecated: ignored. Each epoch is tracked under DB's own STRG
+	// configuration (SharedDB.STRGConfig); kept only because the bench/
+	// module assigns it.
 	STRG *strg.Config
 	// MinEpochFrames is the soft epoch size: once pending reaches it and
-	// the preview builder is quiescent, the epoch commits. Default 16.
+	// the open epoch is quiescent, the epoch commits. Default 16.
 	MinEpochFrames int
 	// MaxEpochFrames is the hard cap forcing a commit. Default 512.
 	MaxEpochFrames int
@@ -55,10 +55,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.FS == nil {
 		opts.FS = faultfs.OS{}
-	}
-	if opts.STRG == nil {
-		cfg := strg.DefaultConfig()
-		opts.STRG = &cfg
 	}
 	if opts.MinEpochFrames <= 0 {
 		opts.MinEpochFrames = 16
@@ -216,14 +212,13 @@ func (s *Service) closeFeeds() error {
 }
 
 // createFeed initializes a fresh journal chain: the directory, then
-// journal 1 headed by the checkpoint of a pristine builder.
+// journal 1 headed by the checkpoint of epoch 0.
 func (s *Service) createFeed(id string, meta Meta) (*Feed, error) {
 	dir := filepath.Join(s.opts.Dir, id)
 	if err := s.opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feed: creating %s: %w", dir, err)
 	}
-	f := &Feed{svc: s, id: id, meta: meta, b: strg.NewOnlineBuilder(*s.opts.STRG),
-		journal: wal.NewChain(s.opts.FS, dir, journalPrefix)}
+	f := &Feed{svc: s, id: id, meta: meta, journal: wal.NewChain(s.opts.FS, dir, journalPrefix)}
 	head, err := f.checkpointLocked()
 	if err != nil {
 		return nil, err
@@ -277,15 +272,11 @@ func (s *Service) recoverFeed(id string) (*Feed, error) {
 	if err := m.Meta.validate(); err != nil {
 		return nil, err
 	}
-	b, err := strg.RestoreOnlineBuilder(*s.opts.STRG, m.Builder)
-	if err != nil {
-		return nil, fmt.Errorf("feed: %s restoring builder: %w", journal.Path(start), err)
-	}
-	f := &Feed{svc: s, id: id, meta: m.Meta, epoch: m.Epoch, next: m.NextFrame, b: b, journal: journal}
+	f := &Feed{svc: s, id: id, meta: m.Meta, epoch: m.Epoch, next: m.NextFrame, journal: journal}
 
 	_, err = journal.Recover(start, func(seq uint64, off int64, payload []byte) error {
 		if seq == start && off == wal.HeaderSize {
-			return nil // the checkpoint, restored above
+			return nil // the checkpoint, read above
 		}
 		rec, err := decodeRec(payload)
 		if err != nil {
@@ -297,25 +288,24 @@ func (s *Service) recoverFeed(id string) (*Feed, error) {
 				if fr.Index != f.next {
 					return fmt.Errorf("feed: %s journal frame %d where %d expected", id, fr.Index, f.next)
 				}
-				f.b.AddFrame(fr)
-				f.pending = append(f.pending, fr)
+				f.trackLocked(fr)
 				f.next++
 			}
 		case recIntent:
-			if rec.Epoch != f.epoch {
-				return fmt.Errorf("feed: %s intent for epoch %d where %d expected", id, rec.Epoch, f.epoch)
+			if rec.Epoch != f.epoch || f.open == nil {
+				return fmt.Errorf("feed: %s intent for epoch %d where epoch %d with frames expected", id, rec.Epoch, f.epoch)
 			}
 			// The database's per-stream segment count says whether the
-			// commit landed before the crash. If not, the redo ingests the
-			// segment the original would have — frames and name are a pure
+			// commit landed before the crash. If not, the redo commits the
+			// STRG replay just rebuilt — frames and name are a pure
 			// function of the journal — so there is one commit either way.
 			if s.opts.DB.SegmentsIn(id) <= f.epoch {
-				if _, err := s.opts.DB.IngestSegment(id, f.epochSegmentLocked()); err != nil {
+				if err := s.opts.DB.IngestBuilt(id, f.open); err != nil {
 					return fmt.Errorf("feed: %s redoing epoch %d commit: %w", id, f.epoch, err)
 				}
 			}
 			f.epoch++
-			f.pending = f.pending[:0]
+			f.open = nil
 		default:
 			return fmt.Errorf("feed: %s has a record of kind %d at %s offset %d", id, rec.Kind, journal.Path(seq), off)
 		}
@@ -324,9 +314,13 @@ func (s *Service) recoverFeed(id string) (*Feed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.epoch != m.Epoch {
+	if f.epoch != m.Epoch && f.open == nil {
 		// Commits resolved during replay are now checkpointed into a
-		// fresh journal, restoring the sealed-chain invariant.
+		// fresh journal, restoring the sealed-chain invariant. Frames
+		// journaled after the last intent (a rotation that failed after
+		// its commit) live only in this chain, so while there are any the
+		// chain stays as it is and the next recovery acknowledges the
+		// intents again through SegmentsIn.
 		f.mu.Lock()
 		err = f.rotateLocked()
 		f.mu.Unlock()

@@ -8,10 +8,10 @@ import (
 	"strgindex/internal/video"
 )
 
-// occlusionScene builds a crossing: a large slow object sits mid-frame
-// while a small fast one passes behind it and vanishes for a couple of
-// frames.
-func occlusionScene(t *testing.T) *video.Segment {
+// occlusionScene builds a crossing: a large slow object of the given size
+// sits mid-frame while a small fast one passes behind it and vanishes —
+// for four frames behind the 5200-pixel blocker, two behind 1800 pixels.
+func occlusionScene(t *testing.T, blocker float64) *video.Segment {
 	t.Helper()
 	seg, err := video.Generate(video.SceneConfig{
 		Name: "occl", Width: 320, Height: 240, FPS: 12, Frames: 16,
@@ -20,7 +20,7 @@ func occlusionScene(t *testing.T) *video.Segment {
 		Objects: []video.ObjectSpec{
 			{ // large stationary-ish blocker in the middle
 				Label: "truck",
-				Parts: []video.PartSpec{{Size: 5200, Color: graph.Color{R: 0.9, G: 0.8, B: 0.1}}},
+				Parts: []video.PartSpec{{Size: blocker, Color: graph.Color{R: 0.9, G: 0.8, B: 0.1}}},
 				Path:  []geom.Point{geom.Pt(150, 120), geom.Pt(170, 120)},
 				Start: 0, End: 16,
 			},
@@ -39,7 +39,7 @@ func occlusionScene(t *testing.T) *video.Segment {
 }
 
 func TestOcclusionHidesRegions(t *testing.T) {
-	seg := occlusionScene(t)
+	seg := occlusionScene(t, 5200)
 	hiddenFrames := 0
 	for _, f := range seg.Frames {
 		present := false
@@ -61,7 +61,7 @@ func TestOcclusionHidesRegions(t *testing.T) {
 }
 
 func TestBridgingReconnectsOccludedTrack(t *testing.T) {
-	seg := occlusionScene(t)
+	seg := occlusionScene(t, 5200)
 
 	countRunnerOGs := func(cfg Config) int {
 		s, err := Build(seg, cfg)
@@ -90,7 +90,7 @@ func TestBridgingReconnectsOccludedTrack(t *testing.T) {
 }
 
 func TestBridgedOGSpansTheGap(t *testing.T) {
-	seg := occlusionScene(t)
+	seg := occlusionScene(t, 5200)
 	cfg := DefaultConfig()
 	cfg.BridgeFrames = 5
 	s, err := Build(seg, cfg)

@@ -94,9 +94,7 @@ func (d *Decomposition) STRGSizeBytes() int {
 // Chains faster than cfg.MinObjectVelocity become ORGs and are merged into
 // OGs; the remaining (static) chains are collapsed into a single BG.
 func (s *STRG) Decompose(cfg Config) *Decomposition {
-	if cfg.SimThreshold <= 0 {
-		cfg = DefaultConfig()
-	}
+	cfg = cfg.withDefaults()
 	chains := s.Chains()
 	var orgs []*Chain
 	var bgChains []*Chain

@@ -93,19 +93,58 @@ func DefaultConfig() Config {
 	}
 }
 
+// withDefaults is the one default-config rule: a config without a
+// similarity threshold is unset and becomes DefaultConfig, keeping only
+// its worker budget.
+func (c Config) withDefaults() Config {
+	if c.SimThreshold > 0 {
+		return c
+	}
+	d := DefaultConfig()
+	d.Concurrency = c.Concurrency
+	return d
+}
+
 // STRG is a Spatio-Temporal Region Graph: one RAG per frame with node IDs
 // unique across the whole segment, plus temporal edges between consecutive
-// frames.
+// frames. Build constructs one over a whole segment; Add extends it by a
+// frame, ending in the state Build of the longer segment would produce.
 type STRG struct {
+	// Segment is the segment Build was given; its Name labels the clips of
+	// the decomposed OGs. Frames appended by Add are not copied into it.
 	Segment *video.Segment
 	// Frames holds the per-frame RAGs.
 	Frames []*graph.Graph
+
+	cfg     Config
+	matcher *graph.Matcher
+	nextID  graph.NodeID // first node ID of the next frame
+	// last is the newest frame's tracking cache: the cur side of the next
+	// frame pair, so its neighborhood graphs are built once.
+	last *frameNbrs
 
 	frameOf map[graph.NodeID]int
 	next    map[graph.NodeID]graph.NodeID
 	inDeg   map[graph.NodeID]int
 	tattr   map[graph.NodeID]TemporalAttr // attribute of the edge leaving the key node
 	velIn   map[graph.NodeID]geom.Vector  // displacement of the edge arriving at the key node
+
+	// runs holds, for each newest-frame node that a temporal edge reaches,
+	// the edge count and velocity sum of the chain ending there; moving
+	// counts the runs that look like objects (see OpenMoving).
+	runs   map[graph.NodeID]chainRun
+	moving int
+	// bridges are the occlusion links bridgeGaps laid over the current
+	// frames. Tracking must not see them — Build bridges only after its
+	// last frame — so Add lifts them before linking a frame.
+	bridges []link
+}
+
+// chainRun is a chain's temporal-edge count and velocity sum, summed in
+// chain order so its mean is bit-identical to Chain.MeanVelocity.
+type chainRun struct {
+	edges int
+	vel   float64
 }
 
 // NumTemporalEdges returns |E_T|.
@@ -124,19 +163,18 @@ func (s *STRG) MemoryBytes() int {
 }
 
 // Build constructs the STRG of a segment: it builds one RAG per frame and
-// runs graph-based tracking (Algorithm 1) over each consecutive pair.
+// runs graph-based tracking (Algorithm 1) over each consecutive pair —
+// the step Add runs for one new frame.
 func Build(seg *video.Segment, cfg Config) (*STRG, error) {
 	if seg == nil || len(seg.Frames) == 0 {
 		return nil, fmt.Errorf("strg: empty segment")
 	}
-	if cfg.SimThreshold <= 0 {
-		conc := cfg.Concurrency
-		cfg = DefaultConfig()
-		cfg.Concurrency = conc
-	}
+	cfg = cfg.withDefaults()
 	s := &STRG{
 		Segment: seg,
 		Frames:  make([]*graph.Graph, len(seg.Frames)),
+		cfg:     cfg,
+		matcher: graph.NewMatcher(cfg.Tol),
 		frameOf: make(map[graph.NodeID]int),
 		next:    make(map[graph.NodeID]graph.NodeID),
 		inDeg:   make(map[graph.NodeID]int),
@@ -153,6 +191,7 @@ func Build(seg *video.Segment, cfg Config) (*STRG, error) {
 		bases[i] = base
 		base += graph.NodeID(len(f.Regions))
 	}
+	s.nextID = base
 	ragStart := time.Now()
 	if err := parallel.ForEach(cfg.Concurrency, len(seg.Frames), func(i int) error {
 		s.Frames[i] = rag.Build(seg.Frames[i], cfg.RAG, bases[i])
@@ -167,7 +206,6 @@ func Build(seg *video.Segment, cfg Config) (*STRG, error) {
 		}
 	}
 	trackStart := time.Now()
-	matcher := graph.NewMatcher(cfg.Tol)
 	// Per-frame neighborhood caches persist across the whole pair loop:
 	// every interior frame participates in two consecutive pairs (as nxt,
 	// then as cur), and rebuilding its stars for each role used to double
@@ -196,14 +234,75 @@ func Build(seg *video.Segment, cfg Config) (*STRG, error) {
 			fn.full = true
 		}
 	}
-	for m := 0; m+1 < len(s.Frames); m++ {
-		s.trackPair(matcher, cfg, nbrs[m], nbrs[m+1])
+	for _, fn := range nbrs {
+		s.track(fn)
 	}
-	if cfg.BridgeFrames > 0 {
-		s.bridgeGaps(cfg)
-	}
+	s.bridgeGaps()
 	trackSeconds.Observe(time.Since(trackStart).Seconds())
 	return s, nil
+}
+
+// Add appends the segment's next frame and tracks it against the newest
+// one: one RAG build and one round of Algorithm 1. The frame's position,
+// not its Index, numbers it. Afterwards the STRG — temporal edges, chains,
+// decomposition — equals Build of the segment extended by f, so a live
+// feed tracks each frame once, as it arrives, and commits what it built.
+func (s *STRG) Add(f video.Frame) {
+	s.liftBridges()
+	g := rag.Build(f, s.cfg.RAG, s.nextID)
+	s.nextID += graph.NodeID(len(f.Regions))
+	for _, id := range g.NodeIDs() {
+		s.frameOf[id] = len(s.Frames)
+	}
+	s.Frames = append(s.Frames, g)
+	s.track(newFrameNbrs(g))
+	s.bridgeGaps()
+}
+
+// OpenMoving counts the chains that end in the newest frame and currently
+// look like objects: at least two nodes and a mean velocity at or above
+// MinObjectVelocity. A live feed cuts its epoch where this is zero: the
+// cut then splits no moving chain. Occlusion bridges do not count.
+func (s *STRG) OpenMoving() int { return s.moving }
+
+// track makes fn the newest frame: it links the previous newest frame to
+// it (Algorithm 1 over one frame pair) and rolls the chain runs forward.
+func (s *STRG) track(fn *frameNbrs) {
+	prev := s.last
+	s.last = fn
+	if prev == nil {
+		return
+	}
+	links := matchFrames(s.matcher, s.cfg, prev, fn, s.velIn)
+	runs := make(map[graph.NodeID]chainRun, len(links))
+	s.moving = 0
+	for _, l := range links {
+		s.next[l.from] = l.to
+		s.inDeg[l.to]++
+		s.tattr[l.from] = l.attr
+		s.velIn[l.to] = l.disp
+		r := s.runs[l.from]
+		r.edges++
+		r.vel += l.attr.Velocity
+		runs[l.to] = r
+		if r.vel/float64(r.edges) >= s.cfg.MinObjectVelocity {
+			s.moving++
+		}
+	}
+	s.runs = runs
+}
+
+// liftBridges removes the links bridgeGaps laid, restoring the tracked
+// state exactly: a bridge joins a tail without a successor to a head
+// without a predecessor, so every entry it wrote was absent before.
+func (s *STRG) liftBridges() {
+	for _, b := range s.bridges {
+		delete(s.next, b.from)
+		delete(s.tattr, b.from)
+		delete(s.inDeg, b.to)
+		delete(s.velIn, b.to)
+	}
+	s.bridges = s.bridges[:0]
 }
 
 // bridgeGaps reconnects tracks across occlusion gaps: a chain tail at
@@ -211,8 +310,13 @@ func Build(seg *video.Segment, cfg Config) (*STRG, error) {
 // BridgeFrames) when the head sits near the tail's constant-velocity
 // prediction. Matching is greedy by prediction error, one-to-one, and
 // only considers moving tails (static regions do not get occluded out of
-// existence — they are simply still there).
-func (s *STRG) bridgeGaps(cfg Config) {
+// existence — they are simply still there). The links are recorded in
+// s.bridges for liftBridges.
+func (s *STRG) bridgeGaps() {
+	cfg := s.cfg
+	if cfg.BridgeFrames <= 0 {
+		return
+	}
 	type endpoint struct {
 		id    graph.NodeID
 		frame int
@@ -278,10 +382,12 @@ func (s *STRG) bridgeGaps(cfg Config) {
 		usedH[c.head] = true
 		t, h := tails[c.tail], heads[c.head]
 		disp := h.node.Attr.Centroid.Sub(t.node.Attr.Centroid).Scale(1 / float64(c.gap))
-		s.next[t.id] = h.id
-		s.inDeg[h.id]++
-		s.tattr[t.id] = TemporalAttr{Velocity: disp.Len(), Direction: disp.Angle()}
-		s.velIn[h.id] = disp
+		b := link{from: t.id, to: h.id, attr: TemporalAttr{Velocity: disp.Len(), Direction: disp.Angle()}, disp: disp}
+		s.next[b.from] = b.to
+		s.inDeg[b.to]++
+		s.tattr[b.from] = b.attr
+		s.velIn[b.to] = b.disp
+		s.bridges = append(s.bridges, b)
 	}
 }
 
@@ -407,7 +513,7 @@ func matchFrames(matcher *graph.Matcher, cfg Config, curN, nxtN *frameNbrs, velI
 		// Sequential path: neighborhood graphs built lazily into the
 		// persistent per-frame cache — the work profile the paper's
 		// Algorithm 1 implies, minus rebuilding stars the previous pair
-		// (or, online, the previous frame) already built.
+		// (or the previous Add) already built.
 		for i, v := range curIDs {
 			cands = append(cands, scoreNode(v, curN.nbr(i), nxtN.nbr)...)
 		}
@@ -459,16 +565,6 @@ func matchFrames(matcher *graph.Matcher, cfg Config, curN, nxtN *frameNbrs, velI
 		})
 	}
 	return links
-}
-
-// trackPair applies matchFrames' links to the STRG's temporal-edge maps.
-func (s *STRG) trackPair(matcher *graph.Matcher, cfg Config, cur, nxt *frameNbrs) {
-	for _, l := range matchFrames(matcher, cfg, cur, nxt, s.velIn) {
-		s.next[l.from] = l.to
-		s.inDeg[l.to]++
-		s.tattr[l.from] = l.attr
-		s.velIn[l.to] = l.disp
-	}
 }
 
 func sortedIDs(g *graph.Graph) []graph.NodeID {

@@ -21,7 +21,8 @@ func orderSegment(indices ...int) *Segment {
 
 // TestValidateFrameOrder rejects every non-monotone frame numbering with the
 // typed error: reversed, duplicated, gapped, and offset streams all corrupt
-// OnlineBuilder chain ordering if replayed, so none may pass.
+// the chain ordering of frame-by-frame tracking if replayed, so none may
+// pass.
 func TestValidateFrameOrder(t *testing.T) {
 	tests := []struct {
 		name    string

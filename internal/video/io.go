@@ -14,9 +14,11 @@ import (
 var ErrFrameOrder = errors.New("video: frame order violation")
 
 // FrameOrderError reports a frame whose declared index does not match its
-// position in the stream. OnlineBuilder tracking assumes consecutive frames;
-// accepting a non-monotone index would silently corrupt chain ordering on
-// replay, so validation rejects it with the positions spelled out.
+// position in the stream. Tracking links each frame to the one before it
+// (a live feed's STRG.Add, frame by frame, and the journal replay that
+// rebuilds it); accepting a non-monotone index would silently corrupt
+// chain ordering on replay, so validation rejects it with the positions
+// spelled out.
 type FrameOrderError struct {
 	Segment string // segment name, "" when validating a bare stream
 	Index   int    // the frame's declared index

@@ -31,6 +31,7 @@ var surfaceAllowlist = map[string]string{
 	"embed.IVF.Trained":               "state observer: tests assert the train-on-first-batch transition",
 	"obs.Histogram.Count":             "state observer: tests read a histogram's sample count without parsing the exposition text",
 	"index.Tree.Range":                "completes the KNN/KNNExact family on Tree (one line over RangeStatsCtx); the identity matrices compare it",
+	"query.Eastbound":                 "completes the Heading shorthand family; the predicate and composed-query tests build on it",
 	"query.Northbound":                "completes the Heading shorthand family beside Eastbound",
 	"query.Southbound":                "completes the Heading shorthand family beside Eastbound",
 	"query.Westbound":                 "completes the Heading shorthand family beside Eastbound",
