@@ -1009,13 +1009,36 @@ func BenchmarkFeedDispatch(b *testing.B) {
 	b.ReportMetric((seconds("strg_feed_reconcile_seconds")-rec0)/disp, "reconcile_share")
 }
 
+// servedSink keeps BenchmarkServedCorpusKNN's searches observable.
+var servedSink []index.Result[core.ClipRecord]
+
+// BenchmarkServedCorpusKNN prices Algorithm 3 on the corpus the
+// end-to-end similarity workload serves (servedCorpusDB): one op is one
+// default k-NN at k = 10. Beside the time it reports the leaf records and
+// distance evaluations a query costs and its recall@10 against KNNExact,
+// all measured once over the query set before the timed loop.
+func BenchmarkServedCorpusKNN(b *testing.B) {
+	db, queries := servedCorpusDB(b, 200)
+	tree := db.Index()
+	m, err := experiments.MeasureServedSearch(tree, queries, 10, ogID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		servedSink = tree.KNN(nil, queries[i%len(queries)], 10)
+	}
+	b.ReportMetric(m.Records, "records/query")
+	b.ReportMetric(m.Evals, "evals/query")
+	b.ReportMetric(m.Recall, "recall@10")
+}
+
 // BenchmarkRecoveryReplay measures crash recovery as strg-server runs it:
 // OpenDurable over a directory holding a 64-record write-ahead log and no
-// snapshot — what a kill -9 leaves behind — with split evaluations deferred
-// to background goroutines (waited out off the clock, so one iteration's
-// do not run into the next). Replay commits each logged record (the built
-// OGs and background graph); ms/record is what one costs, wal_bytes/record
-// what it occupies on disk and on the replication wire.
+// snapshot — what a kill -9 leaves behind. Replay commits each logged
+// record (the built OGs and background graph, index splits included);
+// ms/record is what one costs, wal_bytes/record what it occupies on disk
+// and on the replication wire.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	const records = 64
 	p := video.StreamProfile{Name: "Mini", Kind: video.KindLab,
@@ -1025,7 +1048,6 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Index.AsyncSplit = true
 	d := core.Durability{Dir: b.TempDir(), SnapshotOps: -1, SnapshotBytes: -1}
 	db, _, err := core.OpenDurable(cfg, d)
 	if err != nil {
@@ -1036,7 +1058,6 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	db.QuiesceIndex()
 	walBytes := db.WALSize()
 	if err := db.Close(); err != nil {
 		b.Fatal(err)
@@ -1051,7 +1072,6 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		if rec.ReplayedRecords != records || rec.SnapshotLoaded {
 			b.Fatalf("recovery = %+v, want %d records replayed and no snapshot", rec, records)
 		}
-		db.QuiesceIndex()
 		if err := db.Close(); err != nil {
 			b.Fatal(err)
 		}

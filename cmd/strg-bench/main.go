@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	strg-bench [-scale quick|full] [-only table1,fig5,fig6,fig7,fig8,table2] [-workers N]
+//	strg-bench [-scale quick|full] [-only table1,fig5,fig6,fig7,fig8,table2,occupancy,ablations] [-workers N]
 //	strg-bench -grid internal/experiments/grids/approx-1m.json [-grid-out BENCH_approx.json]
 //
 // The quick scale (default) runs in tens of seconds; full approaches the
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
-	onlyFlag := flag.String("only", "", "comma-separated subset: table1,fig5,fig6,fig7,fig8,table2,ablations")
+	onlyFlag := flag.String("only", "", "comma-separated subset: table1,fig5,fig6,fig7,fig8,table2,occupancy,ablations")
 	workers := flag.Int("workers", 0, "worker budget for the parallel distance engine (0 = one per CPU, 1 = sequential); results are identical at every setting")
 	gridFlag := flag.String("grid", "", "run the approximate-tier experiment grid from this JSON spec instead of the paper suite")
 	gridOut := flag.String("grid-out", "", "with -grid: also write the measurements as benchjson points to this file")
@@ -123,6 +123,12 @@ func main() {
 		t2, err := experiments.Table2(streams, fig8, scale)
 		fail(err)
 		fmt.Println(t2.Render())
+	}
+
+	if run("occupancy") {
+		occ, err := experiments.Occupancy(scale)
+		fail(err)
+		fmt.Println(occ.Render())
 	}
 
 	if run("ablations") {

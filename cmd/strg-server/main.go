@@ -119,9 +119,6 @@ func run() int {
 	cfg := core.DefaultConfig()
 	cfg.Concurrency = *workers
 	cfg.Index.Shards = *shards
-	// Section 5.3 split evaluations run on background goroutines: ingest
-	// latency never pays for the EM fits.
-	cfg.Index.AsyncSplit = true
 	cfg.Approx = core.ApproxConfig{Enabled: *approx, NLists: *nlists, NProbe: *nprobe}
 	opts := server.Options{
 		Logger:         logger,
@@ -281,7 +278,6 @@ func run() int {
 		if repc != nil {
 			<-repc
 		}
-		db.QuiesceIndex()
 		if err := rep.Close(); err != nil {
 			logger.Error("closing replica", "err", err)
 			return 1
@@ -297,10 +293,8 @@ func run() int {
 			}
 			logger.Info("feeds closed")
 		}
-		// Settle in-flight asynchronous splits, then fold the log into a
-		// final snapshot so the next boot is a single file load; failure is
-		// not fatal — the WAL already has everything.
-		db.QuiesceIndex()
+		// Fold the log into a final snapshot so the next boot is a single
+		// file load; failure is not fatal — the WAL already has everything.
 		if err := db.Checkpoint(); err != nil {
 			logger.Warn("final checkpoint", "err", err)
 		}

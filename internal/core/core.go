@@ -252,9 +252,11 @@ func (db *VideoDB) IngestSegment(stream string, seg *video.Segment) (*IngestStat
 // OG IDs, tree mutation and the size accounting all depend on commit
 // order, so commits stay sequential.
 func (db *VideoDB) commitSegment(rec *commitRecord) error {
-	// Resolve the shard before anything mutates: the route is pure, and
-	// commits are serialized, so this is exactly where AddSegment lands.
-	rec.Shard = db.tree.RouteShard(rec.bg)
+	// Resolve the route before anything mutates: it is pure, and commits
+	// are serialized, so this is exactly where AddRouted lands — and the
+	// background is matched once per commit.
+	route := db.tree.Route(rec.bg)
+	rec.Shard = route.Shard
 	if db.onCommit != nil {
 		if err := db.onCommit(rec); err != nil {
 			return fmt.Errorf("core: write-ahead log for %s: %w", rec.Segment, err)
@@ -274,7 +276,7 @@ func (db *VideoDB) commitSegment(rec *commitRecord) error {
 			},
 		}
 	}
-	if err := db.tree.AddSegment(rec.bg, items); err != nil {
+	if err := db.tree.AddRouted(route, items); err != nil {
 		return fmt.Errorf("core: indexing %s: %w", rec.Segment, err)
 	}
 	blocks := db.retain(rec.OGs, items)
@@ -479,9 +481,11 @@ func (db *VideoDB) Index() *index.Tree[ClipRecord] { return db.tree.View() }
 // tooling that needs shard versions or quiescing.
 func (db *VideoDB) IndexSharded() *index.Sharded[ClipRecord] { return db.tree }
 
-// QuiesceIndex waits for any in-flight asynchronous split evaluations
-// (a no-op unless Config.Index.AsyncSplit is set).
-func (db *VideoDB) QuiesceIndex() { db.tree.Quiesce() }
+// QuiesceIndex returns at once.
+//
+// Deprecated: index splits run inside the commit, so nothing is ever in
+// flight.
+func (db *VideoDB) QuiesceIndex() {}
 
 func toMatches(rs []index.Result[ClipRecord]) []Match {
 	out := make([]Match, len(rs))

@@ -117,11 +117,9 @@ type streamSegCount struct {
 	Count  int
 }
 
-// image captures the persistable state. Asynchronous split evaluations
-// are quiesced first so the image is a settled tree, not a moving target
-// (the snapshot itself is shard-count independent either way).
+// image captures the persistable state (the index snapshot is
+// shard-count independent).
 func (db *VideoDB) image() dbImage {
-	db.tree.Quiesce()
 	img := dbImage{
 		Segments:  db.segments,
 		OGCount:   db.ogCount,

@@ -65,7 +65,6 @@ func TestSharedDBSoak(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Concurrency = 2
 	cfg.Index.Shards = 3
-	cfg.Index.AsyncSplit = true
 	db, _, err := OpenDurable(cfg, Durability{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +288,7 @@ func TestSharedDBSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d segments ingested, %d items, %d searches", ingested.Load(), committed.Load(), searches.Load())
 
-	// Settle and take final answers.
-	db.QuiesceIndex()
+	// Take final answers.
 	if err := db.CheckSpatialIndex(); err != nil {
 		t.Fatalf("spatial index after soak: %v", err)
 	}
@@ -303,7 +301,7 @@ func TestSharedDBSoak(t *testing.T) {
 		t.Errorf("Stats.OGs = %d, committed %d", st.OGs, committed.Load())
 	}
 	// Fold the whole log into a final snapshot so the reopen below is a
-	// deterministic snapshot load, not a replay racing async splits.
+	// snapshot load.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +315,6 @@ func TestSharedDBSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	re.QuiesceIndex()
 	if err := re.CheckSpatialIndex(); err != nil {
 		t.Fatalf("spatial index after recovery: %v", err)
 	}

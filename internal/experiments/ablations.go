@@ -156,12 +156,12 @@ func ablateSearchAndSplit(scale Scale, res *AblationResult) error {
 	}
 
 	// --- Leaf split on/off ---------------------------------------------
-	// The Section 5.3 split fires when a leaf's one-step BIC gain clears
-	// the mixture-weight penalty (σ must shrink by more than ~2x), so the
-	// demonstration workload is deliberately bimodal: two far-apart motion
-	// patterns forced into a single initial cluster. With splitting on the
-	// overfull leaf is carved apart and queries touch one half; with it
-	// off every query scans the whole leaf.
+	// The occupancy rule splits a leaf past MaxLeafEntries with one K = 2
+	// EM fit, again until every leaf fits. The workload is bimodal: two
+	// far-apart motion patterns (80 OGs) forced into a single initial
+	// cluster under a bound of 32. With splitting on the overfull leaf is
+	// carved apart and queries touch one part; with it off every query
+	// scans the whole leaf.
 	res.LeafSplit = Table{
 		Title:  "Ablation: Section 5.3 leaf split on a bimodal leaf (k-NN evals at k=10)",
 		Header: []string{"configuration", "clusters", "mean distance evals"},
@@ -187,7 +187,7 @@ func ablateSearchAndSplit(scale Scale, res *AblationResult) error {
 		name    string
 		maxLeaf int
 	}{
-		{"split on (default occupancy)", 0},
+		{"split on (bound 32)", 32},
 		{"split off (unbounded leaves)", 1 << 30},
 	} {
 		c := &dist.Counter{}

@@ -171,12 +171,10 @@ func ApproxGrid(spec ApproxGridSpec, progress func(format string, args ...any)) 
 	}
 
 	// One flat leaf, no splits, no trajectory R-tree: the grid measures
-	// the similarity tiers, not cluster navigation, and bulk load at this
-	// scale needs the deferred-split append path.
+	// the similarity tiers, not cluster navigation.
 	cfg := core.DefaultConfig()
 	cfg.DisableTrajIndex = true
 	cfg.Index.Shards = 1
-	cfg.Index.AsyncSplit = true
 	cfg.Index.MaxLeafEntries = spec.OGs + 1
 	cfg.Approx = core.ApproxConfig{
 		Enabled:   true,
@@ -194,10 +192,9 @@ func ApproxGrid(spec ApproxGridSpec, progress func(format string, args ...any)) 
 	for lo := 0; lo < len(items); {
 		hi := lo + batch
 		if lo == 0 && batch > 512 {
-			// The first segment seeds the tree's cluster structure (a BIC
-			// scan over its items); keep it small so the scan stays cheap
-			// and let every later batch ride the deferred-split append
-			// path.
+			// The first segment's barycenter becomes the one leaf's
+			// centroid; it stays 512 items so the leaf keys, and with
+			// them the grid's numbers, match earlier runs.
 			hi = 512
 		}
 		if hi > len(items) {

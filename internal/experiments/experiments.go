@@ -44,6 +44,9 @@ type Scale struct {
 	Fig7BuildIter int
 	// MaxK bounds the BIC scans of Figure 8 / Table 2.
 	MaxK int
+	// ServedOGs and ServedQueries size the Section 5.3 occupancy
+	// experiment on the served corpus (3 000 OGs is the served size).
+	ServedOGs, ServedQueries int
 	// EMMaxIter bounds clustering iterations.
 	EMMaxIter int
 	// Seed drives all randomness.
@@ -69,6 +72,8 @@ func QuickScale() Scale {
 		Fig7Clusters:   48,
 		Fig7BuildIter:  8,
 		MaxK:           8,
+		ServedOGs:      600,
+		ServedQueries:  40,
 		EMMaxIter:      25,
 		Seed:           1,
 	}
@@ -85,6 +90,8 @@ func FullScale() Scale {
 		Fig7Clusters:   48,
 		Fig7BuildIter:  8,
 		MaxK:           15,
+		ServedOGs:      3000,
+		ServedQueries:  200,
 		EMMaxIter:      50,
 		Seed:           1,
 	}

@@ -18,6 +18,8 @@ func testScale() Scale {
 		Fig7Clusters:   48,
 		Fig7Patterns:   12,
 		MaxK:           6,
+		ServedOGs:      240,
+		ServedQueries:  10,
 		EMMaxIter:      12,
 		Seed:           1,
 	}
@@ -280,5 +282,47 @@ func TestAblations(t *testing.T) {
 	fmt.Sscanf(ex, "%f", &exv)
 	if a3v >= exv {
 		t.Errorf("Algorithm 3 evals %v not below exact %v", a3v, exv)
+	}
+}
+
+// TestOccupancy: on the served corpus Eq. 8 prefers one cluster at every
+// K it is offered, X-means from kMin = 1 stops at 1, and every bound of
+// the sweep yields a row whose cluster count falls as the bound grows.
+func TestOccupancy(t *testing.T) {
+	res, err := Occupancy(testScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bic []float64
+	for _, row := range res.BIC.Rows {
+		var v float64
+		fmt.Sscanf(row[1], "%f", &v)
+		bic = append(bic, v)
+	}
+	if len(bic) < 4 {
+		t.Fatalf("BIC curve has %d points", len(bic))
+	}
+	for i, v := range bic[1:] {
+		if v >= bic[0] {
+			t.Errorf("BIC at K=%s is %.1f, not below K=1's %.1f", res.BIC.Rows[i+1][0], v, bic[0])
+		}
+	}
+	if got := res.XMeans.Rows[0][1]; got != "1" {
+		t.Errorf("X-means from kMin 1 chose K=%s, want 1", got)
+	}
+	if len(res.Bounds.Rows) != len(occupancyBounds) {
+		t.Fatalf("%d bound rows, want %d", len(res.Bounds.Rows), len(occupancyBounds))
+	}
+	prev := 1 << 30
+	for _, row := range res.Bounds.Rows {
+		var clusters int
+		fmt.Sscanf(row[1], "%d", &clusters)
+		if clusters > prev {
+			t.Errorf("bound %s: %d clusters, more than the smaller bound's %d", row[0], clusters, prev)
+		}
+		prev = clusters
+	}
+	if last := res.Bounds.Rows[len(res.Bounds.Rows)-1]; last[1] != "1" || last[5] != "1.00" {
+		t.Errorf("unbounded row %v: want one cluster and recall 1.00", last)
 	}
 }

@@ -75,8 +75,11 @@ func buildFig7DB(items []dist.Sequence, clusters int, emIter int, seed int64, si
 		Metric:          dist.Counted(dist.EGEDMZero, db.strgC),
 		ClusterDistance: dist.Counted(dist.EGED, db.strgC),
 		NumClusters:     clusters,
-		EMMaxIter:       emIter,
-		Seed:            seed,
+		// The paper's K = 48 clusters, never split: the bound sits above
+		// every leaf the fit can produce.
+		MaxLeafEntries: len(items),
+		EMMaxIter:      emIter,
+		Seed:           seed,
 		// The panels report distance-evaluation counts, the paper's
 		// hardware-independent cost model; sequential search keeps the
 		// counts comparable to it (parallel exact search trades extra

@@ -43,7 +43,6 @@ func IngestStreams(scale Scale) ([]*StreamData, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Index.EMMaxIter = scale.EMMaxIter
-		cfg.Index.MaxClusters = scale.MaxK
 		cfg.Index.Seed = scale.Seed
 		cfg.Concurrency = scale.Workers
 		db := core.Open(cfg)

@@ -3,10 +3,20 @@ package index
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"strgindex/internal/dist"
 )
+
+// insertSorted is the sequential reference for sortedLeaf and mergeLeaf:
+// one record placed by binary search, before any existing equal key.
+func (c *clusterRecord[P]) insertSorted(rec leafRecord[P]) {
+	i := sort.Search(len(c.leaf), func(i int) bool { return c.leaf[i].key >= rec.key })
+	c.leaf = append(c.leaf, leafRecord[P]{})
+	copy(c.leaf[i+1:], c.leaf[i:])
+	c.leaf[i] = rec
+}
 
 func bulkSeq(rng *rand.Rand, n int) dist.Sequence {
 	s := make(dist.Sequence, n)
@@ -68,15 +78,15 @@ func TestMergeLeafMatchesInsertSorted(t *testing.T) {
 	}
 }
 
-// TestBulkInsertMatchesPerItem: a deferred-split batch insert must build
-// the same tree as one-item-at-a-time inserts — same leaves, same order,
-// same answers. This is the contract that lets million-OG ingest batches
-// skip the per-item sorted-insert shifting.
+// TestBulkInsertMatchesPerItem: a batch commit must build the same tree as
+// one-item commits while no leaf splits — same leaves, same order, same
+// answers. This is the contract that lets million-OG ingest batches skip
+// the per-item sorted-insert shifting.
 func TestBulkInsertMatchesPerItem(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := Config{
 		NumClusters:    4,
-		MaxLeafEntries: 1 << 30, // no splits: both paths' cluster sets stay frozen
+		MaxLeafEntries: 1 << 30, // no splits: both paths route against the same centroids
 		Seed:           7,
 		Concurrency:    1,
 	}
@@ -93,8 +103,7 @@ func TestBulkInsertMatchesPerItem(t *testing.T) {
 	if err := bulk.AddSegment(nil, boot); err != nil {
 		t.Fatal(err)
 	}
-	x := &txn[int]{t: bulk, rootIdx: 0, deferSplit: true}
-	if err := bulk.addItemsAt(x, 0, batch); err != nil {
+	if err := bulk.AddSegment(nil, batch); err != nil {
 		t.Fatal(err)
 	}
 

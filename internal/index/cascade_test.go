@@ -13,10 +13,12 @@ import (
 )
 
 // buildCascadeTree builds a deterministic tree, letting the caller adjust
-// the cascade knobs before construction.
+// the cascade knobs before construction. The bound sits above every leaf
+// the five EM clusters of these workloads hold, so the cascade is measured
+// on the same leaves with and without it.
 func buildCascadeTree(t *testing.T, seqs []dist.Sequence, workers int, mut func(*Config)) *Tree[int] {
 	t.Helper()
-	cfg := Config{NumClusters: 5, Seed: 11, MaxLeafEntries: 16, Concurrency: workers}
+	cfg := Config{NumClusters: 5, Seed: 11, MaxLeafEntries: 256, Concurrency: workers}
 	if mut != nil {
 		mut(&cfg)
 	}

@@ -8,12 +8,13 @@
 //     Key = EGED_M(OG_mem, OG_clus) — a metric, so the key supports
 //     triangle-inequality pruning.
 //
-// Construction follows Algorithm 2 (cluster the OGs with EM over the
-// non-metric EGED, then insert members sorted by key), node splitting
-// follows Section 5.3 (EM with K = 2 adopted when it improves BIC), and
-// search follows Algorithm 3 (match the query background by SimGraph,
-// descend to the most similar centroid, then k-NN the leaf with key
-// pruning).
+// Construction follows Algorithm 2 (route the OGs to their most similar
+// centroid under the non-metric EGED, then insert members sorted by key),
+// node splitting follows Section 5.3's occupancy trigger (an over-full
+// leaf is divided by an EM fit with K = 2, with no BIC gate — see
+// splitOverfull), and search follows Algorithm 3 (match the query
+// background by SimGraph, descend to the most similar centroid, then k-NN
+// the leaf with key pruning).
 package index
 
 import (
@@ -51,14 +52,13 @@ type Config struct {
 	// and choose clusters — the non-metric EGED in the paper. Nil means
 	// dist.EGED.
 	ClusterDistance dist.Metric
-	// NumClusters fixes K per background when positive; zero selects K by
-	// BIC over 1..MaxClusters (Section 4.2).
+	// NumClusters, when positive, seeds a new root with an EM fit of that
+	// many clusters over its first batch (Algorithm 2); zero starts every
+	// root as one cluster and leaves the structure to the occupancy rule.
 	NumClusters int
-	// MaxClusters bounds the BIC scan. Zero means 15, the paper's Figure 8
-	// range.
-	MaxClusters int
-	// MaxLeafEntries is the leaf occupancy that triggers a split check
-	// (Section 5.3). Zero means 32.
+	// MaxLeafEntries bounds leaf occupancy: a commit that leaves a leaf
+	// with more members splits it until every leaf is within the bound
+	// (Section 5.3). Zero means 256.
 	MaxLeafEntries int
 	// BGSimThreshold is the minimum SimGraph at which an incoming
 	// background is considered the same as a stored one, sharing its root
@@ -75,10 +75,8 @@ type Config struct {
 	// ignore it). Query results are identical at every setting — sharding
 	// only changes which snapshot a root lives in.
 	Shards int
-	// AsyncSplit defers Section 5.3 split evaluations from the Sharded
-	// ingest path to background goroutines (plain Trees ignore it). Splits
-	// still publish through the writer lock; only the EM fits move off the
-	// commit path, so ingest latency stops paying for them.
+	// Deprecated: ignored. Splits run inline at the end of every commit,
+	// so the tree's shape depends only on the commit sequence.
 	AsyncSplit bool
 	// Concurrency bounds the worker pool used throughout the index: the
 	// pairwise matrices of EM clustering during construction and splits,
@@ -115,11 +113,8 @@ func (c Config) withDefaults() Config {
 	if c.ClusterDistance == nil {
 		c.ClusterDistance = dist.EGED
 	}
-	if c.MaxClusters <= 0 {
-		c.MaxClusters = 15
-	}
 	if c.MaxLeafEntries <= 0 {
-		c.MaxLeafEntries = 32
+		c.MaxLeafEntries = 256
 	}
 	if c.BGSimThreshold <= 0 {
 		c.BGSimThreshold = 0.75
@@ -183,14 +178,6 @@ type clusterRecord[P any] struct {
 	id       int
 	centroid dist.Sequence
 	leaf     []leafRecord[P]
-	// splitChecked is the leaf size at which the last BIC evaluation
-	// declined to split, 0 if never evaluated (or since an adopted split
-	// re-formed the cluster). Cluster quality cannot have degraded
-	// while the membership is unchanged, so an occupancy check at the same
-	// size skips the two EM refits — the incremental half of Section 5.3.
-	// Advisory state: searches never read it, writers are serialized, so
-	// the copy-on-write path may update it in place on a shared record.
-	splitChecked int
 }
 
 func (c *clusterRecord[P]) maxKey() float64 {
@@ -248,26 +235,12 @@ func (t *Tree[P]) NumClusters() int {
 // txn tracks one mutation's copy-on-write state. A plain tree mutates in
 // place (cow false: root/cluster return the nodes as-is); a Sharded write
 // runs on a fresh clone with cow true, privatizing each touched node once
-// so published snapshots stay immutable. With deferSplit set, occupancy
-// checks collect split candidates for the asynchronous evaluator instead
-// of fitting EM inline.
+// so published snapshots stay immutable.
 type txn[P any] struct {
 	t   *Tree[P]
 	cow bool
 	// owned marks nodes this transaction created or already privatized.
 	owned map[any]bool
-	// rootIdx is the root the current insert batch targets (for split
-	// candidates).
-	rootIdx    int
-	deferSplit bool
-	splitCands []splitCand
-}
-
-// splitCand identifies an oversized cluster awaiting a deferred BIC
-// evaluation.
-type splitCand struct {
-	rootIdx   int
-	clusterID int
 }
 
 func (x *txn[P]) own(node any) {
@@ -315,55 +288,41 @@ func (x *txn[P]) cluster(root *rootRecord[P], ci int) *clusterRecord[P] {
 // experiments), in which case all items share a single nil-background
 // root.
 func (t *Tree[P]) AddSegment(bg *graph.Graph, items []Item[P]) error {
-	x := &txn[P]{t: t}
-	x.rootIdx = t.findOrCreateRoot(bg)
+	return t.addItemsAt(&txn[P]{t: t}, t.findOrCreateRoot(bg), items)
+}
+
+// addItemsAt is the one commit path of Tree and Sharded: it seeds an empty
+// root's cluster node from the batch, or routes the batch against the
+// centroids the root started the commit with and merges each cluster's
+// newcomers into its leaf, then splits every leaf left over the occupancy
+// bound.
+func (t *Tree[P]) addItemsAt(x *txn[P], ri int, items []Item[P]) error {
 	if len(items) == 0 {
 		return nil
 	}
-	return t.addItemsAt(x, x.rootIdx, items)
-}
-
-// addItemsAt inserts items into the root at index ri under the given
-// transaction: EM bootstrap for an empty root, per-item centroid routing
-// otherwise.
-func (t *Tree[P]) addItemsAt(x *txn[P], ri int, items []Item[P]) error {
 	root := x.root(ri)
 	if len(root.clusters) == 0 {
-		return t.buildClusters(x, root, items)
-	}
-	// With deferred splits the cluster set is frozen for the whole batch,
-	// so every item's routing can be computed up front and each touched
-	// leaf rebuilt in one merge — O(n log n) against the O(n²) shifting
-	// of per-item sorted inserts, the difference between minutes and
-	// hours at million-OG batches. With inline splits a mid-batch split
-	// changes the routing of later items, so the per-item path stands.
-	if x.deferSplit && len(items) > 1 {
-		return t.bulkInsert(x, root, items)
-	}
-	for _, it := range items {
-		if err := t.insertIntoRoot(x, root, it); err != nil {
+		if err := t.seedClusters(x, root, items); err != nil {
 			return err
 		}
+	} else {
+		t.mergeBatch(x, root, items)
 	}
+	t.splitOverfull(x, root)
 	return nil
 }
 
-// bulkInsert routes a whole batch against the frozen cluster set and
-// merges each cluster's newcomers into its leaf in one pass. The final
-// leaf contents are byte-identical to per-item insertIntoRoot calls:
-// routing sees the same centroids (no inline splits), records are keyed
-// identically, and sortedLeaf/mergeLeaf replicate
-// insertSorted's arrival-tie order. Only the split-candidate list
-// differs — one candidate per touched oversized cluster instead of one
-// per insert — which the asynchronous evaluator treats identically
-// (duplicates were already collapsed by its revalidation).
-func (t *Tree[P]) bulkInsert(x *txn[P], root *rootRecord[P], items []Item[P]) error {
+// mergeBatch routes every item to its most similar centroid (non-metric
+// EGED, Algorithm 3's descent) and merges each cluster's newcomers into
+// its leaf in one pass — O(n log n) against the O(n²) shifting of
+// per-item sorted inserts, the difference between minutes and hours at
+// million-OG batches. Because routing sees only the centroids the commit
+// started with, the result equals one-item commits into a tree that does
+// not split meanwhile. root must be owned by the transaction.
+func (t *Tree[P]) mergeBatch(x *txn[P], root *rootRecord[P], items []Item[P]) {
 	buckets := make([][]int, len(root.clusters))
 	for i, it := range items {
 		ci := argminCluster(root.clusters, it.Seq, t.cfg.ClusterDistance, t.cfg.Concurrency)
-		if ci < 0 {
-			return fmt.Errorf("index: root %d has no clusters", root.id)
-		}
 		buckets[ci] = append(buckets[ci], i)
 	}
 	for ci, bucket := range buckets {
@@ -377,9 +336,7 @@ func (t *Tree[P]) bulkInsert(x *txn[P], root *rootRecord[P], items []Item[P]) er
 		}
 		cl.leaf = mergeLeaf(cl.leaf, sortedLeaf(recs))
 		t.size += len(bucket)
-		t.maybeSplit(x, root, cl)
 	}
-	return nil
 }
 
 // matchBackground is the one background-matching rule (Algorithm 3 step 2),
@@ -426,10 +383,10 @@ func (t *Tree[P]) findOrCreateRoot(bg *graph.Graph) int {
 	return len(t.roots) - 1
 }
 
-// clusterCfg assembles the clustering configuration shared by bootstrap,
-// inline splits and deferred split evaluations.
-func (t *Tree[P]) clusterCfg() cluster.Config {
+// clusterCfg assembles the clustering configuration of seeding and splits.
+func (t *Tree[P]) clusterCfg(k int) cluster.Config {
 	return cluster.Config{
+		K:           k,
 		MaxIter:     t.cfg.EMMaxIter,
 		Seed:        t.cfg.Seed,
 		Distance:    t.cfg.ClusterDistance,
@@ -437,69 +394,48 @@ func (t *Tree[P]) clusterCfg() cluster.Config {
 	}
 }
 
-// buildClusters bootstraps a root's cluster node from its first batch of
-// items: EM clustering with the non-metric EGED, K by BIC unless fixed.
-// root must be owned by the transaction.
-func (t *Tree[P]) buildClusters(x *txn[P], root *rootRecord[P], items []Item[P]) error {
+// seedClusters builds an empty root's cluster node from its first batch:
+// one cluster centred on the batch's barycenter, or — when NumClusters is
+// set — an EM fit of that many clusters over the non-metric EGED. root
+// must be owned by the transaction.
+func (t *Tree[P]) seedClusters(x *txn[P], root *rootRecord[P], items []Item[P]) error {
 	seqs := make([]dist.Sequence, len(items))
 	for i, it := range items {
 		seqs[i] = it.Seq
 	}
-	ccfg := t.clusterCfg()
-	var res *cluster.Result
-	var err error
-	switch {
-	case t.cfg.NumClusters > 0:
-		ccfg.K = min(t.cfg.NumClusters, len(items))
-		res, err = cluster.EM(seqs, ccfg)
-	default:
-		var scan *cluster.KScan
-		scan, err = cluster.OptimalK(seqs, 1, min(t.cfg.MaxClusters, len(items)), ccfg)
-		if err == nil {
-			res = scan.Results[scan.BestK-1]
+	if t.cfg.NumClusters <= 0 {
+		all := make([]int, len(items))
+		for i := range all {
+			all[i] = i
 		}
+		t.addCluster(x, root, barycenterOf(seqs, all), items, all)
+		return nil
 	}
+	res, err := cluster.EM(seqs, t.clusterCfg(min(t.cfg.NumClusters, len(items))))
 	if err != nil {
 		return fmt.Errorf("index: clustering segment: %w", err)
 	}
 	for k := 0; k < res.K; k++ {
-		members := res.Members(k)
-		if len(members) == 0 {
-			continue
+		if members := res.Members(k); len(members) > 0 {
+			t.addCluster(x, root, res.Centroids[k], items, members)
 		}
-		cl := &clusterRecord[P]{id: t.nextCl, centroid: res.Centroids[k]}
-		t.nextCl++
-		x.own(cl)
-		recs := make([]leafRecord[P], len(members))
-		for mi, j := range members {
-			recs[mi] = t.newLeafRecord(cl.centroid, items[j].Seq, items[j].Payload)
-		}
-		cl.leaf = sortedLeaf(recs)
-		root.clusters = append(root.clusters, cl)
-		t.size += len(members)
-	}
-	// Respect the occupancy rule immediately. The range snapshots the
-	// slice header, so clusters appended by adopted splits are not
-	// re-examined — the original behavior.
-	for _, cl := range root.clusters {
-		t.maybeSplit(x, root, cl)
 	}
 	return nil
 }
 
-// insertIntoRoot routes one item to the most similar centroid (non-metric
-// EGED, Algorithm 3's descent) and inserts it into that leaf by key. root
-// must be owned by the transaction.
-func (t *Tree[P]) insertIntoRoot(x *txn[P], root *rootRecord[P], it Item[P]) error {
-	ci := argminCluster(root.clusters, it.Seq, t.cfg.ClusterDistance, t.cfg.Concurrency)
-	if ci < 0 {
-		return fmt.Errorf("index: root %d has no clusters", root.id)
+// addCluster appends a new cluster record to root holding items[members],
+// keyed against centroid.
+func (t *Tree[P]) addCluster(x *txn[P], root *rootRecord[P], centroid dist.Sequence, items []Item[P], members []int) {
+	cl := &clusterRecord[P]{id: t.nextCl, centroid: centroid}
+	t.nextCl++
+	x.own(cl)
+	recs := make([]leafRecord[P], len(members))
+	for mi, j := range members {
+		recs[mi] = t.newLeafRecord(centroid, items[j].Seq, items[j].Payload)
 	}
-	cl := x.cluster(root, ci)
-	cl.insertSorted(t.newLeafRecord(cl.centroid, it.Seq, it.Payload))
-	t.size++
-	t.maybeSplit(x, root, cl)
-	return nil
+	cl.leaf = sortedLeaf(recs)
+	root.clusters = append(root.clusters, cl)
+	t.size += len(members)
 }
 
 // argminCluster evaluates the distance from seq to every centroid across
@@ -541,13 +477,6 @@ func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-func (c *clusterRecord[P]) insertSorted(rec leafRecord[P]) {
-	i := sort.Search(len(c.leaf), func(i int) bool { return c.leaf[i].key >= rec.key })
-	c.leaf = append(c.leaf, leafRecord[P]{})
-	copy(c.leaf[i+1:], c.leaf[i:])
-	c.leaf[i] = rec
 }
 
 // sortedLeaf orders a batch of records exactly as sequential insertSorted
@@ -595,52 +524,61 @@ func mergeLeaf[P any](old, recs []leafRecord[P]) []leafRecord[P] {
 	return append(merged, recs[j:]...)
 }
 
-// maybeSplit applies Section 5.3: when a leaf exceeds MaxLeafEntries, EM
-// with K = 2 is fitted to its members and adopted if it improves BIC over
-// the single-cluster model. A declined verdict is remembered at the
-// current leaf size (splitChecked), so re-checks at an unchanged
-// membership skip the refits. With deferSplit set, the transaction records
-// the cluster for the asynchronous evaluator instead of fitting inline.
-// cl must be owned by the transaction.
-func (t *Tree[P]) maybeSplit(x *txn[P], root *rootRecord[P], cl *clusterRecord[P]) {
-	if len(cl.leaf) <= t.cfg.MaxLeafEntries || len(cl.leaf) == cl.splitChecked {
-		return
+// splitOverfull applies the occupancy rule: every leaf of root holding
+// more than MaxLeafEntries records is split in two, and the halves again,
+// until every leaf is within the bound. The new cluster of each split is
+// appended to the root, so the same pass reaches it.
+//
+// Section 5.3 adopts a split only when BIC prefers K = 2 over K = 1. On
+// the served corpus Equation 8 falls at every K (EXPERIMENTS "Section 5.3
+// on the served corpus"), so that gate never fires and the whole corpus
+// sits in one leaf; the bound alone decides here. The rule is a
+// deterministic function of the leaf's members, so a tree's shape depends
+// only on its commit sequence. root must be owned by the transaction.
+func (t *Tree[P]) splitOverfull(x *txn[P], root *rootRecord[P]) {
+	for ci := 0; ci < len(root.clusters); ci++ {
+		if len(root.clusters[ci].leaf) <= t.cfg.MaxLeafEntries {
+			continue
+		}
+		cl := x.cluster(root, ci)
+		for len(cl.leaf) > t.cfg.MaxLeafEntries {
+			nc := t.split(cl)
+			x.own(nc)
+			root.clusters = append(root.clusters, nc)
+		}
 	}
-	if x.deferSplit {
-		x.splitCands = append(x.splitCands, splitCand{rootIdx: x.rootIdx, clusterID: cl.id})
-		return
-	}
+}
+
+// split divides cl by one seeded EM fit with K = 2 over its members: cl
+// keeps component 0 (re-centroided, members re-keyed) and the returned
+// record takes component 1. A fit that leaves a component empty (or fails)
+// falls back to halving the key-sorted leaf around each half's barycenter,
+// so every split makes progress. cl must be owned by the transaction.
+func (t *Tree[P]) split(cl *clusterRecord[P]) *clusterRecord[P] {
 	seqs := make([]dist.Sequence, len(cl.leaf))
 	for i, rec := range cl.leaf {
 		seqs[i] = rec.seq
 	}
-	dec, err := cluster.SplitEval(seqs, t.clusterCfg())
 	splitEvals.Inc()
-	if err != nil {
-		return // splitting is an optimization; never fail an insert over it
+	var mem [2][]int
+	var cents []dist.Sequence
+	if two, err := cluster.EM(seqs, t.clusterCfg(2)); err == nil {
+		mem[0], mem[1], cents = two.Members(0), two.Members(1), two.Centroids
 	}
-	if !dec.Adopt || !t.applySplit(root, cl, dec.Two) {
-		cl.splitChecked = len(cl.leaf)
-		return
+	if len(mem[0]) == 0 || len(mem[1]) == 0 {
+		half := len(seqs) / 2
+		mem[0], mem[1] = make([]int, half), make([]int, len(seqs)-half)
+		for i := range seqs {
+			if i < half {
+				mem[0][i] = i
+			} else {
+				mem[1][i-half] = i
+			}
+		}
+		cents = []dist.Sequence{barycenterOf(seqs, mem[0]), barycenterOf(seqs, mem[1])}
 	}
-	splitsInline.Inc()
-}
-
-// applySplit installs an adopted two-component fit: cl keeps component 0
-// (re-centroided, members re-keyed), a new cluster record takes component
-// 1, appended to the root. It reports false — leaving the tree unchanged —
-// when either membership is empty. root and cl must be owned by the
-// transaction.
-func (t *Tree[P]) applySplit(root *rootRecord[P], cl *clusterRecord[P], two *cluster.Result) bool {
-	mem0, mem1 := two.Members(0), two.Members(1)
-	if len(mem0) == 0 || len(mem1) == 0 {
-		return false
-	}
+	splits.Inc()
 	records := cl.leaf
-	newCl := &clusterRecord[P]{id: t.nextCl, centroid: two.Centroids[1]}
-	t.nextCl++
-	cl.centroid = two.Centroids[0]
-	cl.splitChecked = 0
 	rekey := func(members []int, centroid dist.Sequence) []leafRecord[P] {
 		recs := make([]leafRecord[P], len(members))
 		for mi, j := range members {
@@ -652,10 +590,19 @@ func (t *Tree[P]) applySplit(root *rootRecord[P], cl *clusterRecord[P], two *clu
 		}
 		return sortedLeaf(recs)
 	}
-	cl.leaf = rekey(mem0, cl.centroid)
-	newCl.leaf = rekey(mem1, newCl.centroid)
-	root.clusters = append(root.clusters, newCl)
-	return true
+	nc := &clusterRecord[P]{id: t.nextCl, centroid: cents[1], leaf: rekey(mem[1], cents[1])}
+	t.nextCl++
+	cl.centroid, cl.leaf = cents[0], rekey(mem[0], cents[0])
+	return nc
+}
+
+// barycenterOf is the unweighted barycenter of seqs[members].
+func barycenterOf(seqs []dist.Sequence, members []int) dist.Sequence {
+	w := make([]float64, len(seqs))
+	for _, j := range members {
+		w[j] = 1
+	}
+	return cluster.Barycenter(seqs, w)
 }
 
 // MemoryBytes evaluates Equation 10: Σ size(OG_mem) + Σ size(OG_clus) +

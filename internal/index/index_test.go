@@ -60,23 +60,35 @@ func bgGraph(shade float64) *graph.Graph {
 	return g
 }
 
+// TestAddSegmentAndLen: a root starts as one cluster, and a first batch
+// larger than the occupancy bound is split until every leaf fits.
 func TestAddSegmentAndLen(t *testing.T) {
-	tr := New[int](Config{Seed: 1})
 	items, _ := patternItems(10, 3, 1)
-	if err := tr.AddSegment(nil, items); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 30 {
-		t.Errorf("Len = %d, want 30", tr.Len())
-	}
-	if len(tr.roots) != 1 {
-		t.Errorf("NumRoots = %d, want 1", len(tr.roots))
-	}
-	if tr.NumClusters() < 2 {
-		t.Errorf("NumClusters = %d, want >= 2 (BIC should find structure)", tr.NumClusters())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ bound, minClusters int }{{0, 1}, {8, 4}} {
+		tr := New[int](Config{Seed: 1, MaxLeafEntries: tc.bound})
+		if err := tr.AddSegment(nil, items); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != 30 {
+			t.Errorf("bound %d: Len = %d, want 30", tc.bound, tr.Len())
+		}
+		if len(tr.roots) != 1 {
+			t.Errorf("bound %d: NumRoots = %d, want 1", tc.bound, len(tr.roots))
+		}
+		if tc.bound == 0 && tr.NumClusters() != 1 {
+			t.Errorf("default bound: NumClusters = %d, want 1 (30 items fit one leaf)", tr.NumClusters())
+		}
+		if tr.NumClusters() < tc.minClusters {
+			t.Errorf("bound %d: NumClusters = %d, want >= %d", tc.bound, tr.NumClusters(), tc.minClusters)
+		}
+		for _, cl := range tr.roots[0].clusters {
+			if tc.bound > 0 && len(cl.leaf) > tc.bound {
+				t.Errorf("bound %d: leaf of %d records", tc.bound, len(cl.leaf))
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -222,28 +234,70 @@ func TestBackgroundRouting(t *testing.T) {
 	}
 }
 
+// TestLeafSplit: two tight, well-separated groups forced into one cluster
+// overflow its bound across several commits. Every commit must leave all
+// leaves within the bound, and the K = 2 fits must never mix the groups.
 func TestLeafSplit(t *testing.T) {
 	tr := New[int](Config{Seed: 11, NumClusters: 1, MaxLeafEntries: 10})
-	// Two tight, well-separated pattern groups forced into one cluster;
-	// overflow must split them apart via EM + BIC.
+	group := func(i int) Item[int] {
+		if i%2 == 0 {
+			return Item[int]{Seq: trajectory(0, float64(i), 100, float64(i), 6), Payload: i}
+		}
+		return Item[int]{Seq: trajectory(0, 500+float64(i), 100, 500+float64(i), 6), Payload: 100 + i}
+	}
 	var items []Item[int]
-	for i := 0; i < 12; i++ {
-		items = append(items, Item[int]{Seq: trajectory(0, float64(i), 100, float64(i), 6), Payload: i})
+	for i := 0; i < 48; i++ {
+		items = append(items, group(i))
 	}
-	for i := 0; i < 12; i++ {
-		items = append(items, Item[int]{Seq: trajectory(0, 500+float64(i), 100, 500+float64(i), 6), Payload: 100 + i})
+	for lo := 0; lo < len(items); lo += 12 {
+		if err := tr.AddSegment(nil, items[lo:lo+12]); err != nil {
+			t.Fatal(err)
+		}
+		for _, cl := range tr.roots[0].clusters {
+			if len(cl.leaf) > 10 {
+				t.Fatalf("after %d items: leaf of %d records over the bound", lo+12, len(cl.leaf))
+			}
+			for _, rec := range cl.leaf[1:] {
+				if (rec.payload < 100) != (cl.leaf[0].payload < 100) {
+					t.Fatalf("after %d items: a leaf mixes the two groups", lo+12)
+				}
+			}
+		}
 	}
-	if err := tr.AddSegment(nil, items); err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumClusters() < 2 {
-		t.Errorf("NumClusters = %d, want >= 2 after split", tr.NumClusters())
+	if tr.NumClusters() < 5 {
+		t.Errorf("NumClusters = %d, want >= 5 for 48 records at 10 per leaf", tr.NumClusters())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 24 {
-		t.Errorf("Len = %d, want 24", tr.Len())
+	if tr.Len() != 48 {
+		t.Errorf("Len = %d, want 48", tr.Len())
+	}
+}
+
+// TestLeafSplitIdenticalMembers: a leaf of identical sequences gives the
+// K = 2 fit nothing to separate (one component stays empty), so splits
+// fall back to halving the key-sorted leaf; the commit must still end
+// with every leaf within the bound.
+func TestLeafSplitIdenticalMembers(t *testing.T) {
+	tr := New[int](Config{Seed: 3, MaxLeafEntries: 4})
+	items := make([]Item[int], 19)
+	for i := range items {
+		items[i] = Item[int]{Seq: trajectory(0, 10, 100, 10, 6), Payload: i}
+	}
+	if err := tr.AddSegment(nil, items); err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range tr.roots[0].clusters {
+		if len(cl.leaf) > 4 || len(cl.leaf) == 0 {
+			t.Fatalf("leaf of %d records, want 1..4", len(cl.leaf))
+		}
+	}
+	if tr.Len() != 19 || tr.NumClusters() < 5 {
+		t.Fatalf("Len %d, %d clusters; want 19 records in at least 5 leaves", tr.Len(), tr.NumClusters())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

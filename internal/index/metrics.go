@@ -58,14 +58,12 @@ var (
 )
 
 // Shard-maintenance instrumentation: copy-on-write snapshot publication
-// and Section 5.3 split activity, inline (on the ingest path) and
-// asynchronous (deferred to background evaluation).
+// and the occupancy splits commits run.
 //
 //	strg_index_shard_version_swaps_total  shard snapshot publications
 //	                                      (one per committed write)
-//	strg_index_split_evals_total          BIC split evaluations run
-//	strg_index_splits_total{mode}         splits adopted, by where the
-//	                                      evaluation ran
+//	strg_index_split_evals_total          K = 2 EM fits run by splits
+//	strg_index_splits_total               leaf splits performed
 //	strg_index_stale_reads_total          searches that finished at least
 //	                                      one shard version behind the
 //	                                      latest published snapshot
@@ -77,11 +75,9 @@ var (
 	shardVersionSwaps = obs.Default.Counter("strg_index_shard_version_swaps_total",
 		"copy-on-write shard snapshot publications", nil)
 	splitEvals = obs.Default.Counter("strg_index_split_evals_total",
-		"BIC-gated cluster split evaluations", nil)
-	splitsInline = obs.Default.Counter("strg_index_splits_total",
-		"cluster splits adopted, by evaluation mode", obs.Labels{"mode": "inline"})
-	splitsAsync = obs.Default.Counter("strg_index_splits_total",
-		"cluster splits adopted, by evaluation mode", obs.Labels{"mode": "async"})
+		"K = 2 EM fits run by occupancy splits", nil)
+	splits = obs.Default.Counter("strg_index_splits_total",
+		"leaf splits performed by the occupancy rule", nil)
 	staleReads = obs.Default.Counter("strg_index_stale_reads_total",
 		"searches completed at least one shard version behind the latest snapshot", nil)
 	staleVersionLag = obs.Default.Gauge("strg_index_stale_version_lag",

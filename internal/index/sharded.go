@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"strgindex/internal/cluster"
 	"strgindex/internal/dist"
 	"strgindex/internal/graph"
 )
@@ -20,7 +19,7 @@ import (
 // assigned to shard hash(globalRootID) mod Shards when it is created, and
 // every segment routed to that root — the deterministic SimGraph
 // resolution of Algorithm 3 — lands on its shard forever. Because a root's
-// internal structure (cluster bootstrap, centroid routing, BIC splits)
+// internal structure (cluster seeding, centroid routing, occupancy splits)
 // depends only on the sequence of segments addressed to it, and that
 // sequence is independent of how roots are distributed, the per-root
 // structure is identical at every shard count. A global root directory
@@ -43,26 +42,12 @@ type Sharded[P any] struct {
 	cfg     Config
 	matcher *graph.Matcher
 	n       int
-	async   bool
 
-	// mu serializes writers (ingest, adopted async splits). Never held by
-	// readers.
+	// mu serializes writers. Never held by readers.
 	mu     sync.Mutex
 	shards []shardSlot[P]
 	dir    atomic.Pointer[[]rootEntry]
-	// wg tracks in-flight asynchronous split evaluations (Quiesce waits).
-	wg sync.WaitGroup
-	// evaluating holds the clusters with a split evaluation in flight, so
-	// commits into a cluster that is still being fitted do not start a
-	// second fit over nearly the same membership. The value marks the entry
-	// dirty: a candidate was skipped, so the running evaluation owes one
-	// more round. Guarded by mu.
-	evaluating map[splitKey]bool
 }
-
-// splitKey names one cluster across the index: cluster IDs are unique per
-// shard tree.
-type splitKey struct{ shard, clusterID int }
 
 type shardSlot[P any] struct {
 	cur atomic.Pointer[shardVersion[P]]
@@ -88,8 +73,7 @@ type rootEntry struct {
 const MaxShards = 256
 
 // NewSharded creates an empty sharded STRG-Index with cfg.Shards shards
-// (clamped to [1, MaxShards]) and cfg.AsyncSplit deciding whether BIC
-// splits run inline on the write path or on background goroutines.
+// (clamped to [1, MaxShards]).
 func NewSharded[P any](cfg Config) *Sharded[P] {
 	cfg = cfg.withDefaults()
 	n := cfg.Shards
@@ -99,8 +83,7 @@ func NewSharded[P any](cfg Config) *Sharded[P] {
 	if n > MaxShards {
 		n = MaxShards
 	}
-	s := &Sharded[P]{cfg: cfg, matcher: graph.NewMatcher(cfg.Tol), n: n, async: cfg.AsyncSplit,
-		evaluating: make(map[splitKey]bool)}
+	s := &Sharded[P]{cfg: cfg, matcher: graph.NewMatcher(cfg.Tol), n: n}
 	s.shards = make([]shardSlot[P], n)
 	for i := range s.shards {
 		s.shards[i].cur.Store(&shardVersion[P]{tree: New[P](cfg)})
@@ -140,18 +123,29 @@ func (s *Sharded[P]) matchRoot(dir []rootEntry, bg *graph.Graph) int {
 		func(i int) *graph.Graph { return dir[i].bg })
 }
 
-// RouteShard returns the shard a segment with background bg commits to:
-// its matched root's home shard, or — for a background that will create a
-// new root — the shard the next global root ID hashes to. Pure (no state
-// changes), so the durability layer can log the route before the commit
-// mutates anything. Callers must not interleave other writes between
-// RouteShard and the AddSegment it describes.
-func (s *Sharded[P]) RouteShard(bg *graph.Graph) int {
+// Route is a resolved commit destination: the root a segment's background
+// matched (or a new root) and that root's home shard.
+type Route struct {
+	// Shard is the shard the commit lands on.
+	Shard int
+	bg    *graph.Graph
+	// root is the matched root's directory position, -1 for a new root.
+	root int
+	// dirLen is the directory length the route was resolved against.
+	dirLen int
+}
+
+// Route resolves where a segment with background bg commits: its matched
+// root's home shard, or — for a background that will create a new root —
+// the shard the next global root ID hashes to. Pure (no state changes), so
+// the durability layer can log the shard before the commit mutates
+// anything, then hand the route to AddRouted.
+func (s *Sharded[P]) Route(bg *graph.Graph) Route {
 	dir := *s.dir.Load()
 	if gi := s.matchRoot(dir, bg); gi >= 0 {
-		return dir[gi].shard
+		return Route{Shard: dir[gi].shard, bg: bg, root: gi, dirLen: len(dir)}
 	}
-	return s.shardOf(len(dir))
+	return Route{Shard: s.shardOf(len(dir)), bg: bg, root: -1, dirLen: len(dir)}
 }
 
 // publish installs tree as shard si's next snapshot. Caller holds s.mu.
@@ -169,166 +163,59 @@ func (s *Sharded[P]) publish(si int, tree *Tree[P]) {
 func (s *Sharded[P]) AddSegment(bg *graph.Graph, items []Item[P]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.commit(s.Route(bg), items)
+}
+
+// AddRouted is AddSegment along a route Route resolved, so the commit does
+// not match the background a second time. The directory only grows, so a
+// route stays exact until a commit creates a root; one resolved before
+// that is resolved again.
+func (s *Sharded[P]) AddRouted(r Route, items []Item[P]) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.dirLen != len(*s.dir.Load()) {
+		r = s.Route(r.bg)
+	}
+	return s.commit(r, items)
+}
+
+// commit applies one routed write through the shared batch path. Caller
+// holds s.mu. Matching the plain tree, a new root is created even when the
+// segment carries no items (its background still routes future segments).
+func (s *Sharded[P]) commit(r Route, items []Item[P]) error {
 	dir := *s.dir.Load()
-	gi := s.matchRoot(dir, bg)
-	if gi >= 0 {
-		if len(items) == 0 {
-			return nil
-		}
-		e := dir[gi]
-		nt := s.shards[e.shard].cur.Load().tree.clone()
-		x := &txn[P]{t: nt, cow: true, rootIdx: e.local, deferSplit: s.async}
-		if err := nt.addItemsAt(x, e.local, items); err != nil {
-			return err
-		}
-		s.publish(e.shard, nt)
-		s.spawnSplits(e.shard, x.splitCands)
+	if r.root >= 0 && len(items) == 0 {
 		return nil
 	}
-	// New root: home it on the shard its global ID hashes to. Matching the
-	// plain tree, the root is created even when the segment carries no
-	// items (its background still routes future segments).
-	si := s.shardOf(len(dir))
-	nt := s.shards[si].cur.Load().tree.clone()
-	local := len(nt.roots)
-	root := &rootRecord[P]{id: local, bg: bg}
-	nt.roots = append(nt.roots, root)
-	x := &txn[P]{t: nt, cow: true, rootIdx: local, deferSplit: s.async}
-	x.own(root)
-	if len(items) > 0 {
-		if err := nt.addItemsAt(x, local, items); err != nil {
-			return err
-		}
+	nt := s.shards[r.Shard].cur.Load().tree.clone()
+	x := &txn[P]{t: nt, cow: true}
+	var local int
+	if r.root >= 0 {
+		local = dir[r.root].local
+	} else {
+		local = len(nt.roots)
+		root := &rootRecord[P]{id: local, bg: r.bg}
+		nt.roots = append(nt.roots, root)
+		x.own(root)
 	}
-	s.publish(si, nt)
-	nd := make([]rootEntry, len(dir), len(dir)+1)
-	copy(nd, dir)
-	nd = append(nd, rootEntry{bg: bg, shard: si, local: local})
-	s.dir.Store(&nd)
-	s.spawnSplits(si, x.splitCands)
+	if err := nt.addItemsAt(x, local, items); err != nil {
+		return err
+	}
+	s.publish(r.Shard, nt)
+	if r.root < 0 {
+		nd := make([]rootEntry, len(dir), len(dir)+1)
+		copy(nd, dir)
+		nd = append(nd, rootEntry{bg: r.bg, shard: r.Shard, local: local})
+		s.dir.Store(&nd)
+	}
 	return nil
 }
 
-// spawnSplits hands deferred split candidates to background evaluation,
-// at most one in flight per cluster: a candidate for a cluster that is
-// still being fitted marks the running evaluation dirty instead, and
-// asyncSplit runs another round for it. Caller holds s.mu (candidates
-// reference the just-published snapshot).
-func (s *Sharded[P]) spawnSplits(si int, cands []splitCand) {
-	for _, c := range cands {
-		k := splitKey{si, c.clusterID}
-		if _, running := s.evaluating[k]; running {
-			s.evaluating[k] = true
-			continue
-		}
-		s.evaluating[k] = false
-		s.wg.Add(1)
-		go s.asyncSplit(si, c)
-	}
-}
-
-// asyncSplit evaluates cluster c until a round ends with no candidate
-// skipped since it began. Every commit into an over-full leaf yields a
-// candidate, so a clean exit — decided under the same s.mu hold that
-// clears the in-flight entry — means the last fit saw the published
-// membership. One extra round per skipped commit at most: the loop ends
-// when ingest into the cluster does.
-func (s *Sharded[P]) asyncSplit(si int, c splitCand) {
-	defer s.wg.Done()
-	k := splitKey{si, c.clusterID}
-	for {
-		s.evalSplit(si, c)
-		s.mu.Lock()
-		if !s.evaluating[k] {
-			delete(s.evaluating, k)
-			s.mu.Unlock()
-			return
-		}
-		s.evaluating[k] = false
-		s.mu.Unlock()
-	}
-}
-
-// evalSplit runs one deferred Section 5.3 evaluation: fit the one- and
-// two-component models against the cluster's published membership with no
-// lock held, then revalidate under the writer lock — the cluster record
-// pointer must be unchanged, i.e. no commit touched the leaf since the
-// candidate snapshot — and publish the split on a fresh clone. A changed
-// cluster drops the fit; the commit that changed it marked the evaluation
-// dirty, so asyncSplit comes back with the new membership.
-func (s *Sharded[P]) evalSplit(si int, c splitCand) {
-	sv := s.shards[si].cur.Load()
-	if c.rootIdx >= len(sv.tree.roots) {
-		return
-	}
-	root := sv.tree.roots[c.rootIdx]
-	ci := findClusterByID(root, c.clusterID)
-	if ci < 0 {
-		return
-	}
-	cl := root.clusters[ci]
-	if len(cl.leaf) <= s.cfg.MaxLeafEntries {
-		return
-	}
-	s.mu.Lock()
-	skip := cl.splitChecked == len(cl.leaf)
-	s.mu.Unlock()
-	if skip {
-		return
-	}
-	seqs := make([]dist.Sequence, len(cl.leaf))
-	for i, rec := range cl.leaf {
-		seqs[i] = rec.seq
-	}
-	dec, err := cluster.SplitEval(seqs, sv.tree.clusterCfg())
-	splitEvals.Inc()
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.shards[si].cur.Load()
-	if c.rootIdx >= len(cur.tree.roots) {
-		return
-	}
-	curRoot := cur.tree.roots[c.rootIdx]
-	ci = findClusterByID(curRoot, c.clusterID)
-	if ci < 0 || curRoot.clusters[ci] != cl {
-		return
-	}
-	if !dec.Adopt {
-		// Remember the declined size on the shared record — advisory
-		// state readers never touch, written only under s.mu.
-		cl.splitChecked = len(cl.leaf)
-		return
-	}
-	nt := cur.tree.clone()
-	x := &txn[P]{t: nt, cow: true}
-	r := x.root(c.rootIdx)
-	target := x.cluster(r, ci)
-	if nt.applySplit(r, target, dec.Two) {
-		s.publish(si, nt)
-		splitsAsync.Inc()
-	} else {
-		cl.splitChecked = len(cl.leaf)
-	}
-}
-
-// findClusterByID locates a cluster record by ID within a root (IDs are
-// unique per shard tree and stable across copy-on-write).
-func findClusterByID[P any](root *rootRecord[P], id int) int {
-	for i, cl := range root.clusters {
-		if cl.id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// Quiesce waits until no asynchronous split evaluation is in flight.
-// Deterministic tests and shutdown paths call it before inspecting or
-// serializing state.
-func (s *Sharded[P]) Quiesce() { s.wg.Wait() }
+// Quiesce returns at once.
+//
+// Deprecated: splits run inline in the commit, so nothing is ever in
+// flight.
+func (s *Sharded[P]) Quiesce() {}
 
 // shardedView is one query's consistent read snapshot: a merged read-only
 // tree plus the shard versions it was assembled from.
@@ -416,8 +303,7 @@ func (s *Sharded[P]) NumShards() int { return s.n }
 func (s *Sharded[P]) Cascade() dist.Cascade { return s.cfg.Cascade }
 
 // Versions returns each shard's published snapshot version. Versions are
-// monotonic; the sum advances by one per committed write (or adopted
-// async split).
+// monotonic; the sum advances by one per committed write.
 func (s *Sharded[P]) Versions() []uint64 {
 	out := make([]uint64, s.n)
 	for i := range s.shards {

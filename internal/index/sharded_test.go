@@ -76,33 +76,76 @@ func sameItems(t *testing.T, label string, got, want []Item[int]) {
 }
 
 // TestShardedByteIdentityMatrix is the acceptance matrix: shard counts
-// {1,2,4} × worker counts × cascade on/off all produce trees whose merged
-// iteration order, structure and every search result are byte-identical
-// to the plain single-tree build of the same segment sequence.
+// {1,2,4} × worker counts {1,2} × cascade on/off all produce trees whose
+// merged iteration order, structure and every search result — the
+// default single-leaf k-NN of Algorithm 3 included — are byte-identical
+// to the plain single-tree build of the same segment sequence, and the
+// plain trees are identical across worker counts and cascade settings. The workload
+// starts each root as one cluster and crosses the occupancy bound many
+// times, in the seeding commit and in later ones. Two more copies must
+// agree as well: one saved half-way, restored and fed the rest, and one
+// that replays the commits through Route + AddRouted, as log replay does.
 func TestShardedByteIdentityMatrix(t *testing.T) {
 	bgs, segs := shardScript(31)
 	queries := detSequences(4, 99)
-	for _, workers := range []int{1, 4} {
+	var canon *Tree[int] // workers=1 with the cascade: every other plain tree must equal it
+	for _, workers := range []int{1, 2} {
 		for _, noCascade := range []bool{false, true} {
-			cfg := Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8,
-				Concurrency: workers, DisableCascade: noCascade}
+			cfg := Config{Seed: 11, MaxLeafEntries: 8, Concurrency: workers, DisableCascade: noCascade}
 			ref := New[int](cfg)
-			for _, sg := range segs {
+			seeded := 0
+			for i, sg := range segs {
 				if err := ref.AddSegment(bgs[sg.bg], sg.items); err != nil {
 					t.Fatal(err)
+				}
+				if i == len(bgs)-1 {
+					seeded = ref.NumClusters()
 				}
 			}
 			if err := ref.CheckInvariants(); err != nil {
 				t.Fatal(err)
+			}
+			if canon == nil {
+				canon = ref
+			}
+			refLabel := labelf("plain tree workers=%d cascade=%v", workers, !noCascade)
+			sameItems(t, refLabel, ref.Items(), canon.Items())
+			for qi, q := range queries {
+				sameResults(t, labelf("%s q=%d KNN", refLabel, qi), ref.KNN(bgs[qi%len(bgs)], q, 5), canon.KNN(bgs[qi%len(bgs)], q, 5))
+			}
+			if seeded < 3*len(bgs) || ref.NumClusters() < seeded+len(bgs) {
+				t.Fatalf("workload split too little: %d clusters after seeding, %d at the end", seeded, ref.NumClusters())
+			}
+			for _, r := range ref.roots {
+				for _, cl := range r.clusters {
+					if len(cl.leaf) > cfg.MaxLeafEntries {
+						t.Fatalf("leaf of %d records over the bound %d", len(cl.leaf), cfg.MaxLeafEntries)
+					}
+				}
 			}
 			for _, nsh := range []int{1, 2, 4} {
 				label := labelf("workers=%d cascade=%v shards=%d", workers, !noCascade, nsh)
 				scfg := cfg
 				scfg.Shards = nsh
 				s := NewSharded[int](scfg)
-				for _, sg := range segs {
+				replayed := NewSharded[int](scfg)
+				var restored *Sharded[int]
+				for i, sg := range segs {
 					if err := s.AddSegment(bgs[sg.bg], sg.items); err != nil {
 						t.Fatalf("%s: %v", label, err)
+					}
+					if err := replayed.AddRouted(replayed.Route(bgs[sg.bg]), sg.items); err != nil {
+						t.Fatalf("%s replayed: %v", label, err)
+					}
+					if restored != nil {
+						if err := restored.AddSegment(bgs[sg.bg], sg.items); err != nil {
+							t.Fatalf("%s restored: %v", label, err)
+						}
+					} else if i == len(segs)/2 {
+						var err error
+						if restored, err = NewShardedFromSnapshot(s.Snapshot(), scfg); err != nil {
+							t.Fatalf("%s: restore: %v", label, err)
+						}
 					}
 				}
 				if err := s.View().CheckInvariants(); err != nil {
@@ -117,6 +160,8 @@ func TestShardedByteIdentityMatrix(t *testing.T) {
 					t.Fatalf("%s: MemoryBytes %d, want %d", label, s.MemoryBytes(), ref.MemoryBytes())
 				}
 				sameItems(t, label, s.View().Items(), ref.Items())
+				sameItems(t, label+" replayed", replayed.View().Items(), ref.Items())
+				sameItems(t, label+" restored", restored.View().Items(), ref.Items())
 				// Every committed write published exactly one snapshot.
 				var vsum uint64
 				for _, v := range s.Versions() {
@@ -133,7 +178,10 @@ func TestShardedByteIdentityMatrix(t *testing.T) {
 							v[1] += 400 * float64(b)
 						}
 						ql := labelf("%s bg=%d q=%d", label, b, qi)
-						sameResults(t, ql+" KNN", s.View().KNN(bg, sq, 5), ref.KNN(bg, sq, 5))
+						want := ref.KNN(bg, sq, 5)
+						sameResults(t, ql+" KNN", s.View().KNN(bg, sq, 5), want)
+						sameResults(t, ql+" KNN replayed", replayed.View().KNN(bg, sq, 5), want)
+						sameResults(t, ql+" KNN restored", restored.View().KNN(bg, sq, 5), want)
 						sameResults(t, ql+" KNNExact", s.View().KNNExact(bg, sq, 9), ref.KNNExact(bg, sq, 9))
 						sameResults(t, ql+" Range", s.View().Range(bg, sq, 150), ref.Range(bg, sq, 150))
 					}
@@ -231,135 +279,6 @@ func TestShardedQueriesServeDuringIngest(t *testing.T) {
 	}
 }
 
-// TestShardedAsyncSplit drives a leaf past its occupancy bound with two
-// well-separated groups under AsyncSplit: the background evaluator must
-// adopt a Section 5.3 split (observable via the mode="async" metric and a
-// new cluster) without corrupting the index.
-func TestShardedAsyncSplit(t *testing.T) {
-	s := NewSharded[int](Config{Seed: 11, NumClusters: 1, MaxLeafEntries: 6,
-		Shards: 2, AsyncSplit: true})
-	before := splitsAsync.Value()
-	var boot []Item[int]
-	for i := 0; i < 5; i++ {
-		boot = append(boot, Item[int]{Seq: trajectory(0, float64(i), 100, float64(i), 6), Payload: i})
-	}
-	if err := s.AddSegment(nil, boot); err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 4; b++ {
-		var seg []Item[int]
-		for i := 0; i < 3; i++ {
-			y := 600 + float64(b*3+i)
-			seg = append(seg, Item[int]{Seq: trajectory(0, y, 100, y, 6), Payload: 100 + b*3 + i})
-		}
-		if err := s.AddSegment(nil, seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Quiesce()
-	if got := splitsAsync.Value(); got <= before {
-		t.Fatalf("splits_total{mode=async} = %d, want > %d — no asynchronous split was adopted", got, before)
-	}
-	if s.NumClusters() < 2 {
-		t.Fatalf("NumClusters = %d, want >= 2 after async split", s.NumClusters())
-	}
-	if err := s.View().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 17 {
-		t.Fatalf("Len = %d, want 17", s.Len())
-	}
-	// Both groups remain findable, exactly.
-	got := s.View().KNNExact(nil, trajectory(0, 601, 100, 601, 6), 3)
-	for _, r := range got {
-		if r.Payload < 100 {
-			t.Fatalf("post-split neighbor %d from the wrong group", r.Payload)
-		}
-	}
-}
-
-// TestShardedSplitEvalSingleFlight: commits into a cluster whose split
-// evaluation is still fitting do not start another fit over nearly the same
-// membership, and the running evaluation keeps going — past any retry
-// bound — until it has fitted the membership the last commit published.
-func TestShardedSplitEvalSingleFlight(t *testing.T) {
-	var armed atomic.Bool
-	var budget, passed atomic.Int64
-	parked := make(chan struct{}, 64)
-	release := make(chan struct{})
-	passed.Store(-1)
-	cd := func(a, b dist.Sequence) float64 {
-		// A commit routes each of its items against the one centroid —
-		// budget calls — before it can spawn anything; every call beyond
-		// those comes from a split evaluation, whose first call parks
-		// here. The commits below run only while a fit is parked.
-		if armed.Load() && budget.Add(-1) < 0 && passed.Load() != splitEvals.Value() {
-			parked <- struct{}{}
-			<-release
-			passed.Store(splitEvals.Value())
-		}
-		return dist.EGED(a, b)
-	}
-	s := NewSharded[int](Config{Seed: 11, NumClusters: 1, MaxLeafEntries: 6,
-		AsyncSplit: true, Concurrency: 1, ClusterDistance: cd})
-	base := 0
-	commit := func(y0 float64, n int) {
-		t.Helper()
-		seg := make([]Item[int], n)
-		for i := range seg {
-			y := y0 + float64(base+i)
-			seg[i] = Item[int]{Seq: trajectory(0, y, 100, y, 6), Payload: base + i}
-		}
-		base += n
-		budget.Store(int64(n))
-		if err := s.AddSegment(nil, seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitParked := func(round int) {
-		t.Helper()
-		select {
-		case <-parked:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("round %d: no split evaluation running", round)
-		}
-	}
-	commit(0, 5)
-	evals := splitEvals.Value()
-	armed.Store(true)
-	commit(600, 3) // overfills the leaf: the evaluation starts
-	waitParked(0)
-	for c := 0; c < 4; c++ {
-		commit(600, 3) // same leaf, evaluation still parked
-	}
-	if got := len(parked); got != 0 {
-		t.Fatalf("%d more split evaluations in flight for one cluster, want none", got)
-	}
-	// Every fit from here on is stale by the time it revalidates: more
-	// rounds than the old four-attempt bound allowed.
-	const rounds = 6
-	for r := 1; r <= rounds+1; r++ {
-		release <- struct{}{} // this fit revalidates against a changed leaf
-		waitParked(r)         // so the next round starts
-		if r <= rounds {
-			commit(600, 3)
-		}
-	}
-	release <- struct{}{} // the one fit of the membership that stays
-	s.Quiesce()
-	// One fit per stale membership it started on plus the one that held —
-	// not one per commit.
-	if got := splitEvals.Value() - evals; got != rounds+2 {
-		t.Fatalf("split_evals_total advanced by %d over %d commits into one cluster, want %d", got, 5+rounds, rounds+2)
-	}
-	if s.NumClusters() < 2 {
-		t.Fatalf("NumClusters = %d: the split of the final membership was not adopted", s.NumClusters())
-	}
-	if err := s.View().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestShardedSnapshotRoundtrip serializes a 3-shard index and restores it
 // at shard counts 1, 2 and 5 and as a plain tree: every restore yields the
 // same logical database (items in order, identical answers).
@@ -397,7 +316,7 @@ func TestShardedSnapshotRoundtrip(t *testing.T) {
 func TestRouteShardAgreement(t *testing.T) {
 	s := NewSharded[int](Config{Seed: 1, NumClusters: 2, Shards: 4})
 	for i, bg := range []*graph.Graph{nil, shardBG(1), shardBG(2), shardBG(3)} {
-		want := s.RouteShard(bg)
+		want := s.Route(bg).Shard
 		seqs := detSequences(6, int64(100+i))
 		items := make([]Item[int], len(seqs))
 		for j, sq := range seqs {
@@ -409,10 +328,10 @@ func TestRouteShardAgreement(t *testing.T) {
 		dir := *s.dir.Load()
 		e := dir[len(dir)-1]
 		if e.shard != want {
-			t.Fatalf("bg %d: RouteShard said %d, root homed on %d", i, want, e.shard)
+			t.Fatalf("bg %d: Route said shard %d, root homed on %d", i, want, e.shard)
 		}
-		if got := s.RouteShard(bg); got != e.shard {
-			t.Fatalf("bg %d: repeat RouteShard = %d, want %d", i, got, e.shard)
+		if got := s.Route(bg).Shard; got != e.shard {
+			t.Fatalf("bg %d: repeat Route = shard %d, want %d", i, got, e.shard)
 		}
 	}
 	if s.NumRoots() != 4 {

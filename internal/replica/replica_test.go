@@ -244,8 +244,6 @@ func waitCaughtUp(t *testing.T, rep *replica.Replica, primary *core.SharedDB) {
 // the matched position.
 func expectIdentical(t *testing.T, rep *replica.Replica, primary *core.SharedDB) {
 	t.Helper()
-	primary.QuiesceIndex()
-	rep.DB().QuiesceIndex()
 	if got, want := querySig(t, rep.DB()), querySig(t, primary); got != want {
 		t.Errorf("replica answers differ from primary at matched version")
 	}

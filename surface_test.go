@@ -25,7 +25,6 @@ var surfaceAllowlist = map[string]string{
 	"faultfs.NewInject":               "fault injection: every crash matrix builds its failing filesystem with it",
 	"faultfs.CrashPoints":             "fault injection: every byte-cut crash matrix derives its cut set with it",
 	"faultfs.Inject.Crashed":          "fault injection: crash matrices ask whether the planted fault fired",
-	"cluster.XMeans":                  "ROADMAP item 1 Step 0 measures it against the BIC sweep before a re-clusterer is chosen",
 	"core.SharedDB.Save":              "state observer: the feed replay, identical-run and restart tests compare full persisted image bytes, on in-memory and durable databases alike",
 	"core.SharedDB.WALSize":           "state observer: crash and replication tests have no other window on the committed log size",
 	"embed.IVF.Trained":               "state observer: tests assert the train-on-first-batch transition",
