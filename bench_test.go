@@ -922,9 +922,8 @@ func BenchmarkPlannerSelect(b *testing.B) {
 // ns/op is the whole commit (video pipeline, index insert, dispatch). The
 // engine's own share is reported from its /metrics families, the same
 // numbers an operator reads: dispatch_ns/op, candidates/op (of the 10 001
-// a walk of every subscription would evaluate), dp_abandoned/op (k-NN DPs
-// the kth distance cut short, of 1 000) and reconcile_share (the periodic
-// full re-queries' part of dispatch time).
+// a walk of every subscription would evaluate) and dp_abandoned/op (k-NN
+// DPs the kth distance cut short, of 1 000).
 func BenchmarkFeedDispatch(b *testing.B) {
 	cfg := core.DefaultConfig()
 	db := core.OpenShared(cfg)
@@ -995,18 +994,16 @@ func BenchmarkFeedDispatch(b *testing.B) {
 	counter := func(name string) int64 { return obs.Default.Counter(name, "", nil).Value() }
 	seconds := func(name string) float64 { return obs.Default.Histogram(name, "", nil, nil).Sum() }
 	cand0, aband0 := counter("strg_feed_dispatch_candidates_total"), counter("strg_feed_dispatch_dp_abandoned_total")
-	disp0, rec0 := seconds("strg_feed_dispatch_seconds"), seconds("strg_feed_reconcile_seconds")
+	disp0 := seconds("strg_feed_dispatch_seconds")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		commit(warm + i)
 	}
 	b.StopTimer()
 	n := float64(b.N)
-	disp := seconds("strg_feed_dispatch_seconds") - disp0
-	b.ReportMetric(disp*1e9/n, "dispatch_ns/op")
+	b.ReportMetric((seconds("strg_feed_dispatch_seconds")-disp0)*1e9/n, "dispatch_ns/op")
 	b.ReportMetric(float64(counter("strg_feed_dispatch_candidates_total")-cand0)/n, "candidates/op")
 	b.ReportMetric(float64(counter("strg_feed_dispatch_dp_abandoned_total")-aband0)/n, "dp_abandoned/op")
-	b.ReportMetric((seconds("strg_feed_reconcile_seconds")-rec0)/disp, "reconcile_share")
 }
 
 // servedSink keeps BenchmarkServedCorpusKNN's searches observable.

@@ -22,13 +22,13 @@ type SplitDecision struct {
 // K = 1 and K = 2); the remaining fields — seed, distance, iteration
 // budget, concurrency — parameterize both fits identically.
 //
-// The evaluation is deterministic for a fixed cfg.Seed and membership, so
-// an inline split on the ingest path and a deferred evaluation by the
-// sharded index's background maintenance reach the same verdict and the
-// same post-split structure for the same leaf — the property the
-// byte-identity test matrix relies on. An error from either fit means the
-// caller should simply not split (splitting is an optimization; it must
-// never fail an insert).
+// The serving index no longer calls it: a leaf splits by the
+// deterministic occupancy rule inside the commit that overfills it (see
+// index.Config.MaxLeafEntries). SplitEval stays as the paper's BIC gate
+// for measurement — the end-to-end harness (bench/layers.go) times one
+// evaluation over its largest leaf as cluster.split_eval_ms. The verdict
+// is deterministic for a fixed cfg.Seed and membership at any
+// Concurrency. An error from either fit means: do not split.
 func SplitEval(seqs []dist.Sequence, cfg Config) (SplitDecision, error) {
 	one := cfg
 	one.K = 1

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -21,19 +22,17 @@ import (
 // that delta against only the subscriptions it can match (see subIndex) —
 // no rescans, in either direction. The hook runs
 // under the database's write lock, so it only enqueues; all evaluation
-// (which takes database read locks for seeding and reconciliation)
-// happens on the dispatcher, which never holds the queue lock while
-// touching the database. Exactly-once delivery rests on OGIDs: they are
-// dense and monotone in commit order, so a per-subscription watermark —
-// set from the database's OG count at registration, when the
-// registration's queue position guarantees every queued delta's OGs are
-// already visible to the seeding query — cleanly splits "seen by the
-// seed" from "owed by deltas".
+// (which takes a database read lock only to seed) happens on the
+// dispatcher, which never holds the queue lock while touching the
+// database. Exactly-once delivery rests on OGIDs: they are dense and
+// monotone in commit order, so a per-subscription watermark (see seed)
+// splits what the seed surely saw from what deltas still owe. The corpus is
+// append-only, so the k best of S ∪ {x} are the k best of (the k best of
+// S) ∪ {x}: a k-NN set seeded exactly and then met with every later OG in
+// commit order stays the exact answer, and nothing re-queries it.
 type Engine struct {
-	db             *core.SharedDB
-	metric         dist.Metric
-	reconcileEvery int
-	ringSize       int
+	db       *core.SharedDB
+	ringSize int
 
 	qmu     sync.Mutex
 	cond    *sync.Cond
@@ -65,12 +64,9 @@ type Subscription struct {
 	once    sync.Once
 
 	// Dispatcher-owned evaluation state.
-	watermark int    // highest OGID covered by seed or reconcile
+	watermark int    // the OG count at seeding, less one: deltas skip OGs at or below it
 	stamp     uint64 // subIndex.stamp of the last OG this was a candidate for
 	topk      []topEntry
-	member    map[int]bool // k-NN only: the OGIDs in topk
-	sinceRec  int          // deltas since the last reconcile slot
-	admitted  bool         // topk changed since the last reconcile
 }
 
 // topEntry is one member of a k-NN subscription's current result set,
@@ -98,9 +94,9 @@ type regOp struct {
 
 type unregOp struct{ sub *Subscription }
 
-func newEngine(db *core.SharedDB, metric dist.Metric, reconcileEvery, ringSize int) *Engine {
+func newEngine(db *core.SharedDB, ringSize int) *Engine {
 	e := &Engine{
-		db: db, metric: metric, reconcileEvery: reconcileEvery, ringSize: ringSize,
+		db: db, ringSize: ringSize,
 		done: make(chan struct{}), subs: make(map[string]*Subscription),
 		index: newSubIndex(),
 	}
@@ -134,7 +130,8 @@ func (e *Engine) enqueueLocked(item any) {
 // subscriptions are forward-only — they match OGs committed after
 // registration, never history.
 func (e *Engine) Register(q *query.Query) (*Subscription, error) {
-	m, err := query.NewMatcher(q, e.metric)
+	// nil is EGED_M with the zero gap: the key metric the seed ranks by.
+	m, err := query.NewMatcher(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -145,9 +142,6 @@ func (e *Engine) Register(q *query.Query) (*Subscription, error) {
 		qc.Similar = &c
 	}
 	sub := &Subscription{q: &qc, matcher: m, ring: newRing(e.ringSize), closed: make(chan struct{})}
-	if m.K() > 0 {
-		sub.member = make(map[int]bool)
-	}
 
 	op := &regOp{sub: sub, done: make(chan error, 1)}
 	e.qmu.Lock()
@@ -304,49 +298,43 @@ func (e *Engine) run() {
 // seed runs on the dispatcher at a subscription's queue position: every
 // delta already enqueued was committed before this moment (the hook fires
 // after the commit lands), so the database's OG count here is a valid
-// watermark — the seeding query sees everything at or below it, deltas
-// deliver everything above it, and nothing is delivered twice.
+// watermark — a k-NN seeding query sees everything at or below it, and
+// deltas deliver everything above it. A commit that lands between the
+// count and the query may be seen by the query, and not as a prefix: an
+// index-only query loads the shard directory and each shard in turn, so
+// it can see a later commit and miss an earlier one. The watermark stays
+// at the count, so every OG above it still reaches evaluate, which turns
+// away one the seed already admitted.
 func (e *Engine) seed(sub *Subscription) error {
 	sub.watermark = e.db.Stats().OGs - 1
-	if k := sub.matcher.K(); k > 0 {
-		matches, err := e.standingQuery(sub)
-		if err != nil {
-			return err
-		}
-		for _, m := range matches {
-			sub.topk = append(sub.topk, topEntry{m.Record.OGID, m.Distance, m.Record})
-			sub.member[m.Record.OGID] = true
-		}
-		sortTopk(sub.topk)
-		for _, t := range sub.topk {
-			sub.ring.append(matchEvent("enter", t.rec, t.dist))
-		}
+	if sub.matcher.K() == 0 {
+		return nil
 	}
-	return nil
-}
-
-// standingQuery runs the subscription's full k-NN query against the
-// current index — the seed, and the periodic reconciliation ground truth.
-func (e *Engine) standingQuery(sub *Subscription) ([]core.Match, error) {
-	sq := &query.Query{Where: sub.q.Where, Similar: &query.SimilarClause{
+	res, err := e.db.QueryComposedCtx(context.Background(), &query.Query{Where: sub.q.Where, Similar: &query.SimilarClause{
 		Trajectory: sub.q.Similar.Trajectory,
 		K:          sub.q.Similar.K,
 		// The exact all-cluster search; composed (filtered) ranking is
 		// always exact already.
 		Exact: sub.q.Where == nil,
-	}}
-	res, err := e.db.QueryComposedCtx(context.Background(), sq)
+	}})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return res.Matches, nil
+	for _, m := range res.Matches {
+		sub.topk = append(sub.topk, topEntry{m.Record.OGID, m.Distance, m.Record})
+	}
+	sortTopk(sub.topk)
+	for _, t := range sub.topk {
+		sub.ring.append(matchEvent("enter", t.rec, t.dist))
+	}
+	return nil
 }
 
 // applyDelta meets one commit's OGs with the subscriptions that can match
 // them: per OG, the candidates its step boxes find in the subscription
 // index plus the always-evaluate list. A subscription's events still
-// arrive in OG order within the delta, with any reconcile's corrections
-// after them — the order walking every subscription produced.
+// arrive in OG order within the delta — the order walking every
+// subscription produced.
 func (e *Engine) applyDelta(d core.CommitDelta) {
 	start := time.Now()
 	var candidates, matched int64
@@ -357,7 +345,7 @@ func (e *Engine) applyDelta(d core.CommitDelta) {
 		ev := matchEvent("match", rec, 0)
 		visit := func(sub *Subscription) {
 			if rec.OGID <= sub.watermark {
-				return // already covered by seed or reconcile
+				return // already covered by the seed
 			}
 			candidates++
 			if e.evaluate(sub, rec, ev, og, seq) {
@@ -367,22 +355,6 @@ func (e *Engine) applyDelta(d core.CommitDelta) {
 		e.index.probe(og, visit)
 		for _, sub := range e.index.always {
 			visit(sub)
-		}
-	}
-	for _, sub := range e.index.always {
-		if sub.matcher.K() == 0 {
-			continue
-		}
-		sub.sinceRec++
-		if sub.sinceRec >= e.reconcileEvery {
-			sub.sinceRec = 0
-			// A set that admitted nothing cannot disagree with a full query
-			// over an append-only corpus: every OG since was turned away as
-			// farther than its kth member, and still is.
-			if sub.admitted {
-				sub.admitted = false
-				e.reconcile(sub)
-			}
 		}
 	}
 	dispatchCandidates.Add(candidates)
@@ -400,7 +372,10 @@ func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, ev Event, og *
 	}
 	switch k := sub.matcher.K(); {
 	case k > 0:
-		if sub.member[rec.OGID] {
+		// Only an OG the seed saw above its watermark arrives here twice.
+		// One the set has since evicted ranks behind the kth member and is
+		// turned away below; one still in the set must not enter again.
+		if slices.ContainsFunc(sub.topk, func(t topEntry) bool { return t.ogID == rec.OGID }) {
 			break
 		}
 		// Once the set is full the kth distance bounds the DP: an abandoned
@@ -421,12 +396,9 @@ func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, ev Event, og *
 		}
 		sub.topk = append(sub.topk, cand)
 		sortTopk(sub.topk)
-		sub.member[rec.OGID] = true
-		sub.admitted = true
 		if len(sub.topk) > k {
 			evicted := sub.topk[len(sub.topk)-1]
 			sub.topk = sub.topk[:len(sub.topk)-1]
-			delete(sub.member, evicted.ogID)
 			sub.ring.append(matchEvent("leave", evicted.rec, evicted.dist))
 		}
 		ev.Type, ev.Distance = "enter", d
@@ -440,51 +412,6 @@ func (e *Engine) evaluate(sub *Subscription, rec core.ClipRecord, ev Event, og *
 		sub.ring.append(ev)
 	}
 	return true
-}
-
-// reconcile re-runs a k-NN subscription's full query and reconciles the
-// incrementally maintained result set against it. Incremental maintenance
-// is conservative — it only ever inserts new OGs — so after an eviction
-// the set can hold a slightly-too-far member that a full query would
-// replace; reconciliation emits the corrective enter/leave pairs. The
-// watermark advances to the database's current OG count, which the fresh
-// query covers, so deltas still queued behind this one skip what the
-// query already delivered: exactly-once is preserved across the re-seed.
-func (e *Engine) reconcile(sub *Subscription) {
-	reconcilesTotal.Inc()
-	start := time.Now()
-	defer func() { reconcileSeconds.Observe(time.Since(start).Seconds()) }()
-	wm := e.db.Stats().OGs - 1
-	matches, err := e.standingQuery(sub)
-	if err != nil {
-		return // transient; the next reconcile retries
-	}
-	fresh := make([]topEntry, 0, len(matches))
-	freshMember := make(map[int]bool, len(matches))
-	for _, m := range matches {
-		fresh = append(fresh, topEntry{m.Record.OGID, m.Distance, m.Record})
-		freshMember[m.Record.OGID] = true
-	}
-	sortTopk(fresh)
-
-	diffs := 0
-	for _, t := range sub.topk {
-		if !freshMember[t.ogID] {
-			diffs++
-			sub.ring.append(matchEvent("leave", t.rec, t.dist))
-		}
-	}
-	for _, t := range fresh {
-		if !sub.member[t.ogID] {
-			diffs++
-			sub.ring.append(matchEvent("enter", t.rec, t.dist))
-		}
-	}
-	reconcileDiffs.Add(int64(diffs))
-	sub.topk, sub.member = fresh, freshMember
-	if wm > sub.watermark {
-		sub.watermark = wm
-	}
 }
 
 func matchEvent(typ string, rec core.ClipRecord, d float64) Event {

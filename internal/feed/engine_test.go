@@ -20,7 +20,7 @@ type engineHarness struct {
 	segs []*video.Segment
 }
 
-func newEngineHarness(t *testing.T, reconcileEvery int) *engineHarness {
+func newEngineHarness(t *testing.T) *engineHarness {
 	t.Helper()
 	p := video.StreamProfile{
 		Name: "Mini", Kind: video.KindLab,
@@ -35,9 +35,7 @@ func newEngineHarness(t *testing.T, reconcileEvery int) *engineHarness {
 	}
 	cfg := shardConfig(2)
 	db := core.OpenShared(cfg)
-	svc, err := Open(Options{
-		Dir: t.TempDir(), DB: db, STRG: &cfg.STRG, ReconcileEvery: reconcileEvery,
-	})
+	svc, err := Open(Options{Dir: t.TempDir(), DB: db, STRG: &cfg.STRG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func testTrajectory() dist.Sequence {
 }
 
 func TestEnginePredicateForwardOnly(t *testing.T) {
-	h := newEngineHarness(t, 0)
+	h := newEngineHarness(t)
 	eng := h.svc.Engine()
 	h.ingest(t, 0)
 	eng.Quiesce()
@@ -170,49 +168,47 @@ func equalMembership(a, b map[int]float64) bool {
 }
 
 func TestEngineKNNSeedAndLive(t *testing.T) {
-	for _, reconcileEvery := range []int{0, 1} { // 0 = default cadence; 1 = reconcile after every delta
-		h := newEngineHarness(t, reconcileEvery)
-		eng := h.svc.Engine()
-		traj := testTrajectory()
-		const k = 3
-		h.ingest(t, 0)
-		h.ingest(t, 1)
-		eng.Quiesce()
+	h := newEngineHarness(t)
+	eng := h.svc.Engine()
+	traj := testTrajectory()
+	const k = 3
+	h.ingest(t, 0)
+	h.ingest(t, 1)
+	eng.Quiesce()
 
-		sub, err := eng.Register(&query.Query{
-			Similar: &query.SimilarClause{Trajectory: traj, K: k},
-		})
-		if err != nil {
-			t.Fatal(err)
+	sub, err := eng.Register(&query.Query{
+		Similar: &query.SimilarClause{Trajectory: traj, K: k},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := drain(t, sub, 0)
+	if !equalMembership(applyMembership(t, seed), knnGroundTruth(t, h.db, traj, k)) {
+		t.Fatal("seed membership diverges from one-shot query")
+	}
+	for i, ev := range seed {
+		if ev.Type != "enter" {
+			t.Fatalf("seed event %d is %q, want enter", i, ev.Type)
 		}
-		seed := drain(t, sub, 0)
-		if !equalMembership(applyMembership(t, seed), knnGroundTruth(t, h.db, traj, k)) {
-			t.Fatalf("reconcile=%d: seed membership diverges from one-shot query", reconcileEvery)
+		if i > 0 && lessTop(topEntry{ev.OGID, ev.Distance, core.ClipRecord{}},
+			topEntry{seed[i-1].OGID, seed[i-1].Distance, core.ClipRecord{}}) {
+			t.Fatalf("seed events out of (distance, OGID) order: %+v", seed)
 		}
-		for i, ev := range seed {
-			if ev.Type != "enter" {
-				t.Fatalf("seed event %d is %q, want enter", i, ev.Type)
-			}
-			if i > 0 && lessTop(topEntry{ev.OGID, ev.Distance, core.ClipRecord{}},
-				topEntry{seed[i-1].OGID, seed[i-1].Distance, core.ClipRecord{}}) {
-				t.Fatalf("seed events out of (distance, OGID) order: %+v", seed)
-			}
-		}
+	}
 
-		h.ingest(t, 2)
-		eng.Quiesce()
-		all := drain(t, sub, 0)
-		if !equalMembership(applyMembership(t, all), knnGroundTruth(t, h.db, traj, k)) {
-			t.Fatalf("reconcile=%d: live membership diverges from one-shot query", reconcileEvery)
-		}
+	h.ingest(t, 2)
+	eng.Quiesce()
+	all := drain(t, sub, 0)
+	if !equalMembership(applyMembership(t, all), knnGroundTruth(t, h.db, traj, k)) {
+		t.Fatal("live membership diverges from one-shot query")
 	}
 }
 
-func TestEngineReconcileFindsNoPhantomDiffs(t *testing.T) {
-	// Incremental top-K maintenance sees every OG exactly once, so a
-	// serial run's reconciliation must agree with it: no corrective
-	// events beyond what the deltas already delivered.
-	h := newEngineHarness(t, 1)
+func TestEngineKNNMaintenanceIsExact(t *testing.T) {
+	// Over an append-only corpus the k best of S ∪ {x} are the k best of
+	// (the k best of S) ∪ {x}, so meeting every committed OG once keeps
+	// the set equal to a one-shot query with no re-query behind it.
+	h := newEngineHarness(t)
 	eng := h.svc.Engine()
 	sub, err := eng.Register(&query.Query{
 		Similar: &query.SimilarClause{Trajectory: testTrajectory(), K: 2},
@@ -227,10 +223,10 @@ func TestEngineReconcileFindsNoPhantomDiffs(t *testing.T) {
 	evs := drain(t, sub, 0)
 	net := applyMembership(t, evs)
 	if !equalMembership(net, knnGroundTruth(t, h.db, testTrajectory(), 2)) {
-		t.Fatal("membership diverges from ground truth under per-delta reconciliation")
+		t.Fatal("incrementally maintained membership diverges from ground truth")
 	}
-	// Each OGID may enter at most once and leave at most once — a
-	// reconcile that re-delivered existing members would violate this.
+	// Each OGID may enter at most once and leave at most once — an OG
+	// that reached a subscription twice would violate this.
 	seen := map[string]int{}
 	for _, ev := range evs {
 		seen[ev.Type]++
@@ -240,8 +236,69 @@ func TestEngineReconcileFindsNoPhantomDiffs(t *testing.T) {
 	}
 }
 
+func TestEngineKNNNonPrefixSeed(t *testing.T) {
+	// A k-NN seed need not see a prefix of commit history: an index-only
+	// query loads the shard directory and then each shard in turn, so it
+	// can see a later commit C2 and miss an earlier C1 that published
+	// meanwhile. The seed's watermark is the OG count read before either,
+	// so both deltas still arrive: C1's OGs must be able to enter, and
+	// C2's, which the seed already holds, must not enter twice. The seed
+	// is built here by hand from segment 0 and C2, on an engine that is
+	// handed its deltas directly.
+	h := newEngineHarness(t)
+	var deltas []core.CommitDelta
+	h.db.OnCommitDelta(func(d core.CommitDelta) { deltas = append(deltas, d) })
+	for i := range 3 {
+		h.ingest(t, i)
+	}
+	base, c1, c2 := deltas[0], deltas[1], deltas[2]
+	if len(c1.Records) == 0 || len(c2.Records) == 0 {
+		t.Fatal("need OGs in both racing commits")
+	}
+	eng := newEngine(h.db, 256)
+	t.Cleanup(eng.Close)
+	// The query is C1's first OG, at distance 0: a member of any full
+	// set, which only C1's delta can deliver.
+	traj := c1.Blocks[0].Sequence()
+	best := c1.Records[0].OGID
+	// k = 2 keeps the set full, so C1's OG must beat the seeded kth
+	// member; k = 64 exceeds the corpus, so every C2 OG the seed holds
+	// would enter again if evaluate did not skip members.
+	for _, k := range []int{2, 64} {
+		q := &query.Query{Similar: &query.SimilarClause{Trajectory: traj, K: k}}
+		m, err := query.NewMatcher(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := &Subscription{q: q, matcher: m, ring: newRing(256), closed: make(chan struct{})}
+		sub.watermark = base.Records[len(base.Records)-1].OGID
+		for _, d := range []core.CommitDelta{base, c2} {
+			for i, rec := range d.Records {
+				sub.topk = append(sub.topk, topEntry{rec.OGID, m.Distance(d.Blocks[i]), rec})
+			}
+		}
+		sortTopk(sub.topk)
+		sub.topk = sub.topk[:min(k, len(sub.topk))]
+		for _, te := range sub.topk {
+			sub.ring.append(matchEvent("enter", te.rec, te.dist))
+		}
+		eng.index.add(sub)
+		eng.applyDelta(c1)
+		eng.applyDelta(c2)
+		eng.index.remove(sub)
+
+		got := applyMembership(t, drain(t, sub, 0))
+		if !equalMembership(got, knnGroundTruth(t, h.db, traj, k)) {
+			t.Fatalf("k=%d: membership after a non-prefix seed diverges from one-shot query", k)
+		}
+		if _, ok := got[best]; !ok {
+			t.Fatalf("k=%d: C1's OG %d, at distance 0, never entered", k, best)
+		}
+	}
+}
+
 func TestEngineRangeSubscription(t *testing.T) {
-	h := newEngineHarness(t, 0)
+	h := newEngineHarness(t)
 	eng := h.svc.Engine()
 	sub, err := eng.Register(&query.Query{
 		Where:   query.LengthNode{Min: 1},
@@ -285,7 +342,7 @@ func TestEngineRangeSubscription(t *testing.T) {
 }
 
 func TestEngineRegisterRejectsAndClose(t *testing.T) {
-	h := newEngineHarness(t, 0)
+	h := newEngineHarness(t)
 	eng := h.svc.Engine()
 	if _, err := eng.Register(&query.Query{}); err == nil {
 		t.Error("empty standing query accepted")

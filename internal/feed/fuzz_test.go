@@ -61,8 +61,8 @@ func FuzzSubscriptionRegister(f *testing.F) {
 	// The fixed delta: segment 1's commit, captured, with its OGIDs lifted
 	// past anything the database will hold, so every subscription registered
 	// afterwards sees it as new. The OGs behind those IDs are not in the
-	// database, which only a reconcile would notice — and a subscription
-	// that lives for one delta never reaches one.
+	// database, which the engine never notices: after its seed a
+	// subscription reads only what deltas hand it.
 	var corpus committed
 	var delta core.CommitDelta
 	corpus.tap(db, eng, func(d core.CommitDelta) { delta = d })

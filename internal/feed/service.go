@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"strgindex/internal/core"
-	"strgindex/internal/dist"
 	"strgindex/internal/faultfs"
 	"strgindex/internal/strg"
 	"strgindex/internal/wal"
@@ -34,12 +33,6 @@ type Options struct {
 	MinEpochFrames int
 	// MaxEpochFrames is the hard cap forcing a commit. Default 512.
 	MaxEpochFrames int
-	// Metric pins the distance for standing similarity queries; nil means
-	// the index default (EGED_M, zero gap).
-	Metric dist.Metric
-	// ReconcileEvery is how many commit deltas pass between full k-NN
-	// re-evaluations of each standing query. Default 8.
-	ReconcileEvery int
 	// RingSize bounds each subscription's undelivered-event buffer.
 	// Default 256.
 	RingSize int
@@ -64,9 +57,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.MaxEpochFrames < opts.MinEpochFrames {
 		opts.MaxEpochFrames = opts.MinEpochFrames
-	}
-	if opts.ReconcileEvery <= 0 {
-		opts.ReconcileEvery = 8
 	}
 	if opts.RingSize <= 0 {
 		opts.RingSize = 256
@@ -120,7 +110,7 @@ func Open(o Options) (*Service, error) {
 	}
 	feedsOpen.Set(int64(len(s.feeds)))
 
-	s.engine = newEngine(opts.DB, opts.Metric, opts.ReconcileEvery, opts.RingSize)
+	s.engine = newEngine(opts.DB, opts.RingSize)
 	opts.DB.OnCommitDelta(s.engine.enqueueDelta)
 	return s, nil
 }

@@ -32,7 +32,9 @@ func feedSoakDuration(t *testing.T) time.Duration {
 // layer promises: per-subscription sequence numbers are dense and
 // monotone (the ring is sized so nothing drops), a feed's committed
 // epochs are immediately visible in the database (read-your-writes), and
-// the engine drains to agreement with a one-shot query at the end. Run
+// the engine drains to agreement with a one-shot query at the end — both
+// a k-NN subscription seeded before the storm and maintained through it,
+// and one seeded after. Run
 // with -race (make chaos) to make the memory model part of the
 // assertion.
 func TestFeedSoak(t *testing.T) {
@@ -42,7 +44,7 @@ func TestFeedSoak(t *testing.T) {
 	svc, err := Open(Options{
 		Dir: t.TempDir(), DB: db, STRG: &cfg.STRG,
 		MinEpochFrames: 10, MaxEpochFrames: 32,
-		ReconcileEvery: 4, RingSize: 1 << 16,
+		RingSize: 1 << 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +104,14 @@ func TestFeedSoak(t *testing.T) {
 		{Similar: &query.SimilarClause{Trajectory: testTrajectory(), K: 3}},
 		{Similar: &query.SimilarClause{Trajectory: testTrajectory(), Radius: 1e9}},
 	}
+	var liveKNN *Subscription
 	for qi, q := range queries {
 		sub, err := eng.Register(q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sub.matcher.K() > 0 {
+			liveKNN = sub
 		}
 		wg.Add(1)
 		go func() {
@@ -174,15 +180,23 @@ func TestFeedSoak(t *testing.T) {
 	wg.Wait()
 	eng.Quiesce()
 
-	// Drained, the k-NN subscription's event ledger must equal a one-shot
-	// query of the final database.
+	// Drained, a k-NN subscription's event ledger must equal a one-shot
+	// query of the final database: the one maintained delta by delta
+	// through the storm, and a fresh one.
+	evs, gapped, _ := liveKNN.EventsSince(0)
+	if gapped {
+		t.Fatal("long-lived k-NN subscription gapped despite an oversized ring")
+	}
+	if !equalMembership(applyMembership(t, evs), knnGroundTruth(t, db, testTrajectory(), 3)) {
+		t.Error("maintained k-NN membership diverges from one-shot query")
+	}
 	knnSub, err := eng.Register(&query.Query{
 		Similar: &query.SimilarClause{Trajectory: testTrajectory(), K: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, _, _ := knnSub.EventsSince(0)
+	evs, _, _ = knnSub.EventsSince(0)
 	if !equalMembership(applyMembership(t, evs), knnGroundTruth(t, db, testTrajectory(), 3)) {
 		t.Error("post-storm k-NN seed diverges from one-shot query")
 	}

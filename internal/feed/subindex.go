@@ -15,9 +15,10 @@ import (
 // a step box intersecting it); an OG then finds its candidates by probing
 // the tree with its own step boxes, the same decomposition the corpus index
 // stores. Everything else — no where tree, an Or/Not root, attribute
-// predicates only — and every k-NN subscription, whose reconcile cadence
-// counts deltas whether or not they match, sits in a registration-ordered
-// list each OG walks. The index prunes; matcher.Match still decides.
+// predicates only — sits in a registration-ordered list each OG walks.
+// k-NN subscriptions are no exception: their set changes only when an OG
+// their where tree accepts arrives. The index prunes; matcher.Match still
+// decides.
 //
 // Probe boxes are half-open (a rectangle over all time), so both sides are
 // clamped by rtree.Box.Finite, which keeps intersecting boxes intersecting.
@@ -43,7 +44,7 @@ func newSubIndex() subIndex {
 // on the always-evaluate list.
 func treeBox(sub *Subscription) (rtree.Box, bool) {
 	b, ok := sub.matcher.ProbeBox()
-	if !ok || sub.matcher.K() > 0 {
+	if !ok {
 		return rtree.Box{}, false
 	}
 	return b.Finite(), true

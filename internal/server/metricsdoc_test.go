@@ -30,8 +30,13 @@ func documentedMetrics(t *testing.T, path string) map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return metricNames(string(doc))
+}
+
+// metricNames is documentedMetrics over text already read.
+func metricNames(doc string) map[string]bool {
 	names := map[string]bool{}
-	for _, m := range docMetricRE.FindAllStringSubmatch(string(doc), -1) {
+	for _, m := range docMetricRE.FindAllStringSubmatch(doc, -1) {
 		mention, group, tail := m[0], m[1], m[2]
 		base, _, _ := strings.Cut(mention, "{")
 		switch {
@@ -51,9 +56,10 @@ func documentedMetrics(t *testing.T, path string) map[string]bool {
 // TestDocumentedMetricsExist renders /metrics from a fully configured
 // server — durable, replication primary, live feeds, approximate tier —
 // after one ingest and one query of each kind, and fails if a strg_*
-// family named in DESIGN.md or README.md is absent from it: the docs may
-// not describe a metric the code no longer has. (The converse, code ⊆
-// docs, is the metric catalogue's job.)
+// family named in DESIGN.md or README.md is absent from it — the docs may
+// not describe a metric the code no longer has — or if a strg_* family it
+// exposes is missing from DESIGN.md's metric table (§8), the catalogue an
+// operator reads.
 func TestDocumentedMetricsExist(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Approx = core.ApproxConfig{Enabled: true}
@@ -138,5 +144,28 @@ func TestDocumentedMetricsExist(t *testing.T) {
 			sort.Strings(missing)
 			t.Errorf("%s documents metrics /metrics does not expose: %s", doc, strings.Join(missing, ", "))
 		}
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The catalogue is the first column of the rows that name a metric;
+	// a family mentioned only in another row's prose does not count.
+	var names strings.Builder
+	for _, line := range strings.Split(string(design), "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(line, "| `strg_") {
+			names.WriteString(cells[1] + "\n")
+		}
+	}
+	catalogue := metricNames(names.String())
+	var undocumented []string
+	for _, family := range exposed {
+		if strings.HasPrefix(family, "strg_") && !catalogue[family] {
+			undocumented = append(undocumented, family)
+		}
+	}
+	if len(undocumented) > 0 {
+		t.Errorf("DESIGN.md's metric table lacks families /metrics exposes: %s", strings.Join(undocumented, ", "))
 	}
 }
