@@ -13,7 +13,7 @@ vet:
 
 # Default test path: static checks, the full suite (includes the golden
 # e2e corpus and the short soak), a race-detector run of the
-# concurrency-heavy packages (distance cascade, index search and shards,
+# concurrency-heavy packages (distance cascade, index search and commits,
 # HTTP middleware/observability, replication, live feeds), the
 # crash-recovery, replication and feed fault-injection matrices, and the
 # coverage ratchet.
@@ -101,7 +101,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSubscriptionRegister$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 16x ./internal/feed
 
 # Golden end-to-end corpus: deterministic synthetic video in, bit-exact
-# query answers out, at shard counts 1, 2 and 4.
+# query answers out, at worker counts 2 and 1.
 golden:
 	go test -run TestGoldenE2E -count=1 ./internal/core
 

@@ -1,6 +1,6 @@
 // Command strg-server serves a video database over HTTP (JSON API).
 //
-//	strg-server -addr :8080 [-data-dir ./data] [-db db.gob] [-shards 4] [-pprof]
+//	strg-server -addr :8080 [-data-dir ./data] [-db db.gob] [-pprof]
 //
 // Endpoints:
 //
@@ -67,7 +67,6 @@ import (
 
 	"strgindex/internal/core"
 	"strgindex/internal/feed"
-	"strgindex/internal/index"
 	"strgindex/internal/obs"
 	"strgindex/internal/replica"
 	"strgindex/internal/server"
@@ -80,7 +79,6 @@ func run() int {
 	dataDir := flag.String("data-dir", "", "durable data directory (write-ahead log + snapshots); empty = in-memory only")
 	dbPath := flag.String("db", "", "optional database file written by strg-ingest to preload (in-memory mode)")
 	workers := flag.Int("workers", 0, "worker budget for ingest and search (0 = one per CPU, 1 = sequential); responses are identical at every setting")
-	shards := flag.Int("shards", 4, "copy-on-write index shard count (1-256); queries never block on ingest, and responses are identical at every setting")
 	approx := flag.Bool("approx", false, "build the approximate similarity tier (IVF over deterministic OG embeddings); queries opt in per-request with \"mode\": \"approx\" — default paths are untouched")
 	nlists := flag.Int("nlists", 0, "IVF inverted-list count for -approx (0 = built-in default)")
 	nprobe := flag.Int("nprobe", 0, "default probe count for approximate queries that do not set one (0 = ceil(sqrt(nlists)))")
@@ -112,13 +110,8 @@ func run() int {
 		logger.Error("-feeds is incompatible with -replicate-from (a read replica cannot ingest)")
 		return 2
 	}
-	if *shards < 1 || *shards > index.MaxShards {
-		logger.Error("-shards out of range", "shards", *shards, "min", 1, "max", index.MaxShards)
-		return 2
-	}
 	cfg := core.DefaultConfig()
 	cfg.Concurrency = *workers
-	cfg.Index.Shards = *shards
 	cfg.Approx = core.ApproxConfig{Enabled: *approx, NLists: *nlists, NProbe: *nprobe}
 	opts := server.Options{
 		Logger:         logger,
@@ -231,7 +224,7 @@ func run() int {
 	handler.Store(&live)
 	srv.SetReady(true)
 	st := srv.DB().Stats()
-	logger.Info("ready", "segments", st.Segments, "ogs", st.OGs, "clusters", st.Clusters, "shards", st.Shards)
+	logger.Info("ready", "segments", st.Segments, "ogs", st.OGs, "clusters", st.Clusters)
 
 	// The replication loop runs alongside the listener; repc stays nil
 	// (and its case never fires) on a primary.

@@ -70,17 +70,13 @@ func DefaultConfig() Config {
 }
 
 // Stats summarizes database contents and the size accounting of
-// Section 5.4.
+// Section 5.4. It holds content only, so two databases with identical
+// contents report identical Stats.
 type Stats struct {
 	Segments int
 	OGs      int
 	Roots    int
 	Clusters int
-	// Shards is the number of copy-on-write index partitions. Snapshot
-	// versions are runtime state, not content — read them via
-	// IndexSharded().Versions() or the shard metrics, not here, so that
-	// two databases with identical contents report identical Stats.
-	Shards int
 	// STRGBytes is Equation 9 aggregated over segments: the decomposed
 	// STRG with the background repeated per frame.
 	STRGBytes int
@@ -126,9 +122,7 @@ type VideoDB struct {
 	streamSegs map[string]int
 	// onCommit, when set, runs at the top of every segment commit, before
 	// any database state mutates — the write-ahead hook of the durability
-	// layer (see durable.go). rec.Shard is already the index shard the
-	// segment will land on (resolved before the commit, so the log can
-	// record the route). An error aborts the commit.
+	// layer (see durable.go). An error aborts the commit.
 	onCommit func(rec *commitRecord) error
 	// onDelta, when set, runs at the end of every segment commit with the
 	// commit's OG delta (see delta.go).
@@ -182,10 +176,6 @@ type commitRecord struct {
 	HasBG bool
 	BG    graph.Snapshot
 	OGs   []*strg.OG
-	// Shard records the index shard the commit routed to — diagnostic
-	// (replay re-derives the route deterministically, so a recovery under
-	// a different shard count still works).
-	Shard int
 	// SrcSeq/SrcOff are set only on a replica: the primary WAL position
 	// immediately after this operation's record — the position replication
 	// resumes from once this record is locally durable. Persisting the
@@ -252,11 +242,6 @@ func (db *VideoDB) IngestSegment(stream string, seg *video.Segment) (*IngestStat
 // OG IDs, tree mutation and the size accounting all depend on commit
 // order, so commits stay sequential.
 func (db *VideoDB) commitSegment(rec *commitRecord) error {
-	// Resolve the route before anything mutates: it is pure, and commits
-	// are serialized, so this is exactly where AddRouted lands — and the
-	// background is matched once per commit.
-	route := db.tree.Route(rec.bg)
-	rec.Shard = route.Shard
 	if db.onCommit != nil {
 		if err := db.onCommit(rec); err != nil {
 			return fmt.Errorf("core: write-ahead log for %s: %w", rec.Segment, err)
@@ -276,7 +261,7 @@ func (db *VideoDB) commitSegment(rec *commitRecord) error {
 			},
 		}
 	}
-	if err := db.tree.AddRouted(route, items); err != nil {
+	if err := db.tree.AddSegment(rec.bg, items); err != nil {
 		return fmt.Errorf("core: indexing %s: %w", rec.Segment, err)
 	}
 	blocks := db.retain(rec.OGs, items)
@@ -293,13 +278,11 @@ func (db *VideoDB) commitSegment(rec *commitRecord) error {
 			recs[i] = items[i].Payload
 		}
 		db.onDelta(CommitDelta{
-			Stream:   rec.Stream,
-			Segment:  rec.Segment,
-			Shard:    rec.Shard,
-			Versions: db.tree.Versions(),
-			Records:  recs,
-			OGs:      rec.OGs,
-			Blocks:   blocks,
+			Stream:  rec.Stream,
+			Segment: rec.Segment,
+			Records: recs,
+			OGs:     rec.OGs,
+			Blocks:  blocks,
 		})
 	}
 	return nil
@@ -465,20 +448,20 @@ func (db *VideoDB) Stats() Stats {
 		OGs:          db.tree.Len(),
 		Roots:        db.tree.NumRoots(),
 		Clusters:     db.tree.NumClusters(),
-		Shards:       db.tree.NumShards(),
 		STRGBytes:    db.strgBytes,
 		RawSTRGBytes: db.rawBytes,
 		IndexBytes:   db.tree.MemoryBytes(),
 	}
 }
 
-// Index returns a read-only merged view of the STRG-Index for advanced
-// use (experiments, invariant checks). The view is a consistent snapshot:
-// later ingests do not appear in it. Callers must not mutate it.
+// Index returns the published STRG-Index tree for advanced use
+// (experiments, invariant checks). It is an immutable snapshot holding
+// exactly the commits published before the call: later ingests do not
+// appear in it. Callers must not mutate it.
 func (db *VideoDB) Index() *index.Tree[ClipRecord] { return db.tree.View() }
 
-// IndexSharded exposes the sharded index itself (concurrent-safe) for
-// tooling that needs shard versions or quiescing.
+// IndexSharded exposes the served index itself (concurrent-safe) for
+// tooling that searches it directly.
 func (db *VideoDB) IndexSharded() *index.Sharded[ClipRecord] { return db.tree }
 
 // QuiesceIndex returns at once.

@@ -6,7 +6,8 @@ import (
 )
 
 // CommitDelta describes one segment commit: exactly the Object Graphs (and
-// their clip records) that entered the index in that commit's version swap.
+// their clip records) that entered the index when that commit's tree was
+// published.
 // The standing-query engine (internal/feed) consumes these to evaluate
 // subscriptions incrementally — per-OG predicate matching against only the
 // delta instead of rescanning the corpus.
@@ -14,11 +15,6 @@ type CommitDelta struct {
 	// Stream and Segment identify the commit.
 	Stream  string
 	Segment string
-	// Shard is the index shard the segment's cluster landed on.
-	Shard int
-	// Versions is each shard's published snapshot version immediately after
-	// the swap — the evaluation point the delta corresponds to.
-	Versions []uint64
 	// Records and OGs are aligned: Records[i] is the clip record indexed for
 	// OGs[i], and Records[i].OGID is the database ID. OGIDs are dense and
 	// globally monotone in commit order, which is what lets a consumer prove

@@ -97,65 +97,62 @@ func TestDurableRoundTrip(t *testing.T) {
 
 // TestDefaultKNNIdenticalAcrossCopies: under a leaf bound the ingest
 // crosses at every commit, Algorithm 3's default k-NN answers (and the
-// exact ones) are byte-identical across shard counts {1, 2, 4}, worker
-// counts {1, 2}, a Save/Load copy and a copy recovered by WAL replay
-// alone: the index's shape is a function of the commit sequence.
+// exact ones) are byte-identical across worker counts {1, 2}, a Save/Load
+// copy and a copy recovered by WAL replay alone: the index's shape is a
+// function of the commit sequence.
 func TestDefaultKNNIdenticalAcrossCopies(t *testing.T) {
 	stream := miniStream(t, 16, 37)
 	var want string
-	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
-			cfg := DefaultConfig()
-			cfg.Concurrency = workers
-			cfg.Index.Shards = shards
-			cfg.Index.MaxLeafEntries = 4
-			dir := t.TempDir()
-			s, _, err := OpenDurable(cfg, noRotate(dir))
-			if err != nil {
+	for _, workers := range []int{1, 2} {
+		label := fmt.Sprintf("workers=%d", workers)
+		cfg := DefaultConfig()
+		cfg.Concurrency = workers
+		cfg.Index.MaxLeafEntries = 4
+		dir := t.TempDir()
+		s, _, err := OpenDurable(cfg, noRotate(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range stream.Segments {
+			if _, err := s.IngestSegment("Mini", seg); err != nil {
 				t.Fatal(err)
 			}
-			for _, seg := range stream.Segments {
-				if _, err := s.IngestSegment("Mini", seg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if st := s.Stats(); st.Clusters < 4*st.Roots {
-				t.Fatalf("%s: %d clusters over %d OGs in %d roots — the bound did not split", label, st.Clusters, st.OGs, st.Roots)
-			}
-			sig := querySig(t, s)
-			if want == "" {
-				want = sig
-			} else if sig != want {
-				t.Errorf("%s: k-NN answers differ from shards=1 workers=1", label)
-			}
-			var buf bytes.Buffer
-			if err := s.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadShared(&buf, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if querySig(t, loaded) != want {
-				t.Errorf("%s: Save/Load copy answers differently", label)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			replayed, rec, err := OpenDurable(cfg, noRotate(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec.SnapshotLoaded || rec.ReplayedRecords != len(stream.Segments) {
-				t.Errorf("%s: recovery %+v, want %d replayed records and no snapshot", label, rec, len(stream.Segments))
-			}
-			if querySig(t, replayed) != want {
-				t.Errorf("%s: WAL-replayed copy answers differently", label)
-			}
-			if err := replayed.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if st := s.Stats(); st.Clusters < 4*st.Roots {
+			t.Fatalf("%s: %d clusters over %d OGs in %d roots — the bound did not split", label, st.Clusters, st.OGs, st.Roots)
+		}
+		sig := querySig(t, s)
+		if want == "" {
+			want = sig
+		} else if sig != want {
+			t.Errorf("%s: k-NN answers differ from workers=1", label)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadShared(&buf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if querySig(t, loaded) != want {
+			t.Errorf("%s: Save/Load copy answers differently", label)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		replayed, rec, err := OpenDurable(cfg, noRotate(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.SnapshotLoaded || rec.ReplayedRecords != len(stream.Segments) {
+			t.Errorf("%s: recovery %+v, want %d replayed records and no snapshot", label, rec, len(stream.Segments))
+		}
+		if querySig(t, replayed) != want {
+			t.Errorf("%s: WAL-replayed copy answers differently", label)
+		}
+		if err := replayed.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

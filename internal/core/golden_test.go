@@ -79,28 +79,18 @@ func toSeq(q [][2]float64) dist.Sequence {
 	return s
 }
 
-// goldenBuild ingests the fixed corpus into a database at the given shard
-// count. Everything is pinned: stream seeds, ingest order, cluster seed
-// (via DefaultConfig), worker count.
-func goldenBuild(t *testing.T, shards int) *VideoDB {
-	return goldenBuildCfg(t, shards, nil)
-}
-
-// goldenBuildCfg is goldenBuild with a config hook, for variants (such as
-// the columnar-off ablation) that must reproduce the same corpus.
-func goldenBuildCfg(t *testing.T, shards int, mut func(*Config)) *VideoDB {
+// goldenBuild ingests the fixed corpus into a database at the given
+// worker count. Everything else is pinned: stream seeds, ingest order,
+// cluster seed (via DefaultConfig).
+func goldenBuild(t *testing.T, workers int) *VideoDB {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Concurrency = 2
-	cfg.Index.Shards = shards
+	cfg.Concurrency = workers
 	// A tight leaf budget and fixed K=2 give the corpus real cluster
 	// structure to pin (descent ordering, leaf pruning), not just a flat
 	// scan of one cluster.
 	cfg.Index.MaxLeafEntries = 8
 	cfg.Index.NumClusters = 2
-	if mut != nil {
-		mut(&cfg)
-	}
 	db := Open(cfg)
 	for i, seed := range []int64{101, 102, 103} {
 		stream := miniStream(t, 8, seed)
@@ -171,10 +161,10 @@ func goldenQueries(t *testing.T, db *VideoDB) goldenCorpus {
 // TestGoldenE2E pins the whole pipeline end to end: deterministic
 // synthetic video in, bit-exact query answers out, byte-compared against
 // the committed corpus file. The corpus is also required to be identical
-// at shard counts 1, 2, and 4 — the copy-on-write partitioning must never
-// change an answer.
+// at worker counts 2 and 1 — parallel ingest and search must never change
+// an answer.
 func TestGoldenE2E(t *testing.T) {
-	db := goldenBuild(t, 1)
+	db := goldenBuild(t, 2)
 	got := goldenQueries(t, db)
 	raw, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
@@ -220,18 +210,13 @@ func TestGoldenE2E(t *testing.T) {
 		t.Fatalf("golden corpus drifted (rerun with -update-golden only if the change is intended)")
 	}
 
-	// Shard-count invariance: the identical corpus must come out of 2- and
-	// 4-shard builds, byte for byte.
-	for _, shards := range []int{2, 4} {
-		sdb := goldenBuild(t, shards)
-		sgot := goldenQueries(t, sdb)
-		sraw, err := json.MarshalIndent(sgot, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sraw = append(sraw, '\n')
-		if string(sraw) != string(raw) {
-			t.Fatalf("corpus differs at %d shards", shards)
-		}
+	// Worker-count invariance: the identical corpus must come out of a
+	// sequential build, byte for byte.
+	sraw, err := json.MarshalIndent(goldenQueries(t, goldenBuild(t, 1)), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(sraw, '\n')) != string(raw) {
+		t.Fatal("corpus differs at workers=1")
 	}
 }

@@ -117,8 +117,7 @@ type streamSegCount struct {
 	Count  int
 }
 
-// image captures the persistable state (the index snapshot is
-// shard-count independent).
+// image captures the persistable state.
 func (db *VideoDB) image() dbImage {
 	img := dbImage{
 		Segments:  db.segments,
@@ -141,9 +140,7 @@ func (db *VideoDB) image() dbImage {
 	return img
 }
 
-// restore installs a decoded image into a freshly opened database. Roots
-// are re-homed across the configured shard count, which may differ from
-// the saving process's — the snapshot is shard-layout independent.
+// restore installs a decoded image into a freshly opened database.
 func (db *VideoDB) restore(img dbImage) error {
 	tree, err := index.NewShardedFromSnapshot(img.Index, db.cfg.Index)
 	if err != nil {

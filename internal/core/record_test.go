@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"strgindex/internal/faultfs"
+	"strgindex/internal/graph"
 	"strgindex/internal/obs"
 	"strgindex/internal/strg"
 	"strgindex/internal/video"
@@ -157,6 +158,84 @@ func TestLegacyWALRecordRefused(t *testing.T) {
 	refused("ApplyReplicated of a legacy frame", r.ApplyReplicated(payload, WALPos{Seq: 1, Off: wal.HeaderSize + 1}))
 	if got := r.Stats(); got.Segments != 0 || got.OGs != 0 || r.WALSize() != size || !r.ReplicaPos().IsZero() {
 		t.Errorf("refused frame left a trace: stats %+v, wal %d -> %d, pos %v", got, size, r.WALSize(), r.ReplicaPos())
+	}
+}
+
+// parentCommitRecord is the commit record as binaries with a sharded
+// index logged it: the same fields plus the shard the commit routed to.
+type parentCommitRecord struct {
+	Stream    string
+	Segment   string
+	Frames    int
+	RawBytes  int
+	STRGBytes int
+	HasBG     bool
+	BG        graph.Snapshot
+	OGs       []*strg.OG
+	Shard     int
+	SrcSeq    uint64
+	SrcOff    int64
+}
+
+// TestParentCommitRecordReplays: a log written by a binary whose commit
+// records carry a Shard field recovers — gob skips the field — into the
+// database that wrote it, answer for answer, and a replica applies the
+// same frames to the same answers.
+func TestParentCommitRecordReplays(t *testing.T) {
+	_, frames, want := loggedPrimary(t, 69)
+	dir := t.TempDir()
+	log, err := wal.Create(faultfs.OS{}, walPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, len(frames))
+	for i, f := range frames {
+		rec, err := decodeRecord(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := parentCommitRecord{
+			Stream: rec.Stream, Segment: rec.Segment, Frames: rec.Frames,
+			RawBytes: rec.RawBytes, STRGBytes: rec.STRGBytes,
+			HasBG: rec.HasBG, BG: rec.BG, OGs: rec.OGs, Shard: 3,
+		}
+		var buf bytes.Buffer
+		buf.WriteByte(recordKindCommit)
+		if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = buf.Bytes()
+		if err := log.Append(payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, rec, err := OpenDurable(DefaultConfig(), noRotate(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rec.ReplayedRecords != len(frames) {
+		t.Fatalf("replayed %d records, want %d", rec.ReplayedRecords, len(frames))
+	}
+	if got := querySig(t, s); got != want {
+		t.Error("a log of Shard-carrying records recovers to different answers")
+	}
+
+	r, _, err := OpenReplica(DefaultConfig(), noRotate(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i, p := range payloads {
+		if err := r.ApplyReplicated(p, frames[i].Next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := querySig(t, r); got != want {
+		t.Error("a replica applying Shard-carrying frames answers differently")
 	}
 }
 

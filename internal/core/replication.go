@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"strgindex/internal/faultfs"
-	"strgindex/internal/index"
 	"strgindex/internal/wal"
 )
 
@@ -245,9 +244,9 @@ func (s *SharedDB) ApplyReplicated(payload []byte, src WALPos) error {
 	return err
 }
 
-// StateDigest is the anti-entropy fingerprint of a database: per-shard
-// hashes of the canonically renumbered index snapshot plus a corpus hash
-// over the retained records and OG sequences, all at a specific position.
+// StateDigest is the anti-entropy fingerprint of a database: one hash of
+// the canonically renumbered index snapshot plus a corpus hash over the
+// retained records and OG sequences, all at a specific position.
 // Two databases whose positions match must produce identical digests;
 // a mismatch means silent divergence and the replica must re-bootstrap.
 // Hashes are canonical across build paths (incremental vs. restored) but
@@ -259,9 +258,9 @@ type StateDigest struct {
 	Pos WALPos `json:"pos"`
 	// Segments is the applied-operation count at Pos.
 	Segments int `json:"segments"`
-	// Shards holds one hex SHA-256 per index shard, so a mismatch names
-	// the diverged shard.
-	Shards []string `json:"shards"`
+	// Index is the hex SHA-256 of the canonical index snapshot. An older
+	// binary's digest carries per-shard hashes instead and leaves it empty.
+	Index string `json:"index"`
 	// Corpus fingerprints the retained clip records and OG trajectories.
 	Corpus string `json:"corpus"`
 }
@@ -284,26 +283,14 @@ func (s *SharedDB) ReplicationDigest() (StateDigest, error) {
 	}
 	dig.Segments = s.db.segments
 
-	// Per-shard hashes over the canonical snapshot: Snapshot() renumbers
-	// roots by directory position and clusters sequentially, so two trees
-	// holding the same logical state hash identically regardless of how
-	// they were built; the root → shard assignment is the deterministic
-	// ShardOfRoot.
-	snap := s.db.tree.Snapshot()
-	nShards := s.db.tree.NumShards()
-	groups := make([][]index.RootSnapshot[ClipRecord], nShards)
-	for i := range snap.Roots {
-		si := s.db.tree.ShardOfRoot(snap.Roots[i].ID)
-		groups[si] = append(groups[si], snap.Roots[i])
+	// Snapshot() renumbers roots by position and clusters sequentially, so
+	// two trees holding the same logical state hash identically regardless
+	// of how they were built.
+	h := sha256.New()
+	if err := gob.NewEncoder(h).Encode(s.db.tree.Snapshot().Roots); err != nil {
+		return StateDigest{}, fmt.Errorf("core: hashing index: %w", err)
 	}
-	dig.Shards = make([]string, nShards)
-	for i, g := range groups {
-		h := sha256.New()
-		if err := gob.NewEncoder(h).Encode(g); err != nil {
-			return StateDigest{}, fmt.Errorf("core: hashing shard %d: %w", i, err)
-		}
-		dig.Shards[i] = hex.EncodeToString(h.Sum(nil))
-	}
+	dig.Index = hex.EncodeToString(h.Sum(nil))
 
 	ch := sha256.New()
 	if err := gob.NewEncoder(ch).Encode(s.db.records); err != nil {

@@ -79,9 +79,9 @@ func (s *SharedDB) STRGConfig() strg.Config { return s.db.cfg.STRG }
 
 // QueryComposedCtx is VideoDB.QueryComposedCtx for concurrent callers, and
 // the one place the query lock rule lives: a query goes lock-free only
-// when its plan reads nothing but the sharded index (StrategyIndex) — the
-// index publishes immutable copy-on-write snapshots, so the search
-// assembles a consistent view and never waits on an in-flight ingest.
+// when its plan reads nothing but the index (StrategyIndex) — the index
+// publishes one immutable copy-on-write tree per commit, so the search
+// reads a commit prefix and never waits on an in-flight ingest.
 // Every other plan
 // reads state that ingest mutates in place under the write lock — the
 // retained OGs and records, the trajectory R-tree, the approximate tier's

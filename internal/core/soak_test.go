@@ -43,14 +43,15 @@ func checkSearchStats(t *testing.T, kind string, st index.SearchStats) {
 // TestSharedDBSoak hammers one durable SharedDB from concurrent ingest,
 // k-NN, exact k-NN, range, freshness, and checkpoint goroutines for the
 // soak duration, then verifies the survivors. It is the -race witness for
-// the copy-on-write index: queries run lock-free against published shard
-// snapshots while ingest, background splits, and checkpoints mutate and
-// persist state.
+// the copy-on-write index: queries run lock-free against the published
+// tree while ingest, inline splits, and checkpoints mutate and persist
+// state.
 //
 // Invariants enforced while the storm runs:
 //   - every SearchStats block satisfies the cascade accounting identity;
 //   - matches arrive sorted by distance, never exceeding k or the radius;
-//   - shard versions only ever increase (snapshots are monotone);
+//   - every index view holds a prefix of commit history, and later views
+//     hold longer prefixes;
 //   - reads are never stale past a completed write: once IngestSegment
 //     returns, an exact query must see every committed item (stronger
 //     than the two-version staleness budget — the lag is zero).
@@ -64,7 +65,6 @@ func TestSharedDBSoak(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.Concurrency = 2
-	cfg.Index.Shards = 3
 	db, _, err := OpenDurable(cfg, Durability{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +100,9 @@ func TestSharedDBSoak(t *testing.T) {
 		committed atomic.Int64 // items acked by IngestSegment so far
 		ingested  atomic.Int64 // segments acked
 		searches  atomic.Int64
+		// totals holds the OG count after each commit (written by the
+		// ingest goroutine only, read after the storm).
+		totals = map[int64]bool{0: true}
 	)
 
 	// Ingest: one writer, the paper's incremental-insertion path.
@@ -118,7 +121,7 @@ func TestSharedDBSoak(t *testing.T) {
 				t.Errorf("ingest: %v", err)
 				return
 			}
-			committed.Add(int64(st.OGs))
+			totals[committed.Add(int64(st.OGs))] = true
 			ingested.Add(1)
 		}
 	}()
@@ -152,25 +155,42 @@ func TestSharedDBSoak(t *testing.T) {
 		}
 	}()
 
-	// Version monotonicity: published shard snapshots only move forward.
+	// Commit prefixes: every published index tree holds exactly the first
+	// m commits for some m. OGIDs are dense in commit order, so a prefix
+	// holds the OGIDs {0..Len-1}; each view's Len is checked against the
+	// ingest's per-commit running totals once the storm is over.
+	var viewLens []int
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		last := make([]uint64, cfg.Index.Shards)
+		last := 0
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			vs := db.db.tree.Versions()
-			for i, v := range vs {
-				if v < last[i] {
-					t.Errorf("shard %d version went backwards: %d -> %d", i, last[i], v)
+			v := db.db.Index()
+			n := v.Len()
+			if n < last {
+				t.Errorf("index went backwards: %d OGs after %d", n, last)
+				return
+			}
+			items := v.Items()
+			if len(items) != n {
+				t.Errorf("index view reports %d OGs and holds %d", n, len(items))
+				return
+			}
+			seen := make([]bool, n)
+			for _, it := range items {
+				if id := it.Payload.OGID; id < 0 || id >= n || seen[id] {
+					t.Errorf("index view of %d OGs holds OGID %d: not a commit prefix", n, id)
 					return
 				}
-				last[i] = v
+				seen[it.Payload.OGID] = true
 			}
+			last = n
+			viewLens = append(viewLens, n)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -285,6 +305,11 @@ func TestSharedDBSoak(t *testing.T) {
 	}
 	if ingested.Load() == 0 || searches.Load() == 0 {
 		t.Fatalf("soak did no work: %d segments, %d searches", ingested.Load(), searches.Load())
+	}
+	for _, n := range viewLens {
+		if !totals[int64(n)] {
+			t.Fatalf("an index view held %d OGs, which no commit prefix does", n)
+		}
 	}
 	t.Logf("soak: %d segments ingested, %d items, %d searches", ingested.Load(), committed.Load(), searches.Load())
 

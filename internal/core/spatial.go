@@ -168,8 +168,8 @@ func (db *VideoDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*Query
 	return db.run(ctx, q)
 }
 
-// indexOnly reports whether q's plan reads nothing but the sharded index's
-// copy-on-write snapshots: BuildPlan routes exactly the where-less,
+// indexOnly reports whether q's plan reads nothing but the index's
+// published copy-on-write tree: BuildPlan routes exactly the where-less,
 // non-approx similarity queries to StrategyIndex, without consulting the
 // source. q must be validated (a where-less query has a similar clause).
 func indexOnly(q *query.Query) bool {

@@ -105,7 +105,7 @@ func newVecTier(cfg ApproxConfig) *vecTier {
 
 // insert embeds one OG under its ingest ordinal. Embed is a pure function
 // of the attribute sequence, so the tier is identical across worker
-// counts, shard counts and rebuilds.
+// counts and rebuilds.
 func (vt *vecTier) insert(id int, blk dist.Block, cas dist.Cascade) {
 	seq := blk.Sequence()
 	sum := cas.Summarize(seq)

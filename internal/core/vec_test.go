@@ -154,51 +154,48 @@ func TestApproxRecallMonotoneNProbe(t *testing.T) {
 
 // TestExactPathsByteIdenticalWithTierOn: compiling the tier in (and
 // feeding it every ingest) must not change one byte of the exact
-// surfaces — answers and SearchStats — at any shard count. This is the
+// surfaces — answers and SearchStats. This is the
 // "default paths untouched" half of the tier's contract.
 func TestExactPathsByteIdenticalWithTierOn(t *testing.T) {
 	traj := dist.Sequence{{16, 120}, {46, 120}, {76, 120}, {106, 120}}
-	for _, shards := range []int{1, 2, 4} {
-		mut := func(on bool) func(*Config) {
-			return func(c *Config) {
-				c.Index.Shards = shards
-				c.Approx = ApproxConfig{Enabled: on, NLists: 4, TrainSize: 16}
-			}
+	mut := func(on bool) func(*Config) {
+		return func(c *Config) {
+			c.Approx = ApproxConfig{Enabled: on, NLists: 4, TrainSize: 16}
 		}
-		plain := composedDB(t, mut(false))
-		tiered := composedDB(t, mut(true))
+	}
+	plain := composedDB(t, mut(false))
+	tiered := composedDB(t, mut(true))
 
-		for _, c := range []struct {
-			name string
-			sim  query.SimilarClause
-		}{
-			{"knn", query.SimilarClause{Trajectory: traj, K: 5}},
-			{"knn-exact", query.SimilarClause{Trajectory: traj, K: 5, Exact: true}},
-			{"range", query.SimilarClause{Trajectory: traj, Radius: 950}},
-		} {
-			want, got := similar(t, plain, c.sim), similar(t, tiered, c.sim)
-			if !reflect.DeepEqual(got.Matches, want.Matches) {
-				t.Errorf("shards=%d %s: matches differ with the tier compiled in", shards, c.name)
-			}
-			if got.Search != want.Search {
-				t.Errorf("shards=%d %s: SearchStats %+v with tier, %+v without", shards, c.name, got.Search, want.Search)
-			}
+	for _, c := range []struct {
+		name string
+		sim  query.SimilarClause
+	}{
+		{"knn", query.SimilarClause{Trajectory: traj, K: 5}},
+		{"knn-exact", query.SimilarClause{Trajectory: traj, K: 5, Exact: true}},
+		{"range", query.SimilarClause{Trajectory: traj, Radius: 950}},
+	} {
+		want, got := similar(t, plain, c.sim), similar(t, tiered, c.sim)
+		if !reflect.DeepEqual(got.Matches, want.Matches) {
+			t.Errorf("%s: matches differ with the tier compiled in", c.name)
 		}
+		if got.Search != want.Search {
+			t.Errorf("%s: SearchStats %+v with tier, %+v without", c.name, got.Search, want.Search)
+		}
+	}
 
-		// The declarative surface: "mode": "exact" (and no mode at all)
-		// must route identically on both databases.
-		for _, mode := range []string{"", query.ModeExact} {
-			q := func() *query.Query {
-				return &query.Query{Similar: &query.SimilarClause{Trajectory: traj, K: 5, Mode: mode}}
-			}
-			want := composed(t, plain, q())
-			got := composed(t, tiered, q())
-			if got.Plan.Strategy != query.StrategyIndex || want.Plan.Strategy != query.StrategyIndex {
-				t.Fatalf("shards=%d mode=%q: strategies %s/%s, want index", shards, mode, got.Plan.Strategy, want.Plan.Strategy)
-			}
-			if !reflect.DeepEqual(got.Matches, want.Matches) || got.Search != want.Search {
-				t.Errorf("shards=%d mode=%q: composed exact path differs with the tier on", shards, mode)
-			}
+	// The declarative surface: "mode": "exact" (and no mode at all)
+	// must route identically on both databases.
+	for _, mode := range []string{"", query.ModeExact} {
+		q := func() *query.Query {
+			return &query.Query{Similar: &query.SimilarClause{Trajectory: traj, K: 5, Mode: mode}}
+		}
+		want := composed(t, plain, q())
+		got := composed(t, tiered, q())
+		if got.Plan.Strategy != query.StrategyIndex || want.Plan.Strategy != query.StrategyIndex {
+			t.Fatalf("mode=%q: strategies %s/%s, want index", mode, got.Plan.Strategy, want.Plan.Strategy)
+		}
+		if !reflect.DeepEqual(got.Matches, want.Matches) || got.Search != want.Search {
+			t.Errorf("mode=%q: composed exact path differs with the tier on", mode)
 		}
 	}
 }

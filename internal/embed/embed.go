@@ -4,8 +4,8 @@
 // exact EGED_M cascade.
 //
 // The embedding is a pure, deterministic function of the trajectory
-// signal: no randomness, no training, no dependence on worker counts,
-// shard layout or ingest batching. Two processes that ingest the same
+// signal: no randomness, no training, no dependence on worker counts
+// or ingest batching. Two processes that ingest the same
 // OGs in the same order hold bit-identical vectors, which is what makes
 // the tier's snapshots optional — a vector index can always be rebuilt
 // from the retained OGs and come out identical.

@@ -174,7 +174,6 @@ func ApproxGrid(spec ApproxGridSpec, progress func(format string, args ...any)) 
 	// the similarity tiers, not cluster navigation.
 	cfg := core.DefaultConfig()
 	cfg.DisableTrajIndex = true
-	cfg.Index.Shards = 1
 	cfg.Index.MaxLeafEntries = spec.OGs + 1
 	cfg.Approx = core.ApproxConfig{
 		Enabled:   true,

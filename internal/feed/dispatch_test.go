@@ -232,7 +232,7 @@ func TestDispatchMatchesBruteForce(t *testing.T) {
 	}
 	rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
 
-	cfg := shardConfig(2)
+	cfg := core.DefaultConfig()
 	db := core.OpenShared(cfg)
 	svc, err := Open(Options{Dir: t.TempDir(), DB: db, STRG: &cfg.STRG, RingSize: 1 << 14})
 	if err != nil {

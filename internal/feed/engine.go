@@ -300,10 +300,10 @@ func (e *Engine) run() {
 // after the commit lands), so the database's OG count here is a valid
 // watermark — a k-NN seeding query sees everything at or below it, and
 // deltas deliver everything above it. A commit that lands between the
-// count and the query may be seen by the query, and not as a prefix: an
-// index-only query loads the shard directory and each shard in turn, so
-// it can see a later commit and miss an earlier one. The watermark stays
-// at the count, so every OG above it still reaches evaluate, which turns
+// count and the query may be seen by the query: the query reads one
+// published index tree, so what it sees is a prefix of commit history,
+// but that prefix can reach past the watermark. The watermark stays at
+// the count, so every OG above it still reaches evaluate, which turns
 // away one the seed already admitted.
 func (e *Engine) seed(sub *Subscription) error {
 	sub.watermark = e.db.Stats().OGs - 1
@@ -426,7 +426,7 @@ func sortTopk(t []topEntry) {
 }
 
 // lessTop is the result-set order: nearest first, OGID breaking ties —
-// deterministic across runs and shard counts.
+// deterministic across runs.
 func lessTop(a, b topEntry) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist

@@ -33,7 +33,7 @@ func newEngineHarness(t *testing.T) *engineHarness {
 	if len(stream.Segments) < 3 {
 		t.Fatalf("need >= 3 segments, got %d", len(stream.Segments))
 	}
-	cfg := shardConfig(2)
+	cfg := core.DefaultConfig()
 	db := core.OpenShared(cfg)
 	svc, err := Open(Options{Dir: t.TempDir(), DB: db, STRG: &cfg.STRG})
 	if err != nil {
@@ -237,13 +237,14 @@ func TestEngineKNNMaintenanceIsExact(t *testing.T) {
 }
 
 func TestEngineKNNNonPrefixSeed(t *testing.T) {
-	// A k-NN seed need not see a prefix of commit history: an index-only
-	// query loads the shard directory and then each shard in turn, so it
-	// can see a later commit C2 and miss an earlier C1 that published
-	// meanwhile. The seed's watermark is the OG count read before either,
-	// so both deltas still arrive: C1's OGs must be able to enter, and
-	// C2's, which the seed already holds, must not enter twice. The seed
-	// is built here by hand from segment 0 and C2, on an engine that is
+	// A k-NN seed can hold OGs of commits after its watermark: the count
+	// is read before the query, and commits C1 and C2 can publish in
+	// between. The index serves each query one commit prefix, so a real
+	// seed holds C1 whenever it holds C2; the seed built here by hand from
+	// segment 0 and C2 alone is the harder case, and covers both. The
+	// seed's watermark is the OG count read before either commit, so both
+	// deltas still arrive: C1's OGs must be able to enter, and C2's,
+	// which the seed already holds, must not enter twice. The engine is
 	// handed its deltas directly.
 	h := newEngineHarness(t)
 	var deltas []core.CommitDelta

@@ -50,7 +50,7 @@ func FuzzSubscriptionRegister(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfg := shardConfig(2)
+	cfg := core.DefaultConfig()
 	db := core.OpenShared(cfg)
 	svc, err := Open(Options{Dir: f.TempDir(), DB: db, STRG: &cfg.STRG})
 	if err != nil {

@@ -83,7 +83,7 @@ func TestFeedCommitDoesNotRebuild(t *testing.T) {
 // under the database's own, byte-identical to one-shot ingest.
 func TestFeedSTRGOptionIgnored(t *testing.T) {
 	frames, meta := feedFrames(t, 6, 23)
-	cfg := shardConfig(2)
+	cfg := core.DefaultConfig()
 	other := strg.DefaultConfig()
 	other.MinObjectVelocity = 40 // nothing would ever count as moving
 	other.MinORGLength = 100     // nor survive decomposition

@@ -41,12 +41,6 @@ func feedFrames(t *testing.T, nObjects int, seed int64) ([]video.Frame, Meta) {
 	return frames, meta
 }
 
-func shardConfig(shards int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Index.Shards = shards
-	return cfg
-}
-
 // querySig folds k-NN answers AND their SearchStats into one comparable
 // string — the byte-identity witness of the replay-determinism contract.
 func querySig(t *testing.T, db *core.SharedDB) string {
@@ -91,81 +85,77 @@ func renumbered(frames []video.Frame) []video.Frame {
 	return out
 }
 
-// TestFeedReplayDeterminism is the tentpole contract at shard counts 1, 2
-// and 4: a database fed frame batches through the live path is
-// byte-identical — k-NN answers, SearchStats, Stats and snapshot bytes —
-// to one that one-shot IngestSegments the same epoch slices.
+// TestFeedReplayDeterminism is the tentpole contract: a database fed
+// frame batches through the live path is byte-identical — k-NN answers,
+// SearchStats, Stats and snapshot bytes — to one that one-shot
+// IngestSegments the same epoch slices.
 func TestFeedReplayDeterminism(t *testing.T) {
 	frames, meta := feedFrames(t, 8, 42)
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := shardConfig(shards)
-			dbA := core.OpenShared(cfg)
-			svc, err := Open(Options{
-				Dir: t.TempDir(), DB: dbA, STRG: &cfg.STRG,
-				MinEpochFrames: 12, MaxEpochFrames: 64,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := svc.Open("cam", meta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var bounds []int
-			for i := 0; i < len(frames); i += 7 {
-				end := min(i+7, len(frames))
-				res, err := f.Append(frames[i:end])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Accepted != end-i || res.Duplicates != 0 {
-					t.Fatalf("append [%d:%d): %+v", i, end, res)
-				}
-				if res.Flushed {
-					bounds = append(bounds, res.NextFrame)
-				}
-			}
-			if err := f.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if len(bounds) == 0 || bounds[len(bounds)-1] != len(frames) {
-				bounds = append(bounds, len(frames))
-			}
-			st := f.State()
-			if st.Pending != 0 || st.NextFrame != len(frames) || st.Epoch != len(bounds) {
-				t.Fatalf("post-flush state %+v, want %d epochs over %d frames", st, len(bounds), len(frames))
-			}
-			if got := dbA.SegmentsIn("cam"); got != len(bounds) {
-				t.Fatalf("SegmentsIn = %d, want %d", got, len(bounds))
-			}
-			if err := svc.Close(); err != nil {
-				t.Fatal(err)
-			}
+	cfg := core.DefaultConfig()
+	dbA := core.OpenShared(cfg)
+	svc, err := Open(Options{
+		Dir: t.TempDir(), DB: dbA, STRG: &cfg.STRG,
+		MinEpochFrames: 12, MaxEpochFrames: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := svc.Open("cam", meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bounds []int
+	for i := 0; i < len(frames); i += 7 {
+		end := min(i+7, len(frames))
+		res, err := f.Append(frames[i:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted != end-i || res.Duplicates != 0 {
+			t.Fatalf("append [%d:%d): %+v", i, end, res)
+		}
+		if res.Flushed {
+			bounds = append(bounds, res.NextFrame)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(bounds) == 0 || bounds[len(bounds)-1] != len(frames) {
+		bounds = append(bounds, len(frames))
+	}
+	st := f.State()
+	if st.Pending != 0 || st.NextFrame != len(frames) || st.Epoch != len(bounds) {
+		t.Fatalf("post-flush state %+v, want %d epochs over %d frames", st, len(bounds), len(frames))
+	}
+	if got := dbA.SegmentsIn("cam"); got != len(bounds) {
+		t.Fatalf("SegmentsIn = %d, want %d", got, len(bounds))
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-			dbB := core.OpenShared(cfg)
-			last := 0
-			for e, b := range bounds {
-				seg := &video.Segment{
-					Name:  fmt.Sprintf("cam/%06d", e),
-					Width: meta.Width, Height: meta.Height, FPS: meta.FPS,
-					Frames: renumbered(frames[last:b]),
-				}
-				if _, err := dbB.IngestSegment("cam", seg); err != nil {
-					t.Fatal(err)
-				}
-				last = b
-			}
-			if got, want := querySig(t, dbA), querySig(t, dbB); got != want {
-				t.Errorf("feed-ingested answers diverge from one-shot ingest:\nfeed: %s\nshot: %s", got, want)
-			}
-			if a, b := dbA.Stats(), dbB.Stats(); a != b {
-				t.Errorf("Stats diverge: feed %+v, one-shot %+v", a, b)
-			}
-			if !bytes.Equal(snapshotBytes(t, dbA), snapshotBytes(t, dbB)) {
-				t.Error("snapshot bytes diverge between feed and one-shot ingest")
-			}
-		})
+	dbB := core.OpenShared(cfg)
+	last := 0
+	for e, b := range bounds {
+		seg := &video.Segment{
+			Name:  fmt.Sprintf("cam/%06d", e),
+			Width: meta.Width, Height: meta.Height, FPS: meta.FPS,
+			Frames: renumbered(frames[last:b]),
+		}
+		if _, err := dbB.IngestSegment("cam", seg); err != nil {
+			t.Fatal(err)
+		}
+		last = b
+	}
+	if got, want := querySig(t, dbA), querySig(t, dbB); got != want {
+		t.Errorf("feed-ingested answers diverge from one-shot ingest:\nfeed: %s\nshot: %s", got, want)
+	}
+	if a, b := dbA.Stats(), dbB.Stats(); a != b {
+		t.Errorf("Stats diverge: feed %+v, one-shot %+v", a, b)
+	}
+	if !bytes.Equal(snapshotBytes(t, dbA), snapshotBytes(t, dbB)) {
+		t.Error("snapshot bytes diverge between feed and one-shot ingest")
 	}
 }
 
@@ -174,7 +164,7 @@ func TestFeedReplayDeterminism(t *testing.T) {
 func TestFeedIdenticalRunsIdenticalBytes(t *testing.T) {
 	frames, meta := feedFrames(t, 6, 9)
 	run := func() []byte {
-		cfg := shardConfig(2)
+		cfg := core.DefaultConfig()
 		db := core.OpenShared(cfg)
 		svc, err := Open(Options{Dir: t.TempDir(), DB: db, STRG: &cfg.STRG, MinEpochFrames: 10})
 		if err != nil {

@@ -39,7 +39,7 @@ func feedSoakDuration(t *testing.T) time.Duration {
 // assertion.
 func TestFeedSoak(t *testing.T) {
 	frames, meta := feedFrames(t, 8, 17)
-	cfg := shardConfig(2)
+	cfg := core.DefaultConfig()
 	db := core.OpenShared(cfg)
 	svc, err := Open(Options{
 		Dir: t.TempDir(), DB: db, STRG: &cfg.STRG,

@@ -70,10 +70,7 @@ type Config struct {
 	Seed int64
 	// EMMaxIter bounds clustering iterations. Zero means 50.
 	EMMaxIter int
-	// Shards is the number of copy-on-write partitions a Sharded index
-	// splits its roots across (clamped to [1, MaxShards]; plain Trees
-	// ignore it). Query results are identical at every setting — sharding
-	// only changes which snapshot a root lives in.
+	// Deprecated: ignored. The served index is one copy-on-write tree.
 	Shards int
 	// Deprecated: ignored. Splits run inline at the end of every commit,
 	// so the tree's shape depends only on the commit sequence.
@@ -195,8 +192,8 @@ type rootRecord[P any] struct {
 	clusters []*clusterRecord[P]
 }
 
-// Tree is an STRG-Index. Not safe for concurrent mutation; Sharded wraps
-// trees in copy-on-write snapshots for concurrent readers.
+// Tree is an STRG-Index. Not safe for concurrent mutation; Sharded
+// publishes copy-on-write clones of one for concurrent readers.
 type Tree[P any] struct {
 	cfg     Config
 	matcher *graph.Matcher

@@ -57,31 +57,15 @@ var (
 		"DP evaluations abandoned early above the pruning threshold", nil)
 )
 
-// Shard-maintenance instrumentation: copy-on-write snapshot publication
-// and the occupancy splits commits run.
+// Split instrumentation: the occupancy splits commits run.
 //
-//	strg_index_shard_version_swaps_total  shard snapshot publications
-//	                                      (one per committed write)
-//	strg_index_split_evals_total          K = 2 EM fits run by splits
-//	strg_index_splits_total               leaf splits performed
-//	strg_index_stale_reads_total          searches that finished at least
-//	                                      one shard version behind the
-//	                                      latest published snapshot
-//	strg_index_stale_version_lag          versions published during the
-//	                                      most recent search (its
-//	                                      snapshot's staleness at
-//	                                      completion; 0 = fully fresh)
+//	strg_index_split_evals_total  K = 2 EM fits run by splits
+//	strg_index_splits_total       leaf splits performed
 var (
-	shardVersionSwaps = obs.Default.Counter("strg_index_shard_version_swaps_total",
-		"copy-on-write shard snapshot publications", nil)
 	splitEvals = obs.Default.Counter("strg_index_split_evals_total",
 		"K = 2 EM fits run by occupancy splits", nil)
 	splits = obs.Default.Counter("strg_index_splits_total",
 		"leaf splits performed by the occupancy rule", nil)
-	staleReads = obs.Default.Counter("strg_index_stale_reads_total",
-		"searches completed at least one shard version behind the latest snapshot", nil)
-	staleVersionLag = obs.Default.Gauge("strg_index_stale_version_lag",
-		"shard versions published during the most recent search", nil)
 )
 
 // observeCascade records one search's cascade accounting.

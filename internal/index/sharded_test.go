@@ -75,16 +75,15 @@ func sameItems(t *testing.T, label string, got, want []Item[int]) {
 	}
 }
 
-// TestShardedByteIdentityMatrix is the acceptance matrix: shard counts
-// {1,2,4} × worker counts {1,2} × cascade on/off all produce trees whose
-// merged iteration order, structure and every search result — the
-// default single-leaf k-NN of Algorithm 3 included — are byte-identical
-// to the plain single-tree build of the same segment sequence, and the
-// plain trees are identical across worker counts and cascade settings. The workload
-// starts each root as one cluster and crosses the occupancy bound many
-// times, in the seeding commit and in later ones. Two more copies must
-// agree as well: one saved half-way, restored and fed the rest, and one
-// that replays the commits through Route + AddRouted, as log replay does.
+// TestShardedByteIdentityMatrix is the acceptance matrix: worker counts
+// {1,2} × cascade on/off all produce served indexes whose iteration order,
+// structure and every search result — the default single-leaf k-NN of
+// Algorithm 3 included — are byte-identical to the plain single-tree build
+// of the same segment sequence, and the plain trees are identical across
+// worker counts and cascade settings. The workload starts each root as one
+// cluster and crosses the occupancy bound many times, in the seeding commit
+// and in later ones. One more copy must agree as well: one saved half-way,
+// restored and fed the rest.
 func TestShardedByteIdentityMatrix(t *testing.T) {
 	bgs, segs := shardScript(31)
 	queries := detSequences(4, 99)
@@ -123,82 +122,144 @@ func TestShardedByteIdentityMatrix(t *testing.T) {
 					}
 				}
 			}
-			for _, nsh := range []int{1, 2, 4} {
-				label := labelf("workers=%d cascade=%v shards=%d", workers, !noCascade, nsh)
-				scfg := cfg
-				scfg.Shards = nsh
-				s := NewSharded[int](scfg)
-				replayed := NewSharded[int](scfg)
-				var restored *Sharded[int]
-				for i, sg := range segs {
-					if err := s.AddSegment(bgs[sg.bg], sg.items); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if err := replayed.AddRouted(replayed.Route(bgs[sg.bg]), sg.items); err != nil {
-						t.Fatalf("%s replayed: %v", label, err)
-					}
-					if restored != nil {
-						if err := restored.AddSegment(bgs[sg.bg], sg.items); err != nil {
-							t.Fatalf("%s restored: %v", label, err)
-						}
-					} else if i == len(segs)/2 {
-						var err error
-						if restored, err = NewShardedFromSnapshot(s.Snapshot(), scfg); err != nil {
-							t.Fatalf("%s: restore: %v", label, err)
-						}
-					}
-				}
-				if err := s.View().CheckInvariants(); err != nil {
+			label := labelf("workers=%d cascade=%v", workers, !noCascade)
+			s := NewSharded[int](cfg)
+			var restored *Sharded[int]
+			for i, sg := range segs {
+				if err := s.AddSegment(bgs[sg.bg], sg.items); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if s.Len() != ref.Len() || s.NumRoots() != len(ref.roots) || s.NumClusters() != ref.NumClusters() {
-					t.Fatalf("%s: shape (%d,%d,%d), want (%d,%d,%d)", label,
-						s.Len(), s.NumRoots(), s.NumClusters(),
-						ref.Len(), len(ref.roots), ref.NumClusters())
-				}
-				if s.MemoryBytes() != ref.MemoryBytes() {
-					t.Fatalf("%s: MemoryBytes %d, want %d", label, s.MemoryBytes(), ref.MemoryBytes())
-				}
-				sameItems(t, label, s.View().Items(), ref.Items())
-				sameItems(t, label+" replayed", replayed.View().Items(), ref.Items())
-				sameItems(t, label+" restored", restored.View().Items(), ref.Items())
-				// Every committed write published exactly one snapshot.
-				var vsum uint64
-				for _, v := range s.Versions() {
-					vsum += v
-				}
-				if vsum != uint64(len(segs)) {
-					t.Fatalf("%s: version sum %d, want %d", label, vsum, len(segs))
-				}
-				for b, bg := range bgs {
-					for qi, q := range queries {
-						sq := q.Clone()
-						for _, v := range sq {
-							v[0] += 400 * float64(b)
-							v[1] += 400 * float64(b)
-						}
-						ql := labelf("%s bg=%d q=%d", label, b, qi)
-						want := ref.KNN(bg, sq, 5)
-						sameResults(t, ql+" KNN", s.View().KNN(bg, sq, 5), want)
-						sameResults(t, ql+" KNN replayed", replayed.View().KNN(bg, sq, 5), want)
-						sameResults(t, ql+" KNN restored", restored.View().KNN(bg, sq, 5), want)
-						sameResults(t, ql+" KNNExact", s.View().KNNExact(bg, sq, 9), ref.KNNExact(bg, sq, 9))
-						sameResults(t, ql+" Range", s.View().Range(bg, sq, 150), ref.Range(bg, sq, 150))
+				if restored != nil {
+					if err := restored.AddSegment(bgs[sg.bg], sg.items); err != nil {
+						t.Fatalf("%s restored: %v", label, err)
+					}
+				} else if i == len(segs)/2 {
+					var err error
+					if restored, err = NewShardedFromSnapshot(s.Snapshot(), cfg); err != nil {
+						t.Fatalf("%s: restore: %v", label, err)
 					}
 				}
-				// Search accounting is identical too: same records visited,
-				// same cascade dispositions.
-				gotRes, gotSt, err1 := s.KNNExactStatsCtx(t.Context(), bgs[1], queries[0], 7)
-				wantRes, wantSt, err2 := ref.KNNExactStatsCtx(t.Context(), bgs[1], queries[0], 7)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: stats errs %v %v", label, err1, err2)
-				}
-				sameResults(t, label+" stats results", gotRes, wantRes)
-				if gotSt != wantSt {
-					t.Fatalf("%s: stats %+v, want %+v", label, gotSt, wantSt)
+			}
+			if err := s.View().CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if s.Len() != ref.Len() || s.NumRoots() != len(ref.roots) || s.NumClusters() != ref.NumClusters() {
+				t.Fatalf("%s: shape (%d,%d,%d), want (%d,%d,%d)", label,
+					s.Len(), s.NumRoots(), s.NumClusters(),
+					ref.Len(), len(ref.roots), ref.NumClusters())
+			}
+			if s.MemoryBytes() != ref.MemoryBytes() {
+				t.Fatalf("%s: MemoryBytes %d, want %d", label, s.MemoryBytes(), ref.MemoryBytes())
+			}
+			sameItems(t, label, s.View().Items(), ref.Items())
+			sameItems(t, label+" restored", restored.View().Items(), ref.Items())
+			for b, bg := range bgs {
+				for qi, q := range queries {
+					sq := q.Clone()
+					for _, v := range sq {
+						v[0] += 400 * float64(b)
+						v[1] += 400 * float64(b)
+					}
+					ql := labelf("%s bg=%d q=%d", label, b, qi)
+					want := ref.KNN(bg, sq, 5)
+					sameResults(t, ql+" KNN", s.View().KNN(bg, sq, 5), want)
+					sameResults(t, ql+" KNN restored", restored.View().KNN(bg, sq, 5), want)
+					sameResults(t, ql+" KNNExact", s.View().KNNExact(bg, sq, 9), ref.KNNExact(bg, sq, 9))
+					sameResults(t, ql+" Range", s.View().Range(bg, sq, 150), ref.Range(bg, sq, 150))
 				}
 			}
+			// Search accounting is identical too: same records visited,
+			// same cascade dispositions.
+			gotRes, gotSt, err1 := s.KNNExactStatsCtx(t.Context(), bgs[1], queries[0], 7)
+			wantRes, wantSt, err2 := ref.KNNExactStatsCtx(t.Context(), bgs[1], queries[0], 7)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: stats errs %v %v", label, err1, err2)
+			}
+			sameResults(t, label+" stats results", gotRes, wantRes)
+			if gotSt != wantSt {
+				t.Fatalf("%s: stats %+v, want %+v", label, gotSt, wantSt)
+			}
 		}
+	}
+}
+
+// TestShardedViewIsCommitPrefix takes views during a commit storm over
+// three distinct backgrounds and checks each one holds exactly the first
+// m commits for some m: payloads are numbered in commit order, so a
+// prefix holds the payloads {0..Len-1}, Len is one of the per-commit
+// running totals, and the root count is that prefix's.
+func TestShardedViewIsCommitPrefix(t *testing.T) {
+	bgs := []*graph.Graph{nil, shardBG(1), shardBG(2)}
+	const commits = 48
+	seqs := detSequences(commits*3, 21)
+	type commit struct {
+		bg    *graph.Graph
+		items []Item[int]
+	}
+	script := make([]commit, commits)
+	// rootsAt maps each prefix's OG count to its root count.
+	rootsAt := map[int]int{0: 0}
+	total, payload := 0, 0
+	for c := range script {
+		script[c].bg = bgs[c%len(bgs)]
+		for j := 0; j < 1+c%3; j++ {
+			script[c].items = append(script[c].items, Item[int]{Seq: seqs[payload], Payload: payload})
+			payload++
+		}
+		total += len(script[c].items)
+		rootsAt[total] = min(c+1, len(bgs))
+	}
+
+	s := NewSharded[int](Config{Seed: 3, MaxLeafEntries: 8})
+	var done atomic.Bool
+	var views atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				v := s.View()
+				views.Add(1)
+				n := v.Len()
+				roots, ok := rootsAt[n]
+				if !ok {
+					t.Errorf("view holds %d OGs, which no commit prefix does", n)
+					return
+				}
+				if len(v.roots) != roots {
+					t.Errorf("view of %d OGs has %d roots, the prefix %d", n, len(v.roots), roots)
+					return
+				}
+				items := v.Items()
+				if len(items) != n {
+					t.Errorf("view reports %d OGs and holds %d", n, len(items))
+					return
+				}
+				seen := make([]bool, n)
+				for _, it := range items {
+					if it.Payload < 0 || it.Payload >= n || seen[it.Payload] {
+						t.Errorf("view of %d OGs holds payload %d: not a commit prefix", n, it.Payload)
+						return
+					}
+					seen[it.Payload] = true
+				}
+			}
+		}()
+	}
+	for _, c := range script {
+		if err := s.AddSegment(c.bg, c.items); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if s.Len() != total || s.NumRoots() != len(bgs) {
+		t.Fatalf("final index holds %d OGs under %d roots, want %d under %d", s.Len(), s.NumRoots(), total, len(bgs))
+	}
+	if views.Load() == 0 {
+		t.Fatal("no view was taken during the storm")
 	}
 }
 
@@ -218,7 +279,7 @@ func TestShardedQueriesServeDuringIngest(t *testing.T) {
 		}
 		return dist.EGED(a, b)
 	}
-	s := NewSharded[int](Config{Seed: 5, NumClusters: 2, Shards: 2, ClusterDistance: cd})
+	s := NewSharded[int](Config{Seed: 5, NumClusters: 2, ClusterDistance: cd})
 	seqs := detSequences(40, 7)
 	items := make([]Item[int], len(seqs))
 	for i, sq := range seqs {
@@ -279,70 +340,35 @@ func TestShardedQueriesServeDuringIngest(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRoundtrip serializes a 3-shard index and restores it
-// at shard counts 1, 2 and 5 and as a plain tree: every restore yields the
-// same logical database (items in order, identical answers).
+// TestShardedSnapshotRoundtrip serializes an index and restores it:
+// the restore yields the same logical database (items in order,
+// identical answers).
 func TestShardedSnapshotRoundtrip(t *testing.T) {
 	bgs, segs := shardScript(83)
-	cfg := Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8, Shards: 3}
+	cfg := Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8}
 	s := NewSharded[int](cfg)
 	for _, sg := range segs {
 		if err := s.AddSegment(bgs[sg.bg], sg.items); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := s.Snapshot()
-	wantItems := s.View().Items()
-	q := detSequences(2, 13)
-	for _, nsh := range []int{1, 2, 5} {
-		rcfg := cfg
-		rcfg.Shards = nsh
-		r, err := NewShardedFromSnapshot[int](snap, rcfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", nsh, err)
-		}
-		sameItems(t, labelf("restore shards=%d", nsh), r.View().Items(), wantItems)
-		for qi, query := range q {
-			sameResults(t, labelf("restore shards=%d q=%d", nsh, qi),
-				r.View().KNNExact(nil, query, 6), s.View().KNNExact(nil, query, 6))
-			sameResults(t, labelf("restore shards=%d q=%d range", nsh, qi),
-				r.View().Range(nil, query, 180), s.View().Range(nil, query, 180))
-		}
+	r, err := NewShardedFromSnapshot[int](s.Snapshot(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestRouteShardAgreement checks the pure pre-commit route matches where
-// AddSegment actually homes each root — for new backgrounds and repeats.
-func TestRouteShardAgreement(t *testing.T) {
-	s := NewSharded[int](Config{Seed: 1, NumClusters: 2, Shards: 4})
-	for i, bg := range []*graph.Graph{nil, shardBG(1), shardBG(2), shardBG(3)} {
-		want := s.Route(bg).Shard
-		seqs := detSequences(6, int64(100+i))
-		items := make([]Item[int], len(seqs))
-		for j, sq := range seqs {
-			items[j] = Item[int]{Seq: sq, Payload: i*100 + j}
-		}
-		if err := s.AddSegment(bg, items); err != nil {
-			t.Fatal(err)
-		}
-		dir := *s.dir.Load()
-		e := dir[len(dir)-1]
-		if e.shard != want {
-			t.Fatalf("bg %d: Route said shard %d, root homed on %d", i, want, e.shard)
-		}
-		if got := s.Route(bg).Shard; got != e.shard {
-			t.Fatalf("bg %d: repeat Route = shard %d, want %d", i, got, e.shard)
-		}
-	}
-	if s.NumRoots() != 4 {
-		t.Fatalf("NumRoots = %d, want 4 (backgrounds unexpectedly matched)", s.NumRoots())
+	sameItems(t, "restore", r.View().Items(), s.View().Items())
+	for qi, query := range detSequences(2, 13) {
+		sameResults(t, labelf("restore q=%d", qi),
+			r.View().KNNExact(nil, query, 6), s.View().KNNExact(nil, query, 6))
+		sameResults(t, labelf("restore q=%d range", qi),
+			r.View().Range(nil, query, 180), s.View().Range(nil, query, 180))
 	}
 }
 
 // TestShardedEmptySegment matches the plain tree: a background-only
 // segment creates a routable root without indexing anything.
 func TestShardedEmptySegment(t *testing.T) {
-	s := NewSharded[int](Config{Seed: 1, Shards: 2})
+	s := NewSharded[int](Config{Seed: 1})
 	bg := shardBG(1)
 	if err := s.AddSegment(bg, nil); err != nil {
 		t.Fatal(err)

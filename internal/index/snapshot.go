@@ -66,8 +66,7 @@ func (t *Tree[P]) Snapshot() Snapshot[P] {
 }
 
 // restoreRoot appends one serialized root to the tree, recomputing the
-// derived per-record state (the cascade summary). The sharded restore
-// partitions the snapshot's root sequence across shard trees with it.
+// derived per-record state (the cascade summary).
 func (t *Tree[P]) restoreRoot(rs RootSnapshot[P]) error {
 	root := &rootRecord[P]{id: rs.ID}
 	if rs.HasBG {

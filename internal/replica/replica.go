@@ -34,6 +34,12 @@ const resyncMarker = "RESYNC"
 // state, and re-bootstraps.
 var ErrResyncNeeded = errors.New("replica: local state requires re-bootstrap")
 
+// ErrDigestFormat is returned by the anti-entropy check when the
+// primary's state digest carries no index hash: it was computed by an
+// older binary (per-shard hashes), so it cannot be compared. Nothing is
+// repaired; primary and replicas are upgraded together.
+var ErrDigestFormat = errors.New("replica: primary state digest has no index hash (older binary)")
+
 // Config configures a replica.
 type Config struct {
 	// Primary is the base URL of the primary's HTTP API. Required.
@@ -43,8 +49,8 @@ type Config struct {
 	ID string
 	// Dir is the local data directory. Required.
 	Dir string
-	// DB is the core configuration — it must match the primary's (shard
-	// count included) for byte-identity.
+	// DB is the core configuration — it must match the primary's for
+	// byte-identity.
 	DB core.Config
 	// Durability tunes the local WAL/snapshot thresholds; Dir and FS are
 	// taken from here when set.
@@ -517,6 +523,9 @@ func (r *Replica) antiEntropy(ctx context.Context) error {
 	if err := json.NewDecoder(resp.Body).Decode(&theirs); err != nil {
 		return fmt.Errorf("replica: decoding digest: %w", err)
 	}
+	if theirs.Index == "" {
+		return ErrDigestFormat
+	}
 	if theirs.Pos != r.db.ReplicaPos() {
 		return nil // not at a matched position; nothing to compare
 	}
@@ -528,16 +537,9 @@ func (r *Replica) antiEntropy(ctx context.Context) error {
 		return nil // we moved while computing; skip
 	}
 	mAntiEntropyChecks.Inc()
-	mismatch := ours.Corpus != theirs.Corpus || len(ours.Shards) != len(theirs.Shards)
-	if !mismatch {
-		for i := range ours.Shards {
-			if ours.Shards[i] != theirs.Shards[i] {
-				r.cfg.Logger.Error("anti-entropy: shard diverged", "shard", i, "pos", ours.Pos.String())
-				mismatch = true
-			}
-		}
-	}
-	if mismatch {
+	if ours.Index != theirs.Index || ours.Corpus != theirs.Corpus {
+		r.cfg.Logger.Error("anti-entropy: state diverged", "pos", ours.Pos.String(),
+			"index", ours.Index != theirs.Index, "corpus", ours.Corpus != theirs.Corpus)
 		mAntiEntropyRepairs.Inc()
 		r.markResync()
 		r.diverged.Store(true)

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"strgindex/internal/dist"
 	"strgindex/internal/faultfs"
 	"strgindex/internal/index"
+	"strgindex/internal/obs"
 	"strgindex/internal/query"
 	"strgindex/internal/replica"
 	"strgindex/internal/server"
@@ -47,12 +49,6 @@ func miniStream(t *testing.T, n int, seed int64) *video.Stream {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func testCfg(shards int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Index.Shards = shards
-	return cfg
 }
 
 var sigTrajs = []dist.Sequence{
@@ -167,9 +163,9 @@ func (p *primaryFixture) ingest(t *testing.T, segs []*video.Segment) {
 // startPrimary recovers (or creates) a durable primary in dir and serves
 // it with the replication endpoints mounted. Automatic snapshots are off:
 // tests drive rotation explicitly with Checkpoint.
-func startPrimary(t *testing.T, dir string, shards int) *primaryFixture {
+func startPrimary(t *testing.T, dir string) *primaryFixture {
 	t.Helper()
-	db, _, err := core.OpenDurable(testCfg(shards), core.Durability{Dir: dir, SnapshotOps: -1, SnapshotBytes: -1})
+	db, _, err := core.OpenDurable(core.DefaultConfig(), core.Durability{Dir: dir, SnapshotOps: -1, SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +181,13 @@ func startPrimary(t *testing.T, dir string, shards int) *primaryFixture {
 
 // openReplicaAt opens a replica with test-speed timings in a fixed local
 // directory (so tests can close and reopen it).
-func openReplicaAt(t *testing.T, primaryURL, dir string, shards int, mod func(*replica.Config)) *replica.Replica {
+func openReplicaAt(t *testing.T, primaryURL, dir string, mod func(*replica.Config)) *replica.Replica {
 	t.Helper()
 	rc := replica.Config{
 		Primary:             primaryURL,
 		ID:                  "r1",
 		Dir:                 dir,
-		DB:                  testCfg(shards),
+		DB:                  core.DefaultConfig(),
 		PollInterval:        2 * time.Millisecond,
 		BackoffMin:          2 * time.Millisecond,
 		BackoffMax:          50 * time.Millisecond,
@@ -240,8 +236,8 @@ func waitCaughtUp(t *testing.T, rep *replica.Replica, primary *core.SharedDB) {
 
 // expectIdentical asserts the full byte-identity contract between a
 // caught-up replica and its primary: k-NN answers, SearchStats, database
-// stats, and the anti-entropy digests (per-shard and corpus hashes) at
-// the matched position.
+// stats, and the anti-entropy digests (index and corpus hashes) at the
+// matched position.
 func expectIdentical(t *testing.T, rep *replica.Replica, primary *core.SharedDB) {
 	t.Helper()
 	if got, want := querySig(t, rep.DB()), querySig(t, primary); got != want {
@@ -267,39 +263,30 @@ func expectIdentical(t *testing.T, rep *replica.Replica, primary *core.SharedDB)
 	if pd.Corpus != rd.Corpus {
 		t.Errorf("corpus digests differ at %v", pd.Pos)
 	}
-	if len(pd.Shards) != len(rd.Shards) {
-		t.Fatalf("shard digest counts differ: %d vs %d", len(pd.Shards), len(rd.Shards))
-	}
-	for i := range pd.Shards {
-		if pd.Shards[i] != rd.Shards[i] {
-			t.Errorf("shard %d digests differ at %v", i, pd.Pos)
-		}
+	if pd.Index == "" || pd.Index != rd.Index {
+		t.Errorf("index digests differ at %v: primary %q, replica %q", pd.Pos, pd.Index, rd.Index)
 	}
 }
 
-// TestReplicaByteIdentity is the headline property at every shard count
-// the acceptance list names: a replica that bootstrapped from a snapshot
-// mid-stream and tailed the WAL answers byte-identically to the primary.
+// TestReplicaByteIdentity is the headline property: a replica that
+// bootstrapped from a snapshot mid-stream and tailed the WAL answers
+// byte-identically to the primary.
 func TestReplicaByteIdentity(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			stream := miniStream(t, 8, 81)
-			p := startPrimary(t, t.TempDir(), shards)
-			half := len(stream.Segments) / 2
-			p.ingest(t, stream.Segments[:half])
+	stream := miniStream(t, 8, 81)
+	p := startPrimary(t, t.TempDir())
+	half := len(stream.Segments) / 2
+	p.ingest(t, stream.Segments[:half])
 
-			rep := openReplicaAt(t, p.ts.URL, t.TempDir(), shards, nil)
-			defer rep.Close()
-			stop := runReplica(rep)
-			defer stop()
+	rep := openReplicaAt(t, p.ts.URL, t.TempDir(), nil)
+	defer rep.Close()
+	stop := runReplica(rep)
+	defer stop()
 
-			p.ingest(t, stream.Segments[half:])
-			waitCaughtUp(t, rep, p.db)
-			expectIdentical(t, rep, p.db)
-			if got := rep.DB().AppliedSegments(); got != len(stream.Segments) {
-				t.Errorf("AppliedSegments = %d, want %d", got, len(stream.Segments))
-			}
-		})
+	p.ingest(t, stream.Segments[half:])
+	waitCaughtUp(t, rep, p.db)
+	expectIdentical(t, rep, p.db)
+	if got := rep.DB().AppliedSegments(); got != len(stream.Segments) {
+		t.Errorf("AppliedSegments = %d, want %d", got, len(stream.Segments))
 	}
 }
 
@@ -348,7 +335,7 @@ func tamperProxy(t *testing.T, upstream func() string, tamper func(path string, 
 // re-fetch, and still converge byte-identically.
 func TestReplicaCorruptBatchRefusedAndRefetched(t *testing.T) {
 	stream := miniStream(t, 6, 83)
-	p := startPrimary(t, t.TempDir(), 2)
+	p := startPrimary(t, t.TempDir())
 	p.ingest(t, stream.Segments)
 
 	var walFetches, tampered atomic.Int32
@@ -364,7 +351,7 @@ func TestReplicaCorruptBatchRefusedAndRefetched(t *testing.T) {
 		return body
 	})
 
-	rep := openReplicaAt(t, proxy.URL, t.TempDir(), 2, nil)
+	rep := openReplicaAt(t, proxy.URL, t.TempDir(), nil)
 	defer rep.Close()
 	stop := runReplica(rep)
 	defer stop()
@@ -384,7 +371,7 @@ func TestReplicaCorruptBatchRefusedAndRefetched(t *testing.T) {
 // and re-fetch behaviour.
 func TestReplicaTornBatchRefusedAndRefetched(t *testing.T) {
 	stream := miniStream(t, 6, 85)
-	p := startPrimary(t, t.TempDir(), 2)
+	p := startPrimary(t, t.TempDir())
 	p.ingest(t, stream.Segments)
 
 	var walFetches atomic.Int32
@@ -395,7 +382,7 @@ func TestReplicaTornBatchRefusedAndRefetched(t *testing.T) {
 		return body
 	})
 
-	rep := openReplicaAt(t, proxy.URL, t.TempDir(), 2, nil)
+	rep := openReplicaAt(t, proxy.URL, t.TempDir(), nil)
 	defer rep.Close()
 	stop := runReplica(rep)
 	defer stop()
@@ -414,7 +401,7 @@ func TestReplicaTornBatchRefusedAndRefetched(t *testing.T) {
 // refused, and a clean resume to the full state with no gaps or
 // duplicates.
 func TestReplicaCrashApplyMatrix(t *testing.T) {
-	cfg := testCfg(1)
+	cfg := core.DefaultConfig()
 	stream := miniStream(t, 6, 87)
 	n := len(stream.Segments)
 	sigs := refSigs(t, cfg, stream.Segments)
@@ -562,10 +549,10 @@ func TestReplicaCrashApplyMatrix(t *testing.T) {
 func TestReplicaResumePrimaryRestart(t *testing.T) {
 	stream := miniStream(t, 8, 93)
 	n := len(stream.Segments)
-	sigs := refSigs(t, testCfg(2), stream.Segments)
+	sigs := refSigs(t, core.DefaultConfig(), stream.Segments)
 	pdir := t.TempDir()
 
-	p1 := startPrimary(t, pdir, 2)
+	p1 := startPrimary(t, pdir)
 	half := n / 2
 	p1.ingest(t, stream.Segments[:half])
 
@@ -573,7 +560,7 @@ func TestReplicaResumePrimaryRestart(t *testing.T) {
 	target.Store(p1.ts.URL)
 	proxy := tamperProxy(t, func() string { return target.Load().(string) }, nil)
 
-	rep := openReplicaAt(t, proxy.URL, t.TempDir(), 2, nil)
+	rep := openReplicaAt(t, proxy.URL, t.TempDir(), nil)
 	defer rep.Close()
 	stop := runReplica(rep)
 	defer stop()
@@ -592,7 +579,7 @@ func TestReplicaResumePrimaryRestart(t *testing.T) {
 	}
 
 	// Primary restarts on the same directory and keeps ingesting.
-	p2 := startPrimary(t, pdir, 2)
+	p2 := startPrimary(t, pdir)
 	p2.ingest(t, stream.Segments[half:])
 	target.Store(p2.ts.URL)
 
@@ -615,14 +602,14 @@ func TestReplicaWALGoneRebootstraps(t *testing.T) {
 	n := len(stream.Segments)
 	pdir, rdir := t.TempDir(), t.TempDir()
 
-	p1 := startPrimary(t, pdir, 2)
+	p1 := startPrimary(t, pdir)
 	p1.ingest(t, stream.Segments[:n/2])
 
 	var target atomic.Value
 	target.Store(p1.ts.URL)
 	proxy := tamperProxy(t, func() string { return target.Load().(string) }, nil)
 
-	rep := openReplicaAt(t, proxy.URL, rdir, 2, nil)
+	rep := openReplicaAt(t, proxy.URL, rdir, nil)
 	stop := runReplica(rep)
 	waitCaughtUp(t, rep, p1.db)
 	if err := stop(); !errors.Is(err, context.Canceled) {
@@ -635,7 +622,7 @@ func TestReplicaWALGoneRebootstraps(t *testing.T) {
 
 	// The restarted primary has an empty registry; a checkpoint rotates
 	// the old logs away.
-	p2 := startPrimary(t, pdir, 2)
+	p2 := startPrimary(t, pdir)
 	p2.ingest(t, stream.Segments[n/2:])
 	if err := p2.db.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -647,7 +634,7 @@ func TestReplicaWALGoneRebootstraps(t *testing.T) {
 
 	// The old replica state resumes from a position the primary no longer
 	// serves: Run must refuse to continue and demand a re-bootstrap.
-	rep2 := openReplicaAt(t, proxy.URL, rdir, 2, nil)
+	rep2 := openReplicaAt(t, proxy.URL, rdir, nil)
 	errc := make(chan error, 1)
 	go func() { errc <- rep2.Run(context.Background()) }()
 	select {
@@ -669,7 +656,7 @@ func TestReplicaWALGoneRebootstraps(t *testing.T) {
 	}
 
 	// Restart repairs: wipe, bootstrap, converge.
-	rep3 := openReplicaAt(t, proxy.URL, rdir, 2, nil)
+	rep3 := openReplicaAt(t, proxy.URL, rdir, nil)
 	defer rep3.Close()
 	stop3 := runReplica(rep3)
 	defer stop3()
@@ -682,9 +669,9 @@ func TestReplicaWALGoneRebootstraps(t *testing.T) {
 // position) and expects the digest comparison to catch it and force a
 // re-bootstrap that repairs the replica.
 func TestReplicaAntiEntropyDivergence(t *testing.T) {
-	cfg := testCfg(2)
+	cfg := core.DefaultConfig()
 	stream := miniStream(t, 6, 97)
-	p := startPrimary(t, t.TempDir(), 2)
+	p := startPrimary(t, t.TempDir())
 	p.ingest(t, stream.Segments)
 	realEnd, err := p.db.WALPos()
 	if err != nil {
@@ -741,7 +728,7 @@ func TestReplicaAntiEntropyDivergence(t *testing.T) {
 
 	// Tail the REAL primary from the divergent state: the position
 	// matches, so fetches return empty batches and anti-entropy runs.
-	rep := openReplicaAt(t, p.ts.URL, rdir, 2, func(c *replica.Config) {
+	rep := openReplicaAt(t, p.ts.URL, rdir, func(c *replica.Config) {
 		c.AntiEntropyInterval = time.Millisecond
 	})
 	errc := make(chan error, 1)
@@ -762,12 +749,91 @@ func TestReplicaAntiEntropyDivergence(t *testing.T) {
 	}
 
 	// Restart repairs via re-bootstrap.
-	rep2 := openReplicaAt(t, p.ts.URL, rdir, 2, nil)
+	rep2 := openReplicaAt(t, p.ts.URL, rdir, nil)
 	defer rep2.Close()
 	stop := runReplica(rep2)
 	defer stop()
 	waitCaughtUp(t, rep2, p.db)
 	expectIdentical(t, rep2, p.db)
+}
+
+// syncBuffer is a goroutine-safe log sink.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestReplicaRefusesOldDigestFormat serves the replica a digest in an
+// older binary's format (per-shard hashes, no index hash) at its own
+// position: anti-entropy must refuse it with ErrDigestFormat and keep
+// replicating, not count a repair, mark RESYNC or report divergence.
+func TestReplicaRefusesOldDigestFormat(t *testing.T) {
+	stream := miniStream(t, 6, 89)
+	p := startPrimary(t, t.TempDir())
+	p.ingest(t, stream.Segments[:2])
+
+	var served atomic.Int32
+	proxy := tamperProxy(t, func() string { return p.ts.URL }, func(path string, body []byte) []byte {
+		if path != "/v1/replication/digest" {
+			return body
+		}
+		var d map[string]any
+		if err := json.Unmarshal(body, &d); err != nil {
+			t.Errorf("digest body: %v", err)
+			return body
+		}
+		d["shards"] = []string{d["index"].(string)}
+		delete(d, "index")
+		out, _ := json.Marshal(d)
+		served.Add(1)
+		return out
+	})
+	repairs := obs.Default.Counter("strg_repl_anti_entropy_repairs_total", "", nil)
+	before := repairs.Value()
+	var logs syncBuffer
+	rdir := t.TempDir()
+	rep := openReplicaAt(t, proxy.URL, rdir, func(c *replica.Config) {
+		c.AntiEntropyInterval = time.Millisecond
+		c.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	})
+	defer rep.Close()
+	stop := runReplica(rep)
+	waitCaughtUp(t, rep, p.db)
+	deadline := time.Now().Add(20 * time.Second)
+	for served.Load() < 3 || !strings.Contains(logs.String(), replica.ErrDigestFormat.Error()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never refused the old digest (served %d): %s", served.Load(), logs.String())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Replication goes on past the refusal.
+	p.ingest(t, stream.Segments[2:])
+	waitCaughtUp(t, rep, p.db)
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if got := repairs.Value(); got != before {
+		t.Errorf("anti-entropy repairs moved %d -> %d on an old-format digest", before, got)
+	}
+	if rep.Status().Diverged {
+		t.Error("replica reports divergence on an old-format digest")
+	}
+	if _, err := os.Stat(filepath.Join(rdir, "RESYNC")); !os.IsNotExist(err) {
+		t.Errorf("RESYNC marker after an old-format digest: stat err %v", err)
+	}
+	expectIdentical(t, rep, p.db)
 }
 
 // TestPrimaryRetentionFloorPinsWAL proves registration pins the log
@@ -776,7 +842,7 @@ func TestReplicaAntiEntropyDivergence(t *testing.T) {
 // replica acks past.
 func TestPrimaryRetentionFloorPinsWAL(t *testing.T) {
 	stream := miniStream(t, 6, 99)
-	p := startPrimary(t, t.TempDir(), 1)
+	p := startPrimary(t, t.TempDir())
 	p.ingest(t, stream.Segments[:1])
 
 	if err := p.prim.Register("pinner"); err != nil {
@@ -828,7 +894,7 @@ func TestPrimaryRetentionFloorPinsWAL(t *testing.T) {
 // 403 read_only_replica, and catching back up restores 200.
 func TestReplicaLagFlipsReadyz(t *testing.T) {
 	stream := miniStream(t, 8, 101)
-	p := startPrimary(t, t.TempDir(), 2)
+	p := startPrimary(t, t.TempDir())
 	p.ingest(t, stream.Segments[:2])
 
 	// Gate WAL fetches: -1 unlimited, 0 blocked, n>0 allows n fetches.
@@ -868,7 +934,7 @@ func TestReplicaLagFlipsReadyz(t *testing.T) {
 	}))
 	defer proxy.Close()
 
-	rep := openReplicaAt(t, proxy.URL, t.TempDir(), 2, func(c *replica.Config) {
+	rep := openReplicaAt(t, proxy.URL, t.TempDir(), func(c *replica.Config) {
 		c.LagMax = 1
 		c.BatchBytes = 1 // one frame per batch, so lag is observable
 	})
@@ -986,7 +1052,7 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 // recovery resume one record back, re-fetch and re-apply it, and
 // silently diverge from the primary.
 func TestReplicaSnapshotDuringApplyStampsAppliedPosition(t *testing.T) {
-	cfg := testCfg(1)
+	cfg := core.DefaultConfig()
 	stream := miniStream(t, 6, 41)
 	sigs := refSigs(t, cfg, stream.Segments)
 
@@ -1043,7 +1109,7 @@ func TestReplicaSnapshotDuringApplyStampsAppliedPosition(t *testing.T) {
 // past a replica's old offset.
 func TestWALFramesMidRecordOffsetInLiveLog(t *testing.T) {
 	stream := miniStream(t, 4, 43)
-	pdb, _, err := core.OpenDurable(testCfg(1), core.Durability{Dir: t.TempDir(), SnapshotOps: -1, SnapshotBytes: -1})
+	pdb, _, err := core.OpenDurable(core.DefaultConfig(), core.Durability{Dir: t.TempDir(), SnapshotOps: -1, SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1068,7 +1134,7 @@ func TestWALFramesMidRecordOffsetInLiveLog(t *testing.T) {
 // replica sends no further calls, and without the sweep its last acked
 // sequence would pin WAL retention (and primary disk) forever.
 func TestPrimaryExpiresDeadReplicaWithoutTraffic(t *testing.T) {
-	db, _, err := core.OpenDurable(testCfg(1), core.Durability{Dir: t.TempDir(), SnapshotOps: -1, SnapshotBytes: -1})
+	db, _, err := core.OpenDurable(core.DefaultConfig(), core.Durability{Dir: t.TempDir(), SnapshotOps: -1, SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1094,7 +1160,7 @@ func TestPrimaryExpiresDeadReplicaWithoutTraffic(t *testing.T) {
 // could delete the WAL between the snapshot position and the first ack.
 func TestBootstrapSnapshotFetchCarriesReplicaID(t *testing.T) {
 	stream := miniStream(t, 4, 47)
-	p := startPrimary(t, t.TempDir(), 1)
+	p := startPrimary(t, t.TempDir())
 	p.ingest(t, stream.Segments)
 
 	var snapID atomic.Value
@@ -1119,7 +1185,7 @@ func TestBootstrapSnapshotFetchCarriesReplicaID(t *testing.T) {
 	}))
 	defer proxy.Close()
 
-	rep := openReplicaAt(t, proxy.URL, t.TempDir(), 1, nil)
+	rep := openReplicaAt(t, proxy.URL, t.TempDir(), nil)
 	defer rep.Close()
 	if got, ok := snapID.Load().(string); !ok || got != "r1" {
 		t.Fatalf("snapshot fetch carried replica id %q, want %q", got, "r1")

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"strgindex/internal/core"
 	"strgindex/internal/query"
 	"strgindex/internal/server"
 
@@ -19,13 +20,13 @@ import (
 // to a database that ingested exactly that prefix. Run under -race this
 // also shakes out apply/read synchronization bugs.
 func TestReplicaSoak(t *testing.T) {
-	cfg := testCfg(4)
+	cfg := core.DefaultConfig()
 	stream := miniStream(t, 28, 103)
 	n := len(stream.Segments)
 	sigs := refSigs(t, cfg, stream.Segments)
 
-	pdb := startPrimary(t, t.TempDir(), 4)
-	rep := openReplicaAt(t, pdb.ts.URL, t.TempDir(), 4, nil)
+	pdb := startPrimary(t, t.TempDir())
+	rep := openReplicaAt(t, pdb.ts.URL, t.TempDir(), nil)
 	defer rep.Close()
 	rts := httptest.NewServer(server.NewShared(rep.DB(), server.Options{Replica: rep, Logger: discardLog()}))
 	defer rts.Close()

@@ -132,7 +132,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplDigest is GET /v1/replication/digest: the primary's
-// anti-entropy state digest (position, per-shard hashes, corpus hash).
+// anti-entropy state digest (position, index hash, corpus hash).
 func (s *Server) handleReplDigest(w http.ResponseWriter, r *http.Request) {
 	d, err := s.opts.Replication.Digest()
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 // servedCorpusDB builds the database the end-to-end similarity workload
 // serves at seed 1 — 3 000 synthetic OGs bulk-loaded in the harness's
-// batches into 4 shards under the server's default index configuration —
+// batches under the server's default index configuration —
 // and draws nq query trajectories from the same recipe.
 func servedCorpusDB(tb testing.TB, nq int) (*core.VideoDB, []dist.Sequence) {
 	tb.Helper()
@@ -18,9 +18,7 @@ func servedCorpusDB(tb testing.TB, nq int) (*core.VideoDB, []dist.Sequence) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Index.Shards = 4
-	db := core.Open(cfg)
+	db := core.Open(core.DefaultConfig())
 	for lo := 0; lo < len(ogs); {
 		hi := experiments.ServedBatchEnd(lo, len(ogs))
 		if err := db.IngestTrajectories("corpus", ogs[lo:hi]); err != nil {
