@@ -339,14 +339,16 @@ func TestSecondSIGTERMForcesExit(t *testing.T) {
 // refused at validation — exit status 2 and one log line — before the
 // listener binds or the data directory is created, so a typo can never
 // start (or half-initialize) a server the operator did not ask for. A
-// flag the server no longer defines (-shards) is refused the same way,
-// by the flag parser.
+// flag the server no longer defines (-shards, whose old 1–256 range the
+// first two such cases probed) is refused the same way, by the flag parser.
 func TestFlagMisuseExits2(t *testing.T) {
 	for _, tc := range []struct{ name, args, want string }{
 		{"data-dir with db", "-data-dir DIR -db x.gob", "level=ERROR"},
 		{"replicate-from without data-dir", "-replicate-from http://127.0.0.1:1", "level=ERROR"},
 		{"feeds without data-dir", "-feeds", "level=ERROR"},
 		{"feeds on a replica", "-feeds -data-dir DIR -replicate-from http://127.0.0.1:1", "level=ERROR"},
+		{"shards 0", "-shards 0 -data-dir DIR", "flag provided but not defined: -shards"},
+		{"shards 257", "-shards 257 -data-dir DIR", "flag provided but not defined: -shards"},
 		{"removed shards flag", "-shards 4 -data-dir DIR", "flag provided but not defined: -shards"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -88,74 +88,88 @@ func renumbered(frames []video.Frame) []video.Frame {
 // TestFeedReplayDeterminism is the tentpole contract: a database fed
 // frame batches through the live path is byte-identical — k-NN answers,
 // SearchStats, Stats and snapshot bytes — to one that one-shot
-// IngestSegments the same epoch slices.
+// IngestSegments the same epoch slices. Each case sets the deprecated,
+// ignored index.Config.Shards knob, so every value must also yield the
+// same snapshot bytes.
 func TestFeedReplayDeterminism(t *testing.T) {
 	frames, meta := feedFrames(t, 8, 42)
-	cfg := core.DefaultConfig()
-	dbA := core.OpenShared(cfg)
-	svc, err := Open(Options{
-		Dir: t.TempDir(), DB: dbA, STRG: &cfg.STRG,
-		MinEpochFrames: 12, MaxEpochFrames: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := svc.Open("cam", meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bounds []int
-	for i := 0; i < len(frames); i += 7 {
-		end := min(i+7, len(frames))
-		res, err := f.Append(frames[i:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Accepted != end-i || res.Duplicates != 0 {
-			t.Fatalf("append [%d:%d): %+v", i, end, res)
-		}
-		if res.Flushed {
-			bounds = append(bounds, res.NextFrame)
-		}
-	}
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(bounds) == 0 || bounds[len(bounds)-1] != len(frames) {
-		bounds = append(bounds, len(frames))
-	}
-	st := f.State()
-	if st.Pending != 0 || st.NextFrame != len(frames) || st.Epoch != len(bounds) {
-		t.Fatalf("post-flush state %+v, want %d epochs over %d frames", st, len(bounds), len(frames))
-	}
-	if got := dbA.SegmentsIn("cam"); got != len(bounds) {
-		t.Fatalf("SegmentsIn = %d, want %d", got, len(bounds))
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
+	var first []byte
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Index.Shards = shards
+			dbA := core.OpenShared(cfg)
+			svc, err := Open(Options{
+				Dir: t.TempDir(), DB: dbA, STRG: &cfg.STRG,
+				MinEpochFrames: 12, MaxEpochFrames: 64,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := svc.Open("cam", meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bounds []int
+			for i := 0; i < len(frames); i += 7 {
+				end := min(i+7, len(frames))
+				res, err := f.Append(frames[i:end])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Accepted != end-i || res.Duplicates != 0 {
+					t.Fatalf("append [%d:%d): %+v", i, end, res)
+				}
+				if res.Flushed {
+					bounds = append(bounds, res.NextFrame)
+				}
+			}
+			if err := f.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(bounds) == 0 || bounds[len(bounds)-1] != len(frames) {
+				bounds = append(bounds, len(frames))
+			}
+			st := f.State()
+			if st.Pending != 0 || st.NextFrame != len(frames) || st.Epoch != len(bounds) {
+				t.Fatalf("post-flush state %+v, want %d epochs over %d frames", st, len(bounds), len(frames))
+			}
+			if got := dbA.SegmentsIn("cam"); got != len(bounds) {
+				t.Fatalf("SegmentsIn = %d, want %d", got, len(bounds))
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	dbB := core.OpenShared(cfg)
-	last := 0
-	for e, b := range bounds {
-		seg := &video.Segment{
-			Name:  fmt.Sprintf("cam/%06d", e),
-			Width: meta.Width, Height: meta.Height, FPS: meta.FPS,
-			Frames: renumbered(frames[last:b]),
-		}
-		if _, err := dbB.IngestSegment("cam", seg); err != nil {
-			t.Fatal(err)
-		}
-		last = b
-	}
-	if got, want := querySig(t, dbA), querySig(t, dbB); got != want {
-		t.Errorf("feed-ingested answers diverge from one-shot ingest:\nfeed: %s\nshot: %s", got, want)
-	}
-	if a, b := dbA.Stats(), dbB.Stats(); a != b {
-		t.Errorf("Stats diverge: feed %+v, one-shot %+v", a, b)
-	}
-	if !bytes.Equal(snapshotBytes(t, dbA), snapshotBytes(t, dbB)) {
-		t.Error("snapshot bytes diverge between feed and one-shot ingest")
+			dbB := core.OpenShared(cfg)
+			last := 0
+			for e, b := range bounds {
+				seg := &video.Segment{
+					Name:  fmt.Sprintf("cam/%06d", e),
+					Width: meta.Width, Height: meta.Height, FPS: meta.FPS,
+					Frames: renumbered(frames[last:b]),
+				}
+				if _, err := dbB.IngestSegment("cam", seg); err != nil {
+					t.Fatal(err)
+				}
+				last = b
+			}
+			if got, want := querySig(t, dbA), querySig(t, dbB); got != want {
+				t.Errorf("feed-ingested answers diverge from one-shot ingest:\nfeed: %s\nshot: %s", got, want)
+			}
+			if a, b := dbA.Stats(), dbB.Stats(); a != b {
+				t.Errorf("Stats diverge: feed %+v, one-shot %+v", a, b)
+			}
+			snap := snapshotBytes(t, dbA)
+			if !bytes.Equal(snap, snapshotBytes(t, dbB)) {
+				t.Error("snapshot bytes diverge between feed and one-shot ingest")
+			}
+			if first == nil {
+				first = snap
+			} else if !bytes.Equal(snap, first) {
+				t.Errorf("snapshot bytes under Shards=%d differ from Shards=1", shards)
+			}
+		})
 	}
 }
 

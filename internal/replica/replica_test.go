@@ -165,7 +165,13 @@ func (p *primaryFixture) ingest(t *testing.T, segs []*video.Segment) {
 // tests drive rotation explicitly with Checkpoint.
 func startPrimary(t *testing.T, dir string) *primaryFixture {
 	t.Helper()
-	db, _, err := core.OpenDurable(core.DefaultConfig(), core.Durability{Dir: dir, SnapshotOps: -1, SnapshotBytes: -1})
+	return startPrimaryCfg(t, dir, core.DefaultConfig())
+}
+
+// startPrimaryCfg is startPrimary over an explicit database configuration.
+func startPrimaryCfg(t *testing.T, dir string, cfg core.Config) *primaryFixture {
+	t.Helper()
+	db, _, err := core.OpenDurable(cfg, core.Durability{Dir: dir, SnapshotOps: -1, SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,23 +276,41 @@ func expectIdentical(t *testing.T, rep *replica.Replica, primary *core.SharedDB)
 
 // TestReplicaByteIdentity is the headline property: a replica that
 // bootstrapped from a snapshot mid-stream and tailed the WAL answers
-// byte-identically to the primary.
+// byte-identically to the primary. Each case sets the deprecated
+// index.Config.Shards knob that older callers still pass; it is ignored,
+// so every value must serve the same one index tree.
 func TestReplicaByteIdentity(t *testing.T) {
-	stream := miniStream(t, 8, 81)
-	p := startPrimary(t, t.TempDir())
-	half := len(stream.Segments) / 2
-	p.ingest(t, stream.Segments[:half])
+	var firstIndex string
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Index.Shards = shards
+			stream := miniStream(t, 8, 81)
+			p := startPrimaryCfg(t, t.TempDir(), cfg)
+			half := len(stream.Segments) / 2
+			p.ingest(t, stream.Segments[:half])
 
-	rep := openReplicaAt(t, p.ts.URL, t.TempDir(), nil)
-	defer rep.Close()
-	stop := runReplica(rep)
-	defer stop()
+			rep := openReplicaAt(t, p.ts.URL, t.TempDir(), func(rc *replica.Config) { rc.DB = cfg })
+			defer rep.Close()
+			stop := runReplica(rep)
+			defer stop()
 
-	p.ingest(t, stream.Segments[half:])
-	waitCaughtUp(t, rep, p.db)
-	expectIdentical(t, rep, p.db)
-	if got := rep.DB().AppliedSegments(); got != len(stream.Segments) {
-		t.Errorf("AppliedSegments = %d, want %d", got, len(stream.Segments))
+			p.ingest(t, stream.Segments[half:])
+			waitCaughtUp(t, rep, p.db)
+			expectIdentical(t, rep, p.db)
+			if got := rep.DB().AppliedSegments(); got != len(stream.Segments) {
+				t.Errorf("AppliedSegments = %d, want %d", got, len(stream.Segments))
+			}
+			d, err := p.db.ReplicationDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if firstIndex == "" {
+				firstIndex = d.Index
+			} else if d.Index != firstIndex {
+				t.Errorf("index digest %q under Shards=%d, want %q as under Shards=1", d.Index, shards, firstIndex)
+			}
+		})
 	}
 }
 

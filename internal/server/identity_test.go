@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -22,9 +23,10 @@ type identityHarness struct {
 	ref *core.SharedDB
 }
 
-func newIdentityHarness(t *testing.T, disableCascade bool) *identityHarness {
+func newIdentityHarness(t *testing.T, shards int, disableCascade bool) *identityHarness {
 	t.Helper()
 	cfg := core.DefaultConfig()
+	cfg.Index.Shards = shards
 	cfg.Concurrency = 2
 	cfg.Index.DisableCascade = disableCascade
 	s := NewWith(cfg, quietOptions())
@@ -58,7 +60,8 @@ func zeroMicros(r queryResponse) queryResponse {
 
 // TestLegacyEndpointsByteIdentical is the /v1/query identity test (the
 // name predates the removal of the legacy routes it once also covered):
-// with the lower-bound cascade both on and off,
+// with the lower-bound cascade both on and off, and under each value of
+// the deprecated, ignored index.Config.Shards knob older callers still set,
 // the HTTP envelope of each query shape — matches, totals, search
 // accounting, stages and plan — is byte-identical to what one mirrored
 // QueryComposedCtx call on the reference database produces. The route
@@ -83,50 +86,52 @@ func TestLegacyEndpointsByteIdentical(t *testing.T) {
 	}
 	for _, noCascade := range []bool{false, true} {
 		name := map[bool]string{false: "cascade", true: "exact-only"}[noCascade]
-		t.Run(name, func(t *testing.T) {
-			h := newIdentityHarness(t, noCascade)
-			for _, d := range docs {
-				resp, raw := post(t, h.ts.URL+"/v1/query", d.doc)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s: status %d: %s", d.name, resp.StatusCode, raw)
-				}
-				if resp.Header.Get("Deprecation") != "" {
-					t.Errorf("%s: /v1/query marked deprecated", d.name)
-				}
-				got := decodeQuery(t, raw)
-				if d.strategy != "" && got.Plan.Strategy != string(d.strategy) {
-					t.Errorf("%s: plan strategy = %q, want %s", d.name, got.Plan.Strategy, d.strategy)
-				}
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				h := newIdentityHarness(t, shards, noCascade)
+				for _, d := range docs {
+					resp, raw := post(t, h.ts.URL+"/v1/query", d.doc)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s: status %d: %s", d.name, resp.StatusCode, raw)
+					}
+					if resp.Header.Get("Deprecation") != "" {
+						t.Errorf("%s: /v1/query marked deprecated", d.name)
+					}
+					got := decodeQuery(t, raw)
+					if d.strategy != "" && got.Plan.Strategy != string(d.strategy) {
+						t.Errorf("%s: plan strategy = %q, want %s", d.name, got.Plan.Strategy, d.strategy)
+					}
 
-				doc, err := json.Marshal(d.doc)
-				if err != nil {
-					t.Fatal(err)
+					doc, err := json.Marshal(d.doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					q, err := query.Parse(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if q.Limit == 0 && q.Similar == nil {
+						q.Limit = defaultSelectLimit
+					}
+					res, err := h.ref.QueryComposedCtx(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Through JSON, like the server's answer, so both sides
+					// carry the same nil-versus-empty slices.
+					wantRaw, err := json.Marshal(h.srv.toQueryResponse(res))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := decodeQuery(t, wantRaw)
+					if len(got.Matches) == 0 {
+						t.Errorf("%s: no matches; the identity would hold vacuously (%s)", d.name, raw)
+					}
+					if !reflect.DeepEqual(zeroMicros(got), zeroMicros(want)) {
+						t.Errorf("%s: HTTP envelope %+v, core %+v", d.name, zeroMicros(got), zeroMicros(want))
+					}
 				}
-				q, err := query.Parse(doc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if q.Limit == 0 && q.Similar == nil {
-					q.Limit = defaultSelectLimit
-				}
-				res, err := h.ref.QueryComposedCtx(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Through JSON, like the server's answer, so both sides
-				// carry the same nil-versus-empty slices.
-				wantRaw, err := json.Marshal(h.srv.toQueryResponse(res))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := decodeQuery(t, wantRaw)
-				if len(got.Matches) == 0 {
-					t.Errorf("%s: no matches; the identity would hold vacuously (%s)", d.name, raw)
-				}
-				if !reflect.DeepEqual(zeroMicros(got), zeroMicros(want)) {
-					t.Errorf("%s: HTTP envelope %+v, core %+v", d.name, zeroMicros(got), zeroMicros(want))
-				}
-			}
-		})
+			})
+		}
 	}
 }
